@@ -2,8 +2,10 @@
 
 Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 0 success, 1 exact check failure, 2 usage error, 3 budget exhaustion
-under --strict.  MIMLAB_BUDGET overrides the default work budgets of
-the exact searches.
+(under `verify --strict`, a skipped row also exits 3).  `--budget` is
+read only by `traces` (independent-set enumeration) and by
+`width --heuristic` (orderings evaluated); MIMLAB_BUDGET is the default
+of the former and is read nowhere else.
 """
 
 from __future__ import annotations
@@ -244,7 +246,6 @@ def _cmd_verify(args) -> int:
             checks=checks,
             seed=args.seed,
             threads=args.threads,
-            strict=args.strict,
             params=params,
         )
     except ValueError as exc:
@@ -302,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
         "--budget", type=int, default=None,
-        help="work budget override (MIMLAB_BUDGET sets the default for "
-             "enumeration budgets; for `width --heuristic` this is the "
-             "number of orderings evaluated)",
+        help="independent-set enumeration budget of `traces` (default: "
+             "MIMLAB_BUDGET, else 2^24) and number of orderings evaluated "
+             "by `width --heuristic` (default 200); the other subcommands "
+             "ignore it",
     )
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--json", action="store_true",

@@ -8,6 +8,7 @@ All functions here are pure; a Graph never changes after construction.
 
 from __future__ import annotations
 
+import enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -217,10 +218,18 @@ def is_induced_cut_matching(
 #
 # Crossing edges are oriented (u-side, rest-side).  Picking an edge forbids
 # future u-side endpoints in `fu` and future rest-side endpoints in `fv`;
-# the masks below encode "shares an endpoint or is joined by a graph edge".
-# The search is branch and bound over the lexicographically sorted crossing
-# edge list, so results and witnesses are deterministic.
+# the masks encode "shares an endpoint or is joined by an edge that the
+# variant keeps".  The search is branch and bound over the lexicographically
+# sorted crossing edge list, so results and witnesses are deterministic.
 # ---------------------------------------------------------------------------
+
+
+class WidthVariant(enum.Enum):
+    """Which edges can break an induced cut matching (see `mimlab.width`)."""
+
+    LU = "lu"
+    LMIM = "lmim"
+    LSIM = "lsim"
 
 
 class _Work:
@@ -237,36 +246,58 @@ class _Work:
             raise BudgetExceededError(self.what, self.budget)
 
 
-def crossing_edges(g: Graph, umask: int) -> list[tuple[int, int]]:
-    """Edges with exactly one end in umask, as (u-side, rest-side) pairs."""
-    comp = g.full_mask() & ~umask
-    out = []
-    m = umask
-    while m:
-        b = m & -m
-        m ^= b
-        u = b.bit_length() - 1
-        nb = g.adj[u] & comp
+def _conflict_rows(
+    g: Graph, variant: WidthVariant
+) -> list[list[tuple[int, int, int]]]:
+    """The variant's conflict rule, for every vertex u of g.
+
+    Row u lists, per neighbour v in ascending order, the triple (bit of v,
+    forbidden u-side mask, forbidden v-side mask) of the edge oriented
+    u -> v.  Picking u -> v forbids u and the neighbours of v on the
+    u-side, and v and the neighbours of u on the rest side (shared
+    endpoints, crossing edges).  Edges inside the u-side count too except
+    under LMIM, forbidding the neighbours of u on the u-side; edges inside
+    the rest count only under LSIM, forbidding the neighbours of v on the
+    rest side.  The rows do not depend on the cut, so one build serves
+    every prefix of an ordering.
+    """
+    u_inner = 0 if variant is WidthVariant.LMIM else -1
+    rest_inner = -1 if variant is WidthVariant.LSIM else 0
+    adj = g.adj
+    rows = []
+    for u in range(g.n):
+        au = adj[u]
+        fu_u = (1 << u) | (au & u_inner)
+        row = []
+        nb = au
         while nb:
             c = nb & -nb
             nb ^= c
-            out.append((u, c.bit_length() - 1))
-    return out
+            av = adj[c.bit_length() - 1]
+            row.append((c, fu_u | av, c | au | (av & rest_inner)))
+        rows.append(row)
+    return rows
 
 
-def _full_conflict_masks(
-    g: Graph, edges: list[tuple[int, int]]
+def _cut_tables(
+    rows: list[list[tuple[int, int, int]]], wmask: int, comp: int
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Forbidden-mask tables for matchings induced in g itself."""
+    """Bits and forbidden masks of the (wmask, comp) crossing edges.
+
+    Edges come in lexicographic (u-side, rest-side) order, which the
+    search and its canonical witness rely on.
+    """
     us, vs, fua, fva = [], [], [], []
-    adj = g.adj
-    for u, v in edges:
-        bu, bv = 1 << u, 1 << v
-        block = adj[u] | adj[v] | bu | bv
-        us.append(bu)
-        vs.append(bv)
-        fua.append(block)
-        fva.append(block)
+    w = wmask
+    while w:
+        b = w & -w
+        w ^= b
+        for c, fu_add, fv_add in rows[b.bit_length() - 1]:
+            if c & comp:
+                us.append(b)
+                vs.append(c)
+                fua.append(fu_add)
+                fva.append(fv_add)
     return us, vs, fua, fva
 
 
@@ -304,8 +335,10 @@ def _mis_max(us, vs, fua, fva, work: _Work | None = None) -> int:
     return k
 
 
-def _mis_lex_witness(edges, us, vs, fua, fva, size: int, work=None):
-    """Lexicographically least sorted list of edges achieving `size`."""
+def _mis_lex_witness(us, vs, fua, fva, work: _Work | None = None):
+    """Maximum compatible selection size, with the lexicographically least
+    sorted list of (u-side, rest-side) edges achieving it."""
+    size = _mis_max(us, vs, fua, fva, work)
     chosen: list[tuple[int, int]] = []
     fu = fv = 0
     start = 0
@@ -316,14 +349,14 @@ def _mis_lex_witness(edges, us, vs, fua, fva, size: int, work=None):
             need = size - len(chosen) - 1
             if _mis_exists(us, vs, fua, fva, need, work,
                            start=j + 1, fu0=fu | fua[j], fv0=fv | fva[j]):
-                chosen.append(edges[j])
+                chosen.append((us[j].bit_length() - 1, vs[j].bit_length() - 1))
                 fu |= fua[j]
                 fv |= fva[j]
                 start = j + 1
                 break
         else:  # pragma: no cover - size was certified reachable
             raise AssertionError("witness reconstruction failed")
-    return chosen
+    return size, chosen
 
 
 def max_induced_cut_matching(
@@ -331,32 +364,30 @@ def max_induced_cut_matching(
 ) -> tuple[int, list[tuple[int, int]]]:
     """Exact maximum induced (u, rest)-matching of g, with witness.
 
-    The matching must be induced in g as given; pass an upper subgraph or
-    a cut graph to measure matchings under those edge sets.  The witness
-    is the lexicographically least edge list among the maximum matchings.
-    Raises BudgetExceededError when the branch-and-bound exceeds its node
-    budget (default 10**8).
+    The matching must be induced in g as given (the LSIM rule); pass an
+    upper subgraph or a cut graph to measure matchings under those edge
+    sets.  The witness is the lexicographically least edge list among the
+    maximum matchings.  Raises BudgetExceededError when the
+    branch-and-bound exceeds its node budget (default 10**8).
     """
     umask = mask_of(u, g.n)
     work = _Work(budget or DEFAULT_MATCHING_BUDGET, "induced matching search")
-    edges = crossing_edges(g, umask)
-    us, vs, fua, fva = _full_conflict_masks(g, edges)
-    best = _mis_max(us, vs, fua, fva, work)
-    witness = _mis_lex_witness(edges, us, vs, fua, fva, best, work)
-    return best, witness
+    tables = _cut_tables(_conflict_rows(g, WidthVariant.LSIM), umask,
+                         g.full_mask() ^ umask)
+    return _mis_lex_witness(*tables, work)
 
 
 # ---------------------------------------------------------------------------
-# Edge-list file format: `p edge <n> <m>` header, one `e <u> <v>` line per
-# edge with 1-based endpoints, `c` lines and blank lines ignored (except
-# `c label <v> <name>` which restores display names).
+# Edge-list file format: one `p edge <n> <m>` header, exactly m `e <u> <v>`
+# lines with 1-based endpoints, `c` lines and blank lines ignored (except
+# `c label <v> <name>`, 1 <= v <= n, which restores display names).
 # ---------------------------------------------------------------------------
 
 
 def parse_edge_list(text: str) -> Graph:
-    n = None
+    n = m = header = None
     edges = []
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -364,12 +395,15 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "c":
             if len(parts) >= 4 and parts[1] == "label":
-                labels[int(parts[2]) - 1] = " ".join(parts[3:])
+                labels[int(parts[2]) - 1] = (lineno, " ".join(parts[3:]))
             continue
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
+            if len(parts) != 4 or parts[1] != "edge" \
+                    or not (parts[2].isdecimal() and parts[3].isdecimal()):
                 raise ValueError(f"line {lineno}: malformed problem line")
-            n = int(parts[2])
+            if n is not None:
+                raise ValueError(f"line {lineno}: repeated problem line")
+            n, m, header = int(parts[2]), int(parts[3]), lineno
             continue
         if parts[0] == "e":
             if n is None:
@@ -382,9 +416,17 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise ValueError("missing `p edge` header")
+    if len(edges) != m:
+        raise ValueError(f"line {header}: problem line declares {m} edges, "
+                         f"found {len(edges)}")
+    for v, (lineno, _) in labels.items():
+        if not 0 <= v < n:
+            raise ValueError(f"line {lineno}: label of vertex {v + 1} "
+                             f"out of range for n={n}")
     label_seq = None
     if labels:
-        label_seq = [labels.get(v, str(v + 1)) for v in range(n)]
+        label_seq = [labels[v][1] if v in labels else str(v + 1)
+                     for v in range(n)]
     return Graph(n, edges, labels=label_seq)
 
 

@@ -44,7 +44,13 @@ from .traces import (
     traces,
     vc_dimension,
 )
-from .width import WidthVariant, exact_width, heuristic_width_upper, width_of_ordering
+from .width import (
+    DEFAULT_EXACT_LIMIT,
+    WidthVariant,
+    exact_width,
+    heuristic_width_upper,
+    width_of_ordering,
+)
 
 CHECK_NAMES = (
     "subfunction-traces",
@@ -87,7 +93,6 @@ class ExperimentSpec:
     checks: tuple[str, ...]
     seed: int = 0
     threads: int = 1
-    strict: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -503,7 +508,7 @@ def run_grid_width_range(
     cases: Sequence[tuple[int, int]] = ((2, 1), (2, 2), (3, 1)),
     *,
     seed: int = 0,
-    exact_limit: int = 24,
+    exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> list[ReportRow]:
     """Layer-major ordering keeps the upper-subgraph width within r+2;
     the exact width is at least r whenever the exact DP is feasible."""
@@ -663,55 +668,42 @@ def run_vc(
 # ---------------------------------------------------------------------------
 
 
-_SUITES: dict[str, Callable[..., list[ReportRow]]] = {
-    "subfunction-traces": lambda spec: run_subfunction_traces(
-        spec.params.get("corpus_max_n", 6), seed=spec.seed
-    ),
-    "trace-bound": lambda spec: run_trace_bound(
-        spec.params.get("pair_max_n", 7), seed=spec.seed
-    ),
-    "shrink": lambda spec: run_shrink(
-        spec.params.get("pair_max_n", 7), seed=spec.seed
-    ),
-    "obdd-sandwich": lambda spec: run_obdd_sandwich(
-        spec.params.get("corpus_max_n", 6),
-        spec.params.get("random_ns", (7, 8)),
-        spec.params.get("random_count", 60),
-        seed=spec.seed,
-        threads=spec.threads,
-    ),
-    "horizontal-traces": lambda spec: run_horizontal_traces(
-        spec.params.get("horizontal_cases", ((3, 2, 2), (3, 3, 1))),
-        spec.params.get("mixed_picks", 10),
-        seed=spec.seed,
-    ),
-    "grid-prefix-traces": lambda spec: run_grid_prefix_traces(
-        spec.params.get("grid_trace_cases", ((2, 1), (3, 1))), seed=spec.seed
-    ),
-    "grid-width-range": lambda spec: run_grid_width_range(
-        spec.params.get("grid_width_cases", ((2, 1), (2, 2), (3, 1))),
-        seed=spec.seed,
-        exact_limit=spec.params.get("exact_limit", 24),
-    ),
-    "separation": lambda spec: run_separation(
-        spec.params.get("separation_rs", (3, 4)), seed=spec.seed
-    ),
-    "corona": lambda spec: run_corona(
-        spec.params.get("corona_ks", (3, 4, 5)), seed=spec.seed
-    ),
-    "vc": lambda spec: run_vc(
-        spec.params.get("vc_skew_qs", (1, 2, 3, 4)),
-        spec.params.get("vc_matching_ks", (1, 2, 3, 4, 5)),
-        seed=spec.seed,
-    ),
+# Check name -> (suite, {spec.params key or "threads": suite keyword}).
+# Every default lives in the suite's signature only.
+_SUITES: dict[str, tuple[Callable[..., list[ReportRow]], dict[str, str]]] = {
+    "subfunction-traces": (run_subfunction_traces, {"corpus_max_n": "max_n"}),
+    "trace-bound": (run_trace_bound, {"pair_max_n": "max_n"}),
+    "shrink": (run_shrink, {"pair_max_n": "max_n"}),
+    "obdd-sandwich": (run_obdd_sandwich, {
+        "corpus_max_n": "corpus_max_n",
+        "random_ns": "random_ns",
+        "random_count": "random_count",
+        "threads": "threads",
+    }),
+    "horizontal-traces": (run_horizontal_traces, {
+        "horizontal_cases": "cases", "mixed_picks": "mixed_picks",
+    }),
+    "grid-prefix-traces": (run_grid_prefix_traces, {
+        "grid_trace_cases": "cases",
+    }),
+    "grid-width-range": (run_grid_width_range, {
+        "grid_width_cases": "cases", "exact_limit": "exact_limit",
+    }),
+    "separation": (run_separation, {"separation_rs": "rs"}),
+    "corona": (run_corona, {"corona_ks": "ks"}),
+    "vc": (run_vc, {"vc_skew_qs": "skew_qs", "vc_matching_ks": "matching_ks"}),
 }
 
 
 def verify(spec: ExperimentSpec) -> list[ReportRow]:
     """Run every requested check; rows ordered by (check, instance)."""
+    given = dict(spec.params, threads=spec.threads)
     rows: list[ReportRow] = []
     for check in spec.checks:
-        rows.extend(_SUITES[check](spec))
+        suite, keywords = _SUITES[check]
+        kwargs = {kw: given[key] for key, kw in keywords.items()
+                  if key in given}
+        rows.extend(suite(seed=spec.seed, **kwargs))
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows
 

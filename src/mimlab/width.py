@@ -15,7 +15,6 @@ the 2^n prefix sets.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,6 +22,9 @@ from typing import Iterable, Sequence
 from .errors import BudgetExceededError
 from .graph import (
     Graph,
+    WidthVariant,
+    _conflict_rows,
+    _cut_tables,
     _mis_exists,
     _mis_lex_witness,
     _mis_max,
@@ -34,12 +36,6 @@ DEFAULT_EXACT_LIMIT = 24
 DEFAULT_HEURISTIC_BUDGET = 200
 
 
-class WidthVariant(enum.Enum):
-    LU = "lu"
-    LMIM = "lmim"
-    LSIM = "lsim"
-
-
 @dataclass(frozen=True)
 class WidthReport:
     variant: WidthVariant
@@ -47,62 +43,6 @@ class WidthReport:
     witness: tuple[int, ...]
     per_prefix: tuple[int, ...]
     exact: bool = True
-
-
-def _edge_tables(g: Graph, wmask: int, variant: WidthVariant):
-    """Crossing edges of the prefix cut plus forbidden-mask tables.
-
-    The masks encode, per oriented crossing edge (u in prefix, v outside),
-    which future u-side / v-side endpoints would conflict with it in the
-    variant's derived graph; the derived graph itself is never built.
-    """
-    adj = g.adj
-    comp = g.full_mask() & ~wmask
-    us, vs, fua, fva = [], [], [], []
-    m = wmask
-    if variant is WidthVariant.LU:
-        while m:
-            b = m & -m
-            m ^= b
-            au = adj[b.bit_length() - 1]
-            nb = au & comp
-            while nb:
-                c = nb & -nb
-                nb ^= c
-                av = adj[c.bit_length() - 1]
-                us.append(b)
-                vs.append(c)
-                fua.append(au | av | b | c)
-                fva.append(au | c)
-    elif variant is WidthVariant.LMIM:
-        while m:
-            b = m & -m
-            m ^= b
-            au = adj[b.bit_length() - 1]
-            nb = au & comp
-            while nb:
-                c = nb & -nb
-                nb ^= c
-                av = adj[c.bit_length() - 1]
-                us.append(b)
-                vs.append(c)
-                fua.append(av | b)
-                fva.append(au | c)
-    else:
-        while m:
-            b = m & -m
-            m ^= b
-            au = adj[b.bit_length() - 1]
-            nb = au & comp
-            while nb:
-                c = nb & -nb
-                nb ^= c
-                block = au | adj[c.bit_length() - 1] | b | c
-                us.append(b)
-                vs.append(c)
-                fua.append(block)
-                fva.append(block)
-    return us, vs, fua, fva
 
 
 def prefix_width(
@@ -118,15 +58,11 @@ def prefix_width(
     (w, rest)-matching of the upper subgraph (LU), the cut graph (LMIM),
     or g itself (LSIM).
     """
-    return _prefix_width_mask(g, mask_of(w, g.n), variant, budget=budget)
-
-
-def _prefix_width_mask(
-    g: Graph, wmask: int, variant: WidthVariant, *, budget: int | None = None
-) -> int:
-    us, vs, fua, fva = _edge_tables(g, wmask, variant)
+    wmask = mask_of(w, g.n)
+    tables = _cut_tables(_conflict_rows(g, variant), wmask,
+                         g.full_mask() ^ wmask)
     work = _Work(budget, "prefix width search") if budget else None
-    return _mis_max(us, vs, fua, fva, work)
+    return _mis_max(*tables, work)
 
 
 def prefix_width_witness(
@@ -134,12 +70,9 @@ def prefix_width_witness(
 ) -> tuple[int, list[tuple[int, int]]]:
     """Prefix width together with its lexicographically least witness."""
     wmask = mask_of(w, g.n)
-    us, vs, fua, fva = _edge_tables(g, wmask, variant)
-    edges = [
-        (u.bit_length() - 1, v.bit_length() - 1) for u, v in zip(us, vs)
-    ]
-    best = _mis_max(us, vs, fua, fva)
-    return best, _mis_lex_witness(edges, us, vs, fua, fva, best)
+    tables = _cut_tables(_conflict_rows(g, variant), wmask,
+                         g.full_mask() ^ wmask)
+    return _mis_lex_witness(*tables)
 
 
 def width_of_ordering(
@@ -147,23 +80,25 @@ def width_of_ordering(
 ) -> tuple[int, list[int]]:
     """Max prefix width along the ordering, plus all per-prefix widths."""
     _check_permutation(g, pi)
+    rows = _conflict_rows(g, variant)
+    full = g.full_mask()
     per_prefix = []
     wmask = 0
     for v in pi:
         wmask |= 1 << v
-        per_prefix.append(_prefix_width_mask(g, wmask, variant))
+        per_prefix.append(_mis_max(*_cut_tables(rows, wmask, full ^ wmask)))
     return max(per_prefix, default=0), per_prefix
 
 
-def _width_of_ordering_capped(
-    g: Graph, pi: Sequence[int], variant: WidthVariant, cap: int
-) -> int:
-    """Width of the ordering, or `cap` as soon as it cannot beat `cap`."""
+def _width_of_ordering_capped(rows, pi: Sequence[int], cap: int) -> int:
+    """Width of the ordering under the graph's conflict rows, or `cap` as
+    soon as it cannot beat `cap`."""
+    full = (1 << len(rows)) - 1
     best = 0
     wmask = 0
     for v in pi:
         wmask |= 1 << v
-        us, vs, fua, fva = _edge_tables(g, wmask, variant)
+        us, vs, fua, fva = _cut_tables(rows, wmask, full ^ wmask)
         while best < cap and _mis_exists(us, vs, fua, fva, best + 1):
             best += 1
         if best >= cap:
@@ -194,27 +129,9 @@ def exact_width(
         raise BudgetExceededError(f"exact width DP on {n} vertices", limit)
     if n == 0:
         return WidthReport(variant, 0, (), ())
-    adj = g.adj
     full = (1 << n) - 1
     size = 1 << n
-
-    # Per-directed-edge forbidden masks, fixed for the whole DP.
-    prec: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for u in range(n):
-        au = adj[u]
-        bu = 1 << u
-        nb = au
-        while nb:
-            c = nb & -nb
-            nb ^= c
-            av = adj[c.bit_length() - 1]
-            if variant is WidthVariant.LU:
-                prec[u].append((c, au | av | bu | c, au | c))
-            elif variant is WidthVariant.LMIM:
-                prec[u].append((c, av | bu, au | c))
-            else:
-                block = au | av | bu | c
-                prec[u].append((c, block, block))
+    rows = _conflict_rows(g, variant)
 
     f = bytearray(size)
     for wmask in range(1, size):
@@ -226,18 +143,7 @@ def exact_width(
             t = f[wmask ^ b]
             if t < m:
                 m = t
-        comp = full ^ wmask
-        us, vs, fua, fva = [], [], [], []
-        w = wmask
-        while w:
-            b = w & -w
-            w ^= b
-            for c, fu_add, fv_add in prec[b.bit_length() - 1]:
-                if c & comp:
-                    us.append(b)
-                    vs.append(c)
-                    fua.append(fu_add)
-                    fva.append(fv_add)
+        us, vs, fua, fva = _cut_tables(rows, wmask, full ^ wmask)
         if not us or not _mis_exists(us, vs, fua, fva, m + 1):
             f[wmask] = m
             continue
@@ -286,6 +192,7 @@ def heuristic_width_upper(
     if n == 0:
         return 0, ()
     rng = random.Random(seed)
+    rows = _conflict_rows(g, variant)
     best_order = list(range(n))
     best_value, _ = width_of_ordering(g, best_order, variant)
     evals = 1
@@ -297,8 +204,7 @@ def heuristic_width_upper(
             if evals >= budget:
                 break
             current[i], current[i + 1] = current[i + 1], current[i]
-            value = _width_of_ordering_capped(g, current, variant,
-                                              current_value)
+            value = _width_of_ordering_capped(rows, current, current_value)
             evals += 1
             if value < current_value:
                 current_value = value
@@ -311,7 +217,7 @@ def heuristic_width_upper(
         if not improved and evals < budget:
             current = list(range(n))
             rng.shuffle(current)
-            current_value = _width_of_ordering_capped(g, current, variant,
+            current_value = _width_of_ordering_capped(rows, current,
                                                       best_value + 1)
             evals += 1
             if current_value < best_value:

@@ -214,6 +214,16 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("p edge 2 1\nx 1 2\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 3 5\ne 1 2\n", "line 1"),
+        ("p edge 3 1\nc label 9 x\ne 1 2\n", "line 2"),
+        ("p edge 3 1\nc label 0 y\ne 1 2\n", "line 2"),
+        ("p edge 3 1\ne 1 2\np edge 4 1\ne 3 4\n", "line 3"),
+    ], ids=["edge-count", "label-above-n", "label-zero", "repeated-header"])
+    def test_inconsistent_input_rejected(self, text, line):
+        with pytest.raises(ValueError, match=line):
+            parse_edge_list(text)
+
     def test_format_is_one_based(self):
         text = format_edge_list(Graph(2, [(0, 1)]))
         assert "p edge 2 1" in text

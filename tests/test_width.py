@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from mimlab.errors import BudgetExceededError
 from mimlab.generators import clique_thread, fixtures, skew_grid, two_rows
-from mimlab.graph import Graph, cut_graph, max_induced_cut_matching, upper_subgraph
+from mimlab.graph import (
+    Graph,
+    cut_graph,
+    is_induced_cut_matching,
+    max_induced_cut_matching,
+    upper_subgraph,
+)
 from mimlab.width import (
     WidthVariant,
     exact_width,
@@ -55,9 +61,17 @@ class TestPrefixWidth:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive(self, g, umask_seed):
         w = {v for v in range(g.n) if umask_seed >> v & 1 and v < g.n}
+        derived = {
+            WidthVariant.LU: upper_subgraph(g, w),
+            WidthVariant.LMIM: cut_graph(g, w),
+            WidthVariant.LSIM: g,
+        }
         for variant in WidthVariant:
-            assert prefix_width(g, w, variant) == \
-                naive_prefix_width(g, w, variant.value)
+            expected = naive_prefix_width(g, w, variant.value)
+            assert prefix_width(g, w, variant) == expected
+            size, witness = prefix_width_witness(g, w, variant)
+            assert size == len(witness) == expected
+            assert is_induced_cut_matching(derived[variant], w, witness)
 
     @given(graphs(max_n=6), st.integers(0, 63))
     @settings(max_examples=40, deadline=None)
@@ -109,6 +123,31 @@ class TestExactWidth:
     def test_clique_thread_value(self):
         # the row-major ordering already has width 1, so the minimum is 1
         assert exact_width(clique_thread(3), WidthVariant.LU).value == 1
+
+    # The canonical witness rule (always remove the smallest-index
+    # minimizing vertex) fixes these; any exact-width engine must
+    # reproduce them.
+    @pytest.mark.parametrize("name, variant, witness, per_prefix", [
+        ("tworows", "lu", (7, 6, 5, 4, 3, 2, 1, 0), (1, 1, 1, 1, 1, 1, 1, 0)),
+        ("tworows", "lmim", (7, 6, 5, 4, 3, 2, 1, 0), (1, 2, 2, 2, 2, 2, 1, 0)),
+        ("tworows", "lsim", (7, 6, 5, 4, 3, 2, 1, 0), (1, 1, 1, 1, 1, 1, 1, 0)),
+        ("c4", "lu", (3, 2, 1, 0), (1, 1, 1, 0)),
+        ("c4", "lmim", (2, 1, 3, 0), (1, 1, 1, 0)),
+        ("c4", "lsim", (3, 2, 1, 0), (1, 1, 1, 0)),
+        ("cliquethread3", "lu", (8, 7, 6, 5, 4, 3, 2, 1, 0),
+         (1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ("cliquethread3", "lmim", (8, 7, 5, 6, 4, 2, 3, 1, 0),
+         (1, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ("cliquethread3", "lsim", (8, 7, 6, 5, 4, 3, 2, 1, 0),
+         (1, 1, 1, 1, 1, 1, 1, 1, 0)),
+    ])
+    def test_canonical_witness_pinned(self, name, variant, witness,
+                                      per_prefix):
+        g = {"tworows": two_rows(), "c4": C4,
+             "cliquethread3": clique_thread(3)}[name]
+        rep = exact_width(g, WidthVariant(variant))
+        assert (rep.witness, rep.per_prefix) == (witness, per_prefix)
+        assert rep.value == max(per_prefix)
 
     def test_witness_consistency(self):
         for variant in WidthVariant:
