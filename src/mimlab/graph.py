@@ -384,6 +384,14 @@ def max_induced_cut_matching(
 # ---------------------------------------------------------------------------
 
 
+def _line_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {token!r} is not an "
+                         f"integer") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     n = m = header = None
     edges = []
@@ -395,7 +403,8 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "c":
             if len(parts) >= 4 and parts[1] == "label":
-                labels[int(parts[2]) - 1] = (lineno, " ".join(parts[3:]))
+                v = _line_int(parts[2], lineno, "label index")
+                labels[v - 1] = (lineno, " ".join(parts[3:]))
             continue
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge" \
@@ -410,8 +419,14 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append((u, v))
+            u, v = (_line_int(t, lineno, "endpoint") for t in parts[1:])
+            for x in (u, v):
+                if not 1 <= x <= n:
+                    raise ValueError(f"line {lineno}: endpoint {x} out of "
+                                     f"range for n={n}")
+            if u == v:
+                raise ValueError(f"line {lineno}: self loop at vertex {u}")
+            edges.append((u - 1, v - 1))
             continue
         raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:

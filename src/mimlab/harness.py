@@ -99,6 +99,10 @@ class ExperimentSpec:
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}")
+        read = {key for _, keys in _SUITES.values() for key in keys}
+        for key in self.params:
+            if key not in read:
+                raise ValueError(f"unknown verify parameter {key!r}")
 
 
 def _timed(row: ReportRow, started: float) -> ReportRow:
@@ -511,7 +515,7 @@ def run_grid_width_range(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> list[ReportRow]:
     """Layer-major ordering keeps the upper-subgraph width within r+2;
-    the exact width is at least r whenever the exact DP is feasible."""
+    the exact width is at least r whenever n is within the exact limit."""
     rows = []
     for q, r in cases:
         t0 = time.perf_counter()

@@ -9,8 +9,10 @@ differing in which edges of the host graph can break a matching:
 * LSIM  - matchings induced in the graph itself.
 
 A prefix's width depends only on the prefix as a set, which makes the exact
-minimum over all n! orderings computable by a min-max dynamic program over
-the 2^n prefix sets.
+minimum over all n! orderings a min-max recurrence over prefix sets.
+`exact_width` evaluates it by a threshold search that, for k = 0, 1, ...,
+visits only the prefix sets reachable through prefixes of width <= k, so
+graphs of small width touch a small part of the 2^n sets.
 """
 
 from __future__ import annotations
@@ -119,10 +121,17 @@ def exact_width(
 ) -> WidthReport:
     """Exact width minimum over all vertex orderings, with a witness.
 
-    Subset DP: f(W) = max(prefix_width(W), min over v in W of f(W - v)).
-    The witness is reconstructed by always removing the smallest-index
-    minimizing vertex, so it is canonical.  Guarded by `limit` on n
-    (2^n table).
+    With f(W) = max(prefix_width(W), min over v in W of f(W - v)), the
+    width is f of the full vertex set.  A threshold search finds it: for
+    k = 0, 1, ... walk, by popcount, the prefix sets W with f(W) <= k,
+    each reached from a predecessor with f <= k, until the walk reaches
+    the full set.  Every set with f(W) <= k has a minimising predecessor
+    that the walk also visits, so f is exact on the visited sets; f and
+    the proven lower bound on the prefix width of each rejected set carry
+    over from one threshold to the next.  Small widths therefore visit a
+    small part of the 2^n sets.  The witness is reconstructed by always
+    removing the smallest-index minimizing vertex, so it is canonical.
+    Guarded by `limit` on n (2^n-byte tables).
     """
     n = g.n
     if n > limit:
@@ -133,24 +142,49 @@ def exact_width(
     size = 1 << n
     rows = _conflict_rows(g, variant)
 
-    f = bytearray(size)
-    for wmask in range(1, size):
-        m = 255
-        w = wmask
-        while w:
-            b = w & -w
-            w ^= b
-            t = f[wmask ^ b]
-            if t < m:
-                m = t
-        us, vs, fua, fva = _cut_tables(rows, wmask, full ^ wmask)
-        if not us or not _mis_exists(us, vs, fua, fva, m + 1):
-            f[wmask] = m
-            continue
-        k = m + 1
-        while _mis_exists(us, vs, fua, fva, k + 1):
-            k += 1
-        f[wmask] = k
+    # f[W] is exact once set, and 255 until then.  lb[W] is a proven
+    # lower bound on prefix_width(W), raised each time W is rejected.
+    f = bytearray(b"\xff") * size
+    lb = bytearray(size)
+    f[0] = 0
+    k = 0
+    while True:
+        layer = {0}
+        for _ in range(n):
+            nxt = set()
+            for s in layer:
+                out = full ^ s
+                while out:
+                    b = out & -out
+                    out ^= b
+                    wmask = s | b
+                    if f[wmask] != 255:
+                        nxt.add(wmask)
+                        continue
+                    if lb[wmask] > k:
+                        continue
+                    m = 255
+                    w = wmask
+                    while w:
+                        c = w & -w
+                        w ^= c
+                        t = f[wmask ^ c]
+                        if t < m:
+                            m = t
+                    p = max(m, lb[wmask])
+                    us, vs, fua, fva = _cut_tables(rows, wmask, full ^ wmask)
+                    while p <= k and us and _mis_exists(us, vs, fua, fva,
+                                                        p + 1):
+                        p += 1
+                    if p > k:
+                        lb[wmask] = p
+                    else:
+                        f[wmask] = p
+                        nxt.add(wmask)
+            layer = nxt
+        if layer:
+            break
+        k += 1
 
     value = f[full]
     order_rev = []
@@ -171,7 +205,7 @@ def exact_width(
     witness = tuple(reversed(order_rev))
     check, per_prefix = width_of_ordering(g, witness, variant)
     if check != value:  # pragma: no cover - internal consistency
-        raise AssertionError("witness width disagrees with DP value")
+        raise AssertionError("witness width disagrees with search value")
     return WidthReport(variant, value, witness, tuple(per_prefix))
 
 

@@ -148,3 +148,28 @@ def naive_vc_dimension(ground: list, family: set) -> int:
             break
         best = k
     return best
+
+
+def naive_exact_width_report(g: Graph, variant: str) -> tuple:
+    """(value, witness, per_prefix) of the min-max subset DP.
+
+    f(W) = max(naive_prefix_width(W), min over v in W of f(W - v)) over
+    all vertex sets, built up by size; the witness removes, from the full
+    set on, the smallest vertex v minimising f(W - v).
+    """
+    f = {frozenset(): 0}
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            w = frozenset(combo)
+            f[w] = max(naive_prefix_width(g, w, variant),
+                       min(f[w - {v}] for v in w))
+    w = frozenset(range(g.n))
+    removed = []
+    while w:
+        v = min(w, key=lambda x: (f[w - {x}], x))
+        removed.append(v)
+        w = w - {v}
+    witness = tuple(reversed(removed))
+    per_prefix = tuple(naive_prefix_width(g, witness[:i], variant)
+                       for i in range(1, g.n + 1))
+    return f[frozenset(range(g.n))], witness, per_prefix

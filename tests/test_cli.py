@@ -153,6 +153,19 @@ class TestVerify:
         assert "rows=" in out
         assert csv_path.exists() and json_path.exists()
 
+    def test_unknown_param_exit_2(self, capsys, monkeypatch):
+        import mimlab.cli
+        from mimlab.harness import ExperimentSpec
+
+        def spec_with_typo(**kw):
+            params = dict(kw.pop("params"), corona_k=(3,))
+            return ExperimentSpec(params=params, **kw)
+
+        monkeypatch.setattr(mimlab.cli, "ExperimentSpec", spec_with_typo)
+        code, _, err = run_cli(capsys, "verify", "--checks", "corona")
+        assert code == 2
+        assert "unknown verify parameter 'corona_k'" in err
+
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--checks", "bogus")
         assert code == 2

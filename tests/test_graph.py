@@ -219,7 +219,14 @@ class TestEdgeListFormat:
         ("p edge 3 1\nc label 9 x\ne 1 2\n", "line 2"),
         ("p edge 3 1\nc label 0 y\ne 1 2\n", "line 2"),
         ("p edge 3 1\ne 1 2\np edge 4 1\ne 3 4\n", "line 3"),
-    ], ids=["edge-count", "label-above-n", "label-zero", "repeated-header"])
+        ("p edge 3 1\n\ne 1 a\n", "line 3: endpoint 'a'"),
+        ("p edge 3 1\nc label x y\ne 1 2\n", "line 2: label index 'x'"),
+        ("p edge 3 2\ne 1 2\ne 1 9\n", "line 3: endpoint 9 .*n=3"),
+        ("p edge 3 1\ne 0 2\n", "line 2: endpoint 0 "),
+        ("p edge 3 1\ne 2 2\n", "line 2: self loop at vertex 2"),
+    ], ids=["edge-count", "label-above-n", "label-zero", "repeated-header",
+            "endpoint-not-int", "label-not-int", "endpoint-above-n",
+            "endpoint-zero", "self-loop"])
     def test_inconsistent_input_rejected(self, text, line):
         with pytest.raises(ValueError, match=line):
             parse_edge_list(text)

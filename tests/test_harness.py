@@ -27,6 +27,17 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(checks=("nonsense",))
 
+    def test_unknown_param_rejected(self):
+        # a typo for corona_ks must not run the corona defaults
+        with pytest.raises(ValueError, match="'corona_k'"):
+            verify(ExperimentSpec(checks=("corona",),
+                                  params={"corona_k": (3,)}))
+
+    def test_param_of_unrequested_suite_accepted(self):
+        spec = ExperimentSpec(checks=("corona",),
+                              params={"corpus_max_n": 4, "corona_ks": (3,)})
+        assert [r.check for r in verify(spec)] == ["corona"]
+
     def test_verify_small(self):
         spec = ExperimentSpec(
             checks=("corona", "vc"),

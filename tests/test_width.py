@@ -23,7 +23,11 @@ from mimlab.width import (
 )
 
 from conftest import graphs
-from oracles import naive_exact_width, naive_prefix_width
+from oracles import (
+    naive_exact_width,
+    naive_exact_width_report,
+    naive_prefix_width,
+)
 
 C4 = fixtures()["c4"]
 K2 = fixtures()["k2"]
@@ -140,14 +144,40 @@ class TestExactWidth:
          (1, 2, 2, 2, 2, 2, 2, 1, 0)),
         ("cliquethread3", "lsim", (8, 7, 6, 5, 4, 3, 2, 1, 0),
          (1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        # width 2: the search rejects sets at thresholds 0 and 1 first
+        ("skewgrid312", "lu", (8, 5, 7, 4, 3, 6, 2, 1, 0),
+         (1, 1, 2, 2, 2, 2, 2, 1, 0)),
+        ("skewgrid312", "lmim", (8, 7, 5, 4, 3, 6, 2, 1, 0),
+         (1, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ("skewgrid312", "lsim", (8, 5, 7, 4, 6, 3, 2, 1, 0),
+         (1, 1, 2, 2, 2, 2, 2, 1, 0)),
     ])
     def test_canonical_witness_pinned(self, name, variant, witness,
                                       per_prefix):
         g = {"tworows": two_rows(), "c4": C4,
-             "cliquethread3": clique_thread(3)}[name]
+             "cliquethread3": clique_thread(3),
+             "skewgrid312": skew_grid(3, 1, 2)[0]}[name]
         rep = exact_width(g, WidthVariant(variant))
         assert (rep.witness, rep.per_prefix) == (witness, per_prefix)
         assert rep.value == max(per_prefix)
+
+    def test_matches_full_table_oracle_exhaustive(self):
+        from mimlab import corpus
+
+        for n in range(1, 7):
+            for g in corpus.connected_graphs(n):
+                for variant in WidthVariant:
+                    rep = exact_width(g, variant)
+                    assert (rep.value, rep.witness, rep.per_prefix) == \
+                        naive_exact_width_report(g, variant.value), g.edges()
+
+    @given(graphs(max_n=7))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_full_table_oracle(self, g):
+        for variant in WidthVariant:
+            rep = exact_width(g, variant)
+            assert (rep.value, rep.witness, rep.per_prefix) == \
+                naive_exact_width_report(g, variant.value)
 
     def test_witness_consistency(self):
         for variant in WidthVariant:
