@@ -3,7 +3,7 @@
 Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 0 success, 1 exact check failure, 2 usage error, 3 budget exhaustion
 (under `verify --strict`, a skipped row also exits 3).  `--budget` is
-read only by `traces` (independent-set enumeration) and by
+read only by `traces` (trace-family entries processed) and by
 `width --heuristic` (orderings evaluated); MIMLAB_BUDGET is the default
 of the former and is read nowhere else.
 """
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
         "--budget", type=int, default=None,
-        help="independent-set enumeration budget of `traces` (default: "
+        help="trace-family entries `traces` may process (default: "
              "MIMLAB_BUDGET, else 2^24) and number of orderings evaluated "
              "by `width --heuristic` (default 200); the other subcommands "
              "ignore it",

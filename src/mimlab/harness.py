@@ -99,6 +99,10 @@ class ExperimentSpec:
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}")
+        if "threads" in self.params:
+            raise ValueError(
+                "verify parameter 'threads' belongs in ExperimentSpec.threads"
+            )
         read = {key for _, keys in _SUITES.values() for key in keys}
         for key in self.params:
             if key not in read:

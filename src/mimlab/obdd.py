@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .graph import Graph, vertices_of
+from .traces import _trace_step, trace_masks
 from .width import WidthReport, WidthVariant, exact_width
 
 TRUTH_TABLE_LIMIT = 20
@@ -170,7 +171,9 @@ def build_obdd(g: Graph, order: Sequence[int]) -> Obdd:
     States are forced-sets over undecided vertices.  Setting a vertex
     false adds its undecided neighbors to the forced set; setting a forced
     vertex false falsifies; a state with nothing forced and no remaining
-    edges is satisfied.
+    edges is satisfied.  This is the transition of `traces._trace_step`
+    (a forced-set is a trace); the sweep keeps its own loop because it
+    records each state's lo and hi successor.
     """
     cnf_of_graph(g)  # validates no isolated vertices
     n = g.n
@@ -359,24 +362,6 @@ class MinSizeReport:
     order_total: tuple[int, ...]
 
 
-def _live_trace_masks(g: Graph, wmask: int, comp: int) -> set[int]:
-    out = set()
-    adj = g.adj
-    members = list(vertices_of(wmask))
-
-    def rec(idx: int, nmask: int, banned: int):
-        out.add(nmask & comp)
-        for j in range(idx, len(members)):
-            v = members[j]
-            b = 1 << v
-            if b & banned:
-                continue
-            rec(j + 1, nmask | adj[v], banned | b | adj[v])
-
-    rec(0, 0, 0)
-    return out
-
-
 def _internal_edge_table(g: Graph) -> bytearray:
     n = g.n
     table = bytearray(1 << n)
@@ -417,11 +402,17 @@ def min_obdd_size_exact(
     hr = [INF] * size
     gq[0] = 0
     hr[0] = 0
+    # fams[p] holds the trace family of the latest prefix set of size p.
+    # In numeric order the latest set of size p - 1 before W is W minus
+    # its lowest vertex, so each family derives from its predecessor's.
+    fams: list[set[int]] = [{0}] * (n + 1)
     for wmask in range(size):
-        if gq[wmask] >= INF and hr[wmask] >= INF:
-            continue
         comp = full ^ wmask
-        tr = _live_trace_masks(g, wmask, comp)
+        p = wmask.bit_count()
+        if p:
+            b = wmask & -wmask
+            fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b, comp)
+        tr = fams[p]
         live = len(tr) - (0 if he[comp] else 1)
         base_q = gq[wmask] + live
         base_r = hr[wmask]
@@ -449,8 +440,6 @@ def min_obdd_size_exact(
             best_v = None
             for v in vertices_of(wmask):
                 prev = wmask ^ (1 << v)
-                if table[prev] >= INF:
-                    continue
                 if table[prev] + term(prev, v) == table[wmask]:
                     best_v = v
                     break
@@ -462,12 +451,12 @@ def min_obdd_size_exact(
 
     def live_term(prev: int, _v: int) -> int:
         comp = full ^ prev
-        tr = _live_trace_masks(g, prev, comp)
+        tr = trace_masks(g, prev)
         return len(tr) - (0 if he[comp] else 1)
 
     def dep_term(prev: int, v: int) -> int:
         comp = full ^ prev
-        tr = _live_trace_masks(g, prev, comp)
+        tr = trace_masks(g, prev)
         b = 1 << v
         av = adj[v]
         return sum(1 for t in tr if t & b or av & comp & ~t)
@@ -581,8 +570,6 @@ def obdd_bounds_report(
     min_sizes: MinSizeReport | None = None,
 ) -> ObddBoundsReport:
     """Exact width, exact minimal sizes, and every per-prefix check."""
-    from .traces import trace_masks
-
     if width_report is None:
         width_report = exact_width(g, WidthVariant.LU)
     if min_sizes is None:

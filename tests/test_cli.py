@@ -104,6 +104,16 @@ class TestTraces:
         assert payload["matching_size"] == 1
         assert payload["bound_check"]["within_binomial"]
 
+    def test_budget_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "c4.edges"
+        write_edge_list(fixtures()["c4"], path)
+        code, _, err = run_cli(
+            capsys, "traces", "--input", str(path), "--side", "1,2",
+            "--budget", "1",
+        )
+        assert code == 3
+        assert "budget" in err
+
 
 class TestObdd:
     def test_build_with_order(self, tmp_path, capsys):

@@ -33,6 +33,12 @@ class TestSpec:
             verify(ExperimentSpec(checks=("corona",),
                                   params={"corona_k": (3,)}))
 
+    def test_threads_param_rejected(self):
+        # verify reads the thread count from the field, so a params entry
+        # would be silently overridden
+        with pytest.raises(ValueError, match="ExperimentSpec.threads"):
+            ExperimentSpec(checks=("vc",), params={"threads": 4})
+
     def test_param_of_unrequested_suite_accepted(self):
         spec = ExperimentSpec(checks=("corona",),
                               params={"corpus_max_n": 4, "corona_ks": (3,)})

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimlab.errors import BudgetExceededError
-from mimlab.generators import clique_corona, clique_thread, fixtures, two_rows
+from mimlab.generators import (
+    clique_corona,
+    clique_thread,
+    fixtures,
+    random_connected_graph,
+    two_rows,
+)
 from mimlab.graph import Graph
 from mimlab.obdd import (
     FALSE_ID,
@@ -182,6 +188,24 @@ class TestMinimization:
         assert build_obdd(g, rep.order_quasi).size_quasi == rep.size_quasi
         assert build_obdd(g, rep.order_total).size_total == rep.size_total
 
+    @pytest.mark.parametrize("g, expected", [
+        (C4, (7, 6, (2, 1, 3, 0), (2, 1, 3, 0))),
+        (two_rows(), (24, 20, (7, 4, 1, 2, 5, 3, 6, 0),
+                      (7, 4, 1, 2, 5, 3, 6, 0))),
+        (clique_thread(3), (29, 26, (8, 7, 6, 5, 4, 3, 2, 1, 0),
+                            (7, 6, 5, 8, 3, 2, 1, 4, 0))),
+        (random_connected_graph(10, 3, p=0.4),
+         (24, 18, (8, 6, 1, 5, 4, 0, 3, 2, 9, 7),
+          (8, 6, 5, 1, 4, 0, 3, 9, 7, 2))),
+    ], ids=["c4", "two_rows", "clique_thread3", "random10"])
+    def test_dp_orders_pinned(self, g, expected):
+        # Pins reconstruct's tie-break (the smallest vertex that can come
+        # last); the method="enum" cross-checks compare sizes only.
+        rep = min_obdd_size_exact(g)
+        got = (rep.size_quasi, rep.size_total, rep.order_quasi,
+               rep.order_total)
+        assert got == expected
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             min_obdd_size_exact(K2, method="magic")
@@ -254,7 +278,7 @@ class TestLevelContract:
         import random
 
         from mimlab import corpus
-        from mimlab.obdd import _internal_edge_table, _live_trace_masks
+        from mimlab.obdd import _internal_edge_table
 
         rng = random.Random(0)
         for n in (3, 4, 5, 6):
@@ -271,7 +295,7 @@ class TestLevelContract:
                     wmask = 0
                     for i, v in enumerate(order):
                         comp = full ^ wmask
-                        tr = _live_trace_masks(g, wmask, comp)
+                        tr = trace_masks(g, wmask)
                         live = len(tr) - (0 if he[comp] else 1)
                         assert z.level_live_counts[i] == live
                         b = 1 << v

@@ -15,6 +15,7 @@ from mimlab.traces import (
     enum_independent_sets,
     shrink_to_enabler,
     trace_count_bound_check,
+    trace_masks,
     traces,
     vc_dimension,
 )
@@ -83,6 +84,15 @@ class TestTraces:
     def test_matches_naive(self, g, umask_seed):
         u = {v for v in range(g.n) if umask_seed >> v & 1 and v < g.n}
         assert traces(g, u).members == naive_traces(g, u)
+
+    def test_budget(self):
+        # The family doubles with each matched vertex added, so the ten
+        # steps process 1 + 2 + ... + 512 = 1023 entries.
+        g = perfect_matching_graph(10)
+        umask = (1 << 10) - 1
+        assert len(trace_masks(g, umask, budget=1023)) == 1024
+        with pytest.raises(BudgetExceededError):
+            trace_masks(g, umask, budget=1022)
 
 
 class TestEnables:
