@@ -245,7 +245,6 @@ def _cmd_verify(args) -> int:
         spec = ExperimentSpec(
             checks=checks,
             seed=args.seed,
-            threads=args.threads,
             params=params,
         )
     except ValueError as exc:
@@ -308,14 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
              "by `width --heuristic` (default 200); the other subcommands "
              "ignore it",
     )
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output when supported")
     # The same flags are accepted after the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,7 +8,6 @@ same rows byte for byte (timing is excluded from exports by default).
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import time
 from dataclasses import dataclass, field
@@ -92,13 +91,17 @@ class ReportRow:
 class ExperimentSpec:
     checks: tuple[str, ...]
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # verify runs serially; only 1 is accepted
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}")
+        if self.threads != 1:
+            raise ValueError(
+                f"verify runs serially; threads={self.threads} is not 1"
+            )
         if "threads" in self.params:
             raise ValueError(
                 "verify parameter 'threads' belongs in ExperimentSpec.threads"
@@ -112,13 +115,6 @@ class ExperimentSpec:
 def _timed(row: ReportRow, started: float) -> ReportRow:
     row.wall_ms = (time.perf_counter() - started) * 1000.0
     return row
-
-
-def _map(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +303,6 @@ def run_obdd_sandwich(
     random_count: int = 60,
     *,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[ReportRow]:
     """2^width lower bound, per-prefix trace bounds, level contract, and
     OBDD semantic checks on the connected corpus plus fixtures."""
@@ -355,7 +350,7 @@ def run_obdd_sandwich(
             t0,
         )
 
-    return _map(one, instances, threads)
+    return [one(item) for item in instances]
 
 
 def run_horizontal_traces(
@@ -676,7 +671,7 @@ def run_vc(
 # ---------------------------------------------------------------------------
 
 
-# Check name -> (suite, {spec.params key or "threads": suite keyword}).
+# Check name -> (suite, {spec.params key: suite keyword}).
 # Every default lives in the suite's signature only.
 _SUITES: dict[str, tuple[Callable[..., list[ReportRow]], dict[str, str]]] = {
     "subfunction-traces": (run_subfunction_traces, {"corpus_max_n": "max_n"}),
@@ -686,7 +681,6 @@ _SUITES: dict[str, tuple[Callable[..., list[ReportRow]], dict[str, str]]] = {
         "corpus_max_n": "corpus_max_n",
         "random_ns": "random_ns",
         "random_count": "random_count",
-        "threads": "threads",
     }),
     "horizontal-traces": (run_horizontal_traces, {
         "horizontal_cases": "cases", "mixed_picks": "mixed_picks",
@@ -705,12 +699,11 @@ _SUITES: dict[str, tuple[Callable[..., list[ReportRow]], dict[str, str]]] = {
 
 def verify(spec: ExperimentSpec) -> list[ReportRow]:
     """Run every requested check; rows ordered by (check, instance)."""
-    given = dict(spec.params, threads=spec.threads)
     rows: list[ReportRow] = []
     for check in spec.checks:
         suite, keywords = _SUITES[check]
-        kwargs = {kw: given[key] for key, kw in keywords.items()
-                  if key in given}
+        kwargs = {kw: spec.params[key] for key, kw in keywords.items()
+                  if key in spec.params}
         rows.extend(suite(seed=spec.seed, **kwargs))
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows

@@ -22,17 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .graph import (
-    Graph,
-    WidthVariant,
-    _conflict_rows,
-    _cut_tables,
-    _mis_exists,
-    _mis_lex_witness,
-    _mis_max,
-    _Work,
-    mask_of,
-)
+from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
 
 DEFAULT_EXACT_LIMIT = 24
 DEFAULT_HEURISTIC_BUDGET = 200
@@ -60,21 +50,17 @@ def prefix_width(
     (w, rest)-matching of the upper subgraph (LU), the cut graph (LMIM),
     or g itself (LSIM).
     """
-    wmask = mask_of(w, g.n)
-    tables = _cut_tables(_conflict_rows(g, variant), wmask,
-                         g.full_mask() ^ wmask)
+    table = _EdgeTable(g, variant)
     work = _Work(budget, "prefix width search") if budget else None
-    return _mis_max(*tables, work)
+    return table.max_size(table.crossing(mask_of(w, g.n)), work)
 
 
 def prefix_width_witness(
     g: Graph, w: Iterable[int], variant: WidthVariant
 ) -> tuple[int, list[tuple[int, int]]]:
     """Prefix width together with its lexicographically least witness."""
-    wmask = mask_of(w, g.n)
-    tables = _cut_tables(_conflict_rows(g, variant), wmask,
-                         g.full_mask() ^ wmask)
-    return _mis_lex_witness(*tables)
+    table = _EdgeTable(g, variant)
+    return table.lex_witness(table.crossing(mask_of(w, g.n)))
 
 
 def width_of_ordering(
@@ -82,26 +68,27 @@ def width_of_ordering(
 ) -> tuple[int, list[int]]:
     """Max prefix width along the ordering, plus all per-prefix widths."""
     _check_permutation(g, pi)
-    rows = _conflict_rows(g, variant)
-    full = g.full_mask()
+    table = _EdgeTable(g, variant)
     per_prefix = []
-    wmask = 0
+    leaving = entering = 0
     for v in pi:
-        wmask |= 1 << v
-        per_prefix.append(_mis_max(*_cut_tables(rows, wmask, full ^ wmask)))
+        leaving |= table.out[v]
+        entering |= table.into[v]
+        per_prefix.append(table.max_size(leaving & ~entering))
     return max(per_prefix, default=0), per_prefix
 
 
-def _width_of_ordering_capped(rows, pi: Sequence[int], cap: int) -> int:
-    """Width of the ordering under the graph's conflict rows, or `cap` as
+def _width_of_ordering_capped(
+    table: _EdgeTable, pi: Sequence[int], cap: int
+) -> int:
+    """Width of the ordering under the graph's edge table, or `cap` as
     soon as it cannot beat `cap`."""
-    full = (1 << len(rows)) - 1
     best = 0
-    wmask = 0
+    leaving = entering = 0
     for v in pi:
-        wmask |= 1 << v
-        us, vs, fua, fva = _cut_tables(rows, wmask, full ^ wmask)
-        while best < cap and _mis_exists(us, vs, fua, fva, best + 1):
+        leaving |= table.out[v]
+        entering |= table.into[v]
+        while best < cap and table.exists(leaving & ~entering, best + 1):
             best += 1
         if best >= cap:
             return cap
@@ -140,7 +127,7 @@ def exact_width(
         return WidthReport(variant, 0, (), ())
     full = (1 << n) - 1
     size = 1 << n
-    rows = _conflict_rows(g, variant)
+    table = _EdgeTable(g, variant)
 
     # f[W] is exact once set, and 255 until then.  lb[W] is a proven
     # lower bound on prefix_width(W), raised each time W is rejected.
@@ -172,9 +159,8 @@ def exact_width(
                         if t < m:
                             m = t
                     p = max(m, lb[wmask])
-                    us, vs, fua, fva = _cut_tables(rows, wmask, full ^ wmask)
-                    while p <= k and us and _mis_exists(us, vs, fua, fva,
-                                                        p + 1):
+                    cand = table.crossing(wmask)
+                    while p <= k and cand and table.exists(cand, p + 1):
                         p += 1
                     if p > k:
                         lb[wmask] = p
@@ -226,7 +212,7 @@ def heuristic_width_upper(
     if n == 0:
         return 0, ()
     rng = random.Random(seed)
-    rows = _conflict_rows(g, variant)
+    table = _EdgeTable(g, variant)
     best_order = list(range(n))
     best_value, _ = width_of_ordering(g, best_order, variant)
     evals = 1
@@ -238,7 +224,7 @@ def heuristic_width_upper(
             if evals >= budget:
                 break
             current[i], current[i + 1] = current[i + 1], current[i]
-            value = _width_of_ordering_capped(rows, current, current_value)
+            value = _width_of_ordering_capped(table, current, current_value)
             evals += 1
             if value < current_value:
                 current_value = value
@@ -251,7 +237,7 @@ def heuristic_width_upper(
         if not improved and evals < budget:
             current = list(range(n))
             rng.shuffle(current)
-            current_value = _width_of_ordering_capped(rows, current,
+            current_value = _width_of_ordering_capped(table, current,
                                                       best_value + 1)
             evals += 1
             if current_value < best_value:

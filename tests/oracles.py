@@ -25,31 +25,36 @@ def derived_edges(g: Graph, w: set, variant: str) -> set:
     raise ValueError(variant)
 
 
+def _is_induced_matching(edges: set, combo) -> bool:
+    """Pairwise disjoint edges, no edge of `edges` joining two of them."""
+    if len({v for e in combo for v in e}) != 2 * len(combo):
+        return False
+    for (a, b), (c, d) in itertools.combinations(combo, 2):
+        for x, y in ((a, c), (a, d), (b, c), (b, d)):
+            if (min(x, y), max(x, y)) in edges:
+                return False
+    return True
+
+
 def naive_max_induced_cut_matching(edges: set, w: set) -> int:
     """Max induced (w, rest)-matching of the graph given by `edges`."""
-    crossing = [e for e in edges if (e[0] in w) != (e[1] in w)]
-    best = 0
+    return len(naive_lex_least_witness(edges, w))
+
+
+def naive_lex_least_witness(edges: set, w: set) -> list:
+    """Lexicographically least maximum induced (w, rest)-matching.
+
+    The crossing edges are written (w-side, rest-side) and sorted, so
+    `itertools.combinations` yields each size's selections in
+    lexicographic order; the first induced one at the largest size wins.
+    """
+    crossing = sorted((a, b) if a in w else (b, a)
+                      for a, b in edges if (a in w) != (b in w))
     for k in range(len(crossing), 0, -1):
-        if k <= best:
-            break
         for combo in itertools.combinations(crossing, k):
-            verts = [v for e in combo for v in e]
-            if len(set(verts)) != 2 * k:
-                continue
-            induced = True
-            for (a, b), (c, d) in itertools.combinations(combo, 2):
-                for x, y in ((a, c), (a, d), (b, c), (b, d)):
-                    if (min(x, y), max(x, y)) in edges:
-                        induced = False
-                        break
-                if not induced:
-                    break
-            if induced:
-                best = k
-                break
-        if best == k:
-            break
-    return best
+            if _is_induced_matching(edges, combo):
+                return list(combo)
+    return []
 
 
 def naive_prefix_width(g: Graph, w, variant: str) -> int:

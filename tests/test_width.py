@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimlab.errors import BudgetExceededError
-from mimlab.generators import clique_thread, fixtures, skew_grid, two_rows
+from mimlab.generators import (
+    clique_thread,
+    fixtures,
+    random_connected_graph,
+    skew_grid,
+    two_rows,
+)
 from mimlab.graph import (
     Graph,
     cut_graph,
@@ -24,8 +30,10 @@ from mimlab.width import (
 
 from conftest import graphs
 from oracles import (
+    derived_edges,
     naive_exact_width,
     naive_exact_width_report,
+    naive_lex_least_witness,
     naive_prefix_width,
 )
 
@@ -90,6 +98,18 @@ class TestPrefixWidth:
         size, witness = prefix_width_witness(C4, [0, 1], WidthVariant.LMIM)
         assert size == 2 and witness == [(0, 2), (1, 3)]
 
+    @given(graphs(max_n=6), st.integers(0, 63))
+    @settings(max_examples=60, deadline=None)
+    def test_witness_is_lex_least(self, g, umask_seed):
+        w = {v for v in range(g.n) if umask_seed >> v & 1}
+        expected = naive_lex_least_witness(set(g.edges()), w)
+        assert max_induced_cut_matching(g, w) == (len(expected), expected)
+        for variant in WidthVariant:
+            expected = naive_lex_least_witness(
+                derived_edges(g, w, variant.value), w)
+            assert prefix_width_witness(g, w, variant) == \
+                (len(expected), expected)
+
 
 class TestWidthOfOrdering:
     def test_k2(self):
@@ -115,6 +135,19 @@ class TestWidthOfOrdering:
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
             width_of_ordering(K2, [0, 0], WidthVariant.LU)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_per_prefix_matches_naive(self, data):
+        # unsorted orders exercise the prefix-by-prefix crossing masks
+        g = data.draw(graphs(max_n=6))
+        pi = data.draw(st.permutations(range(g.n)))
+        for variant in WidthVariant:
+            value, per_prefix = width_of_ordering(g, pi, variant)
+            expected = [naive_prefix_width(g, pi[:i + 1], variant.value)
+                        for i in range(g.n)]
+            assert per_prefix == expected
+            assert value == max(expected, default=0)
 
 
 class TestExactWidth:
@@ -237,6 +270,26 @@ class TestHeuristic:
         a = heuristic_width_upper(two_rows(), WidthVariant.LMIM, seed=7)
         b = heuristic_width_upper(two_rows(), WidthVariant.LMIM, seed=7)
         assert a == b
+
+    # (value, ordering) at the default seed and budget; any change to the
+    # matching kernel must leave the local search's path unchanged.
+    @pytest.mark.parametrize("name, variant, value, order", [
+        ("skewgrid312", "lu", 2, (1, 6, 5, 0, 2, 4, 8, 7, 3)),
+        ("skewgrid312", "lmim", 2, (1, 6, 5, 0, 2, 8, 4, 7, 3)),
+        ("skewgrid312", "lsim", 2, (1, 6, 5, 0, 2, 4, 8, 7, 3)),
+        ("cliquethread3", "lu", 1, (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+        ("cliquethread3", "lmim", 2, (7, 5, 3, 1, 4, 2, 0, 8, 6)),
+        ("cliquethread3", "lsim", 1, (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+        ("random10", "lu", 2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+        ("random10", "lmim", 2, (9, 4, 8, 0, 6, 1, 7, 2, 3, 5)),
+        ("random10", "lsim", 1, (9, 0, 3, 2, 4, 5, 7, 6, 8, 1)),
+    ])
+    def test_pinned(self, name, variant, value, order):
+        g = {"skewgrid312": skew_grid(3, 1, 2)[0],
+             "cliquethread3": clique_thread(3),
+             "random10": random_connected_graph(10, 3, p=0.4)}[name]
+        assert heuristic_width_upper(g, WidthVariant(variant)) == \
+            (value, order)
 
     def test_exact_value_of_reported_ordering(self):
         value, witness = heuristic_width_upper(
