@@ -5,7 +5,8 @@ Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 (under `verify --strict`, a skipped row also exits 3).  `--budget` is
 read only by `traces` (trace-family entries processed) and by
 `width --heuristic` (orderings evaluated); MIMLAB_BUDGET is the default
-of the former and is read nowhere else.
+of the former and is read nowhere else.  Both must be positive integers;
+anything else exits 2.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ from .obdd import (
 )
 from .traces import trace_count_bound_check, traces
 from .width import (
+    DEFAULT_HEURISTIC_BUDGET,
     WidthVariant,
     exact_width,
     heuristic_width_upper,
+    width_of_ordering,
 )
 
 EXIT_OK = 0
@@ -53,9 +56,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _positive_int(raw: str) -> int:
+    """The type of --budget, also applied to MIMLAB_BUDGET."""
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _env_budget() -> int | None:
     raw = os.environ.get("MIMLAB_BUDGET")
-    return int(raw) if raw else None
+    try:
+        return _positive_int(raw) if raw else None
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"MIMLAB_BUDGET {exc}") from None
 
 
 def _out(args, text: str) -> None:
@@ -115,10 +129,9 @@ def _cmd_width(args) -> int:
     variant = WidthVariant(args.variant)
     if args.heuristic:
         value, witness = heuristic_width_upper(
-            g, variant, seed=args.seed, budget=args.budget or 200
+            g, variant, seed=args.seed,
+            budget=args.budget or DEFAULT_HEURISTIC_BUDGET,
         )
-        from .width import width_of_ordering
-
         _, per_prefix = width_of_ordering(g, witness, variant)
         mode = "heuristic"
     else:
@@ -301,18 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_positive_int, default=None,
         help="trace-family entries `traces` may process (default: "
-             "MIMLAB_BUDGET, else 2^24) and number of orderings evaluated "
-             "by `width --heuristic` (default 200); the other subcommands "
-             "ignore it",
+             "MIMLAB_BUDGET, else 2^24) and number of "
+             "orderings evaluated by `width --heuristic` (default "
+             f"{DEFAULT_HEURISTIC_BUDGET}); the other subcommands ignore it",
     )
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output when supported")
     # The same flags are accepted after the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=_positive_int,
+                        default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)

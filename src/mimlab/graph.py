@@ -454,11 +454,23 @@ def read_edge_list(path) -> Graph:
 
 
 def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
-    lines = [f"c {c}" for c in comments]
+    """The edge-list text of g.  Raises ValueError for a label the parser
+    would read back differently (empty, or with whitespace other than
+    single inner spaces), and for a comment that spans lines or would be
+    read as a label."""
+    lines = []
+    for c in comments:
+        if "".join(c.splitlines()) != c or c.split()[:1] == ["label"]:
+            raise ValueError(f"comment {c!r} does not survive the "
+                             f"edge-list format")
+        lines.append(f"c {c}")
     lines.append(f"p edge {g.n} {g.m}")
     if g.labels:
-        for v in range(g.n):
-            lines.append(f"c label {v + 1} {g.labels[v]}")
+        for v, label in enumerate(g.labels):
+            if not label or " ".join(label.split()) != label:
+                raise ValueError(f"label {label!r} of vertex {v + 1} does "
+                                 f"not survive the edge-list format")
+            lines.append(f"c label {v + 1} {label}")
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ same rows byte for byte (timing is excluded from exports by default).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ from .generators import (
 )
 from .graph import (
     Graph,
+    _EdgeTable,
+    is_independent_mask,
     mask_of,
     max_induced_cut_matching,
     neighborhood_mask,
@@ -36,8 +39,9 @@ from .graph import (
 )
 from .obdd import obdd_bounds_report, subfunction_count
 from .traces import (
-    _EnablingTable,
-    shrink_to_enabler,
+    _enables_mask,
+    _shrink_mask,
+    independent_set_masks,
     trace_count_bound_check,
     trace_masks,
     traces,
@@ -102,10 +106,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"verify runs serially; threads={self.threads} is not 1"
             )
-        if "threads" in self.params:
-            raise ValueError(
-                "verify parameter 'threads' belongs in ExperimentSpec.threads"
-            )
         read = {key for _, keys in _SUITES.values() for key in keys}
         for key in self.params:
             if key not in read:
@@ -158,8 +158,6 @@ def sandwich_instances(
 
 def _independent_complement_cuts(g: Graph) -> list[int]:
     """Masks U such that the rest of the graph is independent."""
-    from .traces import independent_set_masks
-
     full = g.full_mask()
     return [full ^ comp for comp in independent_set_masks(g, full)]
 
@@ -228,49 +226,52 @@ def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
 
 
 def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
-    """Shrinker postconditions against brute-force equal-trace enabling
-    subsets, on every independent set of every qualifying cut."""
-    from .traces import independent_set_masks
+    """The shrinker and the statement it proves, on every qualifying cut.
 
+    For each cut with independent rest side and r its largest induced
+    cut matching: every independent set shrinks (`_shrink_mask`) to a
+    subset with the same trace that enables a matching and has at most r
+    vertices; and, independently of the shrinker, the enabling
+    independent sets of size <= r leave every trace of the cut.
+    """
     rows = []
     for instance, g in full_corpus(max_n):
         t0 = time.perf_counter()
         bad = None
         sets_checked = 0
         full = g.full_mask()
+        table = _EdgeTable(g, WidthVariant.LSIM)
         for umask in _independent_complement_cuts(g):
             comp = full ^ umask
-            r, _ = max_induced_cut_matching(g, vertices_of(umask))
-            enables = _EnablingTable(g, umask)
-            subsets = list(independent_set_masks(g, umask))
-            for smask in subsets:
-                res = shrink_to_enabler(
-                    g, vertices_of(umask), vertices_of(smask),
-                    _enabling=enables,
-                )
-                out_mask = mask_of(res.output_set, g.n)
-                trace_in = neighborhood_mask(g, smask) & comp
-                trace_out = neighborhood_mask(g, out_mask) & comp
-                ok = (
-                    out_mask & ~smask == 0
-                    and trace_in == trace_out
-                    and enables(out_mask)
-                    and out_mask.bit_count() <= r
-                )
-                if ok:
-                    # Brute force: every equal-trace enabling subset.
-                    family = [
-                        sub
-                        for sub in _submasks(smask)
-                        if enables(sub)
-                        and neighborhood_mask(g, sub) & comp == trace_in
-                    ]
-                    ok = out_mask in family and bool(family)
+            if not is_independent_mask(g, comp):
+                raise ValueError(f"{instance}: cut {umask} has a dependent "
+                                 f"rest side")
+            r = table.max_size(table.crossing(umask))
+            enables = functools.cache(
+                functools.partial(_enables_mask, g, umask)
+            )
+            for smask in independent_set_masks(g, umask):
+                out, _ = _shrink_mask(g, comp, smask, enables)
                 sets_checked += 1
-                if not ok:
-                    bad = (umask, smask)
+                if not (
+                    out & ~smask == 0
+                    and neighborhood_mask(g, out) & comp
+                    == neighborhood_mask(g, smask) & comp
+                    and enables(out)
+                    and out.bit_count() <= r
+                ):
+                    bad = f"failed at cut {umask} set {smask}"
                     break
             if bad:
+                break
+            small = {
+                neighborhood_mask(g, t) & comp
+                for t in independent_set_masks(g, umask, max_size=r)
+                if enables(t)
+            }
+            if small != trace_masks(g, umask):
+                bad = (f"enabling sets of size <= {r} miss a trace at "
+                       f"cut {umask}")
                 break
         row = ReportRow(
             check="shrink",
@@ -279,22 +280,10 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
             m=g.m,
             passed=bad is None,
             seed=seed,
-            detail=f"independent sets checked={sets_checked}"
-            if bad is None
-            else f"failed at cut {bad[0]} set {bad[1]}",
+            detail=bad or f"independent sets checked={sets_checked}",
         )
         rows.append(_timed(row, t0))
     return rows
-
-
-def _submasks(mask: int) -> list[int]:
-    subs = [0]
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        subs += [s | b for s in subs]
-    return sorted(subs)
 
 
 def run_obdd_sandwich(

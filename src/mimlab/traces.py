@@ -3,9 +3,11 @@
 For a vertex split (U, V) the trace of an independent S inside U is the
 neighborhood it leaves on V.  The family of all traces governs how many
 distinct residual constraints a prefix of variables can produce, and when
-V is independent every trace is already realized by some small subset that
-additionally "enables" an induced cut matching; `shrink_to_enabler` finds
-such a subset constructively and keeps an audit log of its moves.
+V is independent every trace is already realized by a subset that
+"enables" an induced cut matching, hence by at most r vertices, r the
+largest such matching.  The mask kernel `_shrink_mask` finds that subset
+and logs its moves, `shrink_to_enabler` wraps it for vertex sets, and the
+`shrink` verify suite runs the kernel and checks the statement per cut.
 
 `trace_masks` never enumerates independent sets: it adds the vertices of U
 one at a time and derives each family from the previous one with
@@ -15,6 +17,8 @@ shares.  Its work budget counts the family entries processed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -200,83 +204,37 @@ def _enables_mask(g: Graph, umask: int, smask: int) -> bool:
     return rec(0, 0)
 
 
-class _EnablingTable:
-    """Memoized enabling status over independent subsets of one cut."""
-
-    def __init__(self, g: Graph, umask: int):
-        self.g = g
-        self.umask = umask
-        self.cache: dict[int, bool] = {0: True}
-
-    def __call__(self, smask: int) -> bool:
-        hit = self.cache.get(smask)
-        if hit is None:
-            hit = _enables_mask(self.g, self.umask, smask)
-            self.cache[smask] = hit
-        return hit
-
-
-def _max_enabling_subset(g: Graph, enables, smask: int) -> int:
+def _max_enabling_subset(enables, smask: int) -> int:
     """Lexicographically least maximum-size enabling subset of smask."""
-    members = list(vertices_of(smask))
-    for k in range(len(members), 0, -1):
-        found = _first_enabling_of_size(g, enables, members, k, 0, 0)
-        if found is not None:
-            return found
+    bits = [1 << v for v in vertices_of(smask)]
+    for k in range(len(bits), 0, -1):
+        for combo in itertools.combinations(bits, k):
+            if enables(sum(combo)):
+                return sum(combo)
     return 0
 
 
-def _first_enabling_of_size(g, enables, members, k, start, cur):
-    if k == 0:
-        return cur if enables(cur) else None
-    for i in range(start, len(members) - k + 1):
-        got = _first_enabling_of_size(
-            g, enables, members, k - 1, i + 1, cur | 1 << members[i]
-        )
-        if got is not None:
-            return got
-    return None
+def _shrink_mask(g: Graph, comp: int, smask: int, enables) -> tuple[int, list]:
+    """Shrink smask to an enabling subset with the same trace on comp;
+    returns (subset, moves), the moves alternating until the set enables:
 
-
-def shrink_to_enabler(
-    g: Graph,
-    u: Iterable[int],
-    s: Iterable[int],
-    *,
-    _enabling: "_EnablingTable | None" = None,
-) -> ShrinkResult:
-    """Shrink s to an enabling subset with the same trace on V.
-
-    Requires V = rest independent and s an independent subset of u.  Two
-    moves alternate until the working set enables an induced cut matching:
-
-    * eliminate - drop a member whose individual trace (neighbors on V not
-      covered by the rest of the set) is empty; the smallest index is
-      chosen when several qualify.
+    * eliminate - drop the smallest member whose individual trace
+      (neighbors on comp not covered by the rest of the set) is empty.
     * recombine - around the lexicographically least maximum enabling
       subset S0 and the smallest outside member w, reduce S0 + {w} by
-      eliminations, then continue with the reduction united with the
-      untouched remainder.
+      eliminations and continue with it and the untouched remainder.
 
-    Both moves preserve the trace, so the output has the same trace as
-    the input, enables a matching, and hence has size at most the largest
-    induced cut matching across (u, V).
+    Both keep the trace, so the output has the input's trace, enables a
+    matching and has at most r vertices, r the largest induced cut
+    matching.  The `shrink` suite checks this, and apart from the kernel
+    that the enabling sets of size <= r leave every trace.
 
-    `_enabling` is sweep plumbing: a shared memo table for the enabling
-    predicate when many sets of the same cut are shrunk.
+    Unchecked preconditions: `comp` (the rest side) is independent, smask
+    is an independent subset of the other side, and `enables(t)` says
+    whether t enables an induced cut matching.  A move is ("eliminate",
+    v) or ("recombine", s0, w, reduced, remainder), v and w vertices.
     """
-    umask = mask_of(u, g.n)
-    smask = mask_of(s, g.n)
-    comp = g.full_mask() & ~umask
-    if not is_independent_mask(g, comp):
-        raise ValueError("complement side is not independent")
-    if smask & ~umask:
-        raise ValueError("s is not a subset of u")
-    if not is_independent_mask(g, smask):
-        raise ValueError("s is not independent")
-
-    enables = _enabling if _enabling is not None else _EnablingTable(g, umask)
-    steps: list[ShrinkStep] = []
+    moves: list = []
     adj = g.adj
 
     def eliminate_until_enabling(tmask: int) -> int:
@@ -294,34 +252,58 @@ def shrink_to_enabler(
                 # the complement side is independent
                 raise AssertionError("no eliminable member found")
             tmask &= ~(1 << dropped)
-            steps.append(ShrinkStep("eliminate", (dropped,)))
+            moves.append(("eliminate", dropped))
         return tmask
 
     cur = smask
     while not enables(cur):
-        s0 = _max_enabling_subset(g, enables, cur)
+        s0 = _max_enabling_subset(enables, cur)
         outside = cur & ~s0
-        w = (outside & -outside).bit_length() - 1
-        reduced = eliminate_until_enabling(s0 | 1 << w)
-        remainder = cur & ~(s0 | 1 << w)
-        steps.append(
-            ShrinkStep(
-                "recombine",
-                (
-                    tuple(vertices_of(s0)),
-                    w,
-                    tuple(vertices_of(reduced)),
-                    tuple(vertices_of(remainder)),
-                ),
-            )
+        wbit = outside & -outside
+        reduced = eliminate_until_enabling(s0 | wbit)
+        remainder = cur & ~(s0 | wbit)
+        moves.append(
+            ("recombine", s0, wbit.bit_length() - 1, reduced, remainder)
         )
         cur = reduced | remainder
+    return cur, moves
+
+
+def shrink_to_enabler(
+    g: Graph, u: Iterable[int], s: Iterable[int]
+) -> ShrinkResult:
+    """Shrink s to an enabling subset with the same trace on V = rest, by
+    the moves of `_shrink_mask`, logged as ShrinkSteps over vertices.
+
+    Raises ValueError unless V is independent and s is an independent
+    subset of u.  The output has at most as many vertices as the largest
+    induced cut matching across (u, V).
+    """
+    umask = mask_of(u, g.n)
+    smask = mask_of(s, g.n)
+    comp = g.full_mask() & ~umask
+    if not is_independent_mask(g, comp):
+        raise ValueError("complement side is not independent")
+    if smask & ~umask:
+        raise ValueError("s is not a subset of u")
+    if not is_independent_mask(g, smask):
+        raise ValueError("s is not independent")
+
+    enables = functools.cache(functools.partial(_enables_mask, g, umask))
+    out, moves = _shrink_mask(g, comp, smask, enables)
+
+    def vs(mask: int) -> tuple[int, ...]:
+        return tuple(vertices_of(mask))
 
     return ShrinkResult(
         input_set=frozenset(vertices_of(smask)),
-        output_set=frozenset(vertices_of(cur)),
-        trace=frozenset(vertices_of(neighborhood_mask(g, cur) & comp)),
-        steps=tuple(steps),
+        output_set=frozenset(vertices_of(out)),
+        trace=frozenset(vertices_of(neighborhood_mask(g, out) & comp)),
+        steps=tuple(
+            ShrinkStep("eliminate", m[1:]) if m[0] == "eliminate"
+            else ShrinkStep("recombine", (vs(m[1]), m[2], vs(m[3]), vs(m[4])))
+            for m in moves
+        ),
     )
 
 
@@ -398,11 +380,9 @@ def vc_dimension(ts: TraceSet, *, budget: int | None = None) -> int:
     best = 0
     max_k = min(len(ground), max(len(fam).bit_length() - 1, 0))
     work = 0
-    from itertools import combinations
-
     for k in range(1, max_k + 1):
         shattered = False
-        for combo in combinations(range(len(ground)), k):
+        for combo in itertools.combinations(range(len(ground)), k):
             wmask = 0
             for i in combo:
                 wmask |= 1 << i

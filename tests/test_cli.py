@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mimlab.cli import main
 from mimlab.generators import fixtures, skew_grid
 from mimlab.graph import parse_edge_list, read_edge_list, write_edge_list
@@ -113,6 +115,27 @@ class TestTraces:
         )
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_budget_exit_2(self, tmp_path, capsys, budget):
+        path = tmp_path / "c4.edges"
+        write_edge_list(fixtures()["c4"], path)
+        with pytest.raises(SystemExit) as exc:
+            main(["traces", "--input", str(path), "--side", "1,2",
+                  f"--budget={budget}"])
+        assert exc.value.code == 2
+        assert "--budget: must be a positive integer" in \
+            capsys.readouterr().err
+
+    def test_invalid_env_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c4.edges"
+        write_edge_list(fixtures()["c4"], path)
+        monkeypatch.setenv("MIMLAB_BUDGET", "abc")
+        code, _, err = run_cli(
+            capsys, "traces", "--input", str(path), "--side", "1,2"
+        )
+        assert code == 2
+        assert "MIMLAB_BUDGET must be a positive integer, got 'abc'" in err
 
 
 class TestObdd:

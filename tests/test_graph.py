@@ -231,6 +231,31 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match=line):
             parse_edge_list(text)
 
+    @pytest.mark.parametrize("label", ["a  b", " a", "", "a\nb"])
+    def test_label_that_does_not_round_trip_rejected(self, label):
+        g = Graph(2, [(0, 1)], labels=["x", label])
+        with pytest.raises(ValueError, match="vertex 2"):
+            format_edge_list(g)
+
+    @pytest.mark.parametrize("comment", ["a\nb", "label 1 x"])
+    def test_comment_that_does_not_round_trip_rejected(self, comment):
+        with pytest.raises(ValueError, match="comment"):
+            format_edge_list(Graph(2, [(0, 1)]), [comment])
+
+    @given(graphs(max_n=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_any_writable_labels(self, g, data):
+        word = st.text(min_size=1).filter(lambda t: " ".join(t.split()) == t)
+        labels = data.draw(st.none() | st.lists(word, min_size=g.n,
+                                                 max_size=g.n))
+        comments = data.draw(st.lists(st.text().filter(
+            lambda t: "".join(t.splitlines()) == t
+            and t.split()[:1] != ["label"])))
+        g = Graph(g.n, g.edges(), labels=labels)
+        back = parse_edge_list(format_edge_list(g, comments))
+        assert back == g
+        assert back.labels == g.labels
+
     def test_format_is_one_based(self):
         text = format_edge_list(Graph(2, [(0, 1)]))
         assert "p edge 2 1" in text

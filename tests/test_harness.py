@@ -34,9 +34,10 @@ class TestSpec:
                                   params={"corona_k": (3,)}))
 
     def test_threads_param_rejected(self):
-        # verify reads the thread count from the field, so a params entry
-        # would be silently overridden
-        with pytest.raises(ValueError, match="ExperimentSpec.threads"):
+        # no suite reads a "threads" parameter, so the generic check
+        # refuses it
+        with pytest.raises(ValueError,
+                           match="unknown verify parameter 'threads'"):
             ExperimentSpec(checks=("vc",), params={"threads": 4})
 
     def test_threads_other_than_one_rejected(self):

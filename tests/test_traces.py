@@ -21,7 +21,13 @@ from mimlab.traces import (
 )
 
 from conftest import graphs
-from oracles import naive_enables, naive_traces
+from oracles import (
+    edge_set,
+    naive_enables,
+    naive_independent_sets,
+    naive_max_induced_cut_matching,
+    naive_traces,
+)
 
 C4 = fixtures()["c4"]
 
@@ -152,6 +158,34 @@ class TestShrink:
         assert res.output_set == {2}
         assert res.steps == ()
 
+    @pytest.mark.parametrize("g, u, s, out, trace, steps", [
+        (skew(3), [0, 1, 2], [0, 1, 2], {0}, {3, 4, 5}, [
+            ("eliminate", (1,)),
+            ("recombine", ((0,), 1, (0,), (2,))),
+            ("eliminate", (2,)),
+            ("recombine", ((0,), 2, (0,), ())),
+        ]),
+        (Graph(6, [(0, 3), (0, 4), (1, 2)]), [2, 3, 4, 5], [2, 3, 4, 5],
+         {2, 4}, {0, 1}, [
+             ("eliminate", (3,)),
+             ("recombine", ((2, 3), 4, (2, 4), (5,))),
+             ("eliminate", (5,)),
+             ("recombine", ((2, 4), 5, (2, 4), ())),
+         ]),
+        (Graph(6, [(0, 3), (1, 2)]), [2, 3, 4, 5], [2, 3, 4, 5],
+         {2, 3}, {0, 1}, [
+             ("eliminate", (4,)),
+             ("recombine", ((2, 3), 4, (2, 3), (5,))),
+             ("eliminate", (5,)),
+             ("recombine", ((2, 3), 5, (2, 3), ())),
+         ]),
+    ])
+    def test_steps_pinned(self, g, u, s, out, trace, steps):
+        res = shrink_to_enabler(g, u, s)
+        assert res.output_set == out
+        assert res.trace == trace
+        assert [(step.kind, step.detail) for step in res.steps] == steps
+
     def test_rest_side_must_be_independent(self):
         with pytest.raises(ValueError):
             shrink_to_enabler(C4, [0, 1], [0])
@@ -185,6 +219,26 @@ class TestShrink:
         assert enables_induced_matching(g, u, res.output_set)
         r, _ = max_induced_cut_matching(g, u)
         assert len(res.output_set) <= r
+
+    @given(graphs(max_n=6), st.integers(0, 63))
+    @settings(max_examples=60, deadline=None)
+    def test_small_enablers_realise_every_trace(self, g, cmask_seed):
+        # The statement the shrinker proves, checked with the oracles
+        # alone: with the rest side independent, the enabling independent
+        # sets of size <= r leave every trace.
+        cset = {v for v in range(g.n) if cmask_seed >> v & 1}
+        edges = edge_set(g)
+        if any((min(a, b), max(a, b)) in edges
+               for a in cset for b in cset if a < b):
+            return  # complement not independent
+        u = set(range(g.n)) - cset
+        r = naive_max_induced_cut_matching(edges, u)
+        small = {
+            frozenset(v for x in s for v in g.neighbors(x)) & cset
+            for s in naive_independent_sets(g, u)
+            if len(s) <= r and naive_enables(g, u, s)
+        }
+        assert small == naive_traces(g, u) == traces(g, u).members
 
 
 class TestTraceCountBound:
