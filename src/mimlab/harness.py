@@ -12,7 +12,7 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import corpus
 from .errors import BudgetExceededError
@@ -34,15 +34,14 @@ from .graph import (
     is_independent_mask,
     mask_of,
     max_induced_cut_matching,
-    neighborhood_mask,
     vertices_of,
 )
 from .obdd import obdd_bounds_report, subfunction_count
 from .traces import (
     _enables_mask,
-    _shrink_mask,
+    _shrink_step,
+    _trace_bound_report,
     independent_set_masks,
-    trace_count_bound_check,
     trace_masks,
     traces,
     vc_dimension,
@@ -156,10 +155,35 @@ def sandwich_instances(
     return out
 
 
-def _independent_complement_cuts(g: Graph) -> list[int]:
-    """Masks U such that the rest of the graph is independent."""
+def _independent_rest_cuts(
+    g: Graph,
+) -> Iterator[tuple[int, int, list[int], dict[int, int], int]]:
+    """The cuts (U, rest) of g whose rest side is independent, with the
+    per-graph tables that the `trace-bound` and `shrink` suites share.
+
+    One `_EdgeTable`, one list `ind` of the independent sets of g (in
+    `independent_set_masks` order) and their neighbourhood masks `nbr`
+    serve every cut.  Yields (umask, comp, subsets, nbr, r) with comp
+    running over `ind` and U = full ^ comp: `subsets` are the independent
+    subsets of U in enumeration order (a filter of `ind`, so equal to
+    `list(independent_set_masks(g, umask))`), and r is the largest
+    induced cut matching.
+    """
     full = g.full_mask()
-    return [full ^ comp for comp in independent_set_masks(g, full)]
+    table = _EdgeTable(g, WidthVariant.LSIM)
+    ind = list(independent_set_masks(g, full))
+    # Sets come by size, so s minus its lowest vertex is already mapped;
+    # on an independent set the union of neighbourhoods misses the set.
+    nbr = {0: 0}
+    for s in ind[1:]:
+        b = s & -s
+        nbr[s] = nbr[s ^ b] | g.adj[b.bit_length() - 1]
+    for comp in ind:
+        umask = full ^ comp
+        if not is_independent_mask(g, comp):
+            raise ValueError(f"cut {umask} has a dependent rest side")
+        subsets = [s for s in ind if not s & comp]
+        yield umask, comp, subsets, nbr, table.max_size(table.crossing(umask))
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +222,23 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
 
 
 def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
-    """Trace-count bounds on every cut with independent rest side."""
+    """Trace-count bounds on every cut with independent rest side.
+
+    The report of each cut is `trace_count_bound_check`'s, built from the
+    shared cut context (`_independent_rest_cuts`): r from the graph's one
+    edge table, and the traces of the independent subsets of size <= r
+    from the graph's one independent-set list.
+    """
     rows = []
     for instance, g in full_corpus(max_n):
         t0 = time.perf_counter()
         bad = None
         cuts = 0
-        for umask in _independent_complement_cuts(g):
-            rep = trace_count_bound_check(g, vertices_of(umask))
+        for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
+            small = {nbr[t] & comp for t in subsets if t.bit_count() <= r}
+            rep = _trace_bound_report(
+                g.n, umask.bit_count(), trace_masks(g, umask), r, small
+            )
             cuts += 1
             if not rep.all_ok:
                 bad = (umask, rep)
@@ -225,38 +258,52 @@ def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
     return rows
 
 
+def _shrink_outputs(
+    g: Graph, comp: int, subsets: list[int], enables
+) -> Iterator[tuple[int, int]]:
+    """(S, `_shrink_mask`'s output for S) for each S in subsets, which
+    must list every independent subset of U = full ^ comp smallest first.
+
+    A non-enabling set costs one `_shrink_step`: the step returns a strict
+    subset of S, listed and shrunk before S, and `_shrink_mask` continues
+    from it, so the output of S is the output of that subset.
+    """
+    out_of: dict[int, int] = {}
+    for smask in subsets:
+        if enables(smask):
+            out = smask
+        else:
+            out = out_of[_shrink_step(g, comp, smask, enables, [])]
+        out_of[smask] = out
+        yield smask, out
+
+
 def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
     """The shrinker and the statement it proves, on every qualifying cut.
 
     For each cut with independent rest side and r its largest induced
-    cut matching: every independent set shrinks (`_shrink_mask`) to a
-    subset with the same trace that enables a matching and has at most r
-    vertices; and, independently of the shrinker, the enabling
-    independent sets of size <= r leave every trace of the cut.
+    cut matching: every independent set shrinks to a subset with the same
+    trace that enables a matching and has at most r vertices; and,
+    independently of the shrinker, the enabling independent sets of size
+    <= r leave every trace of the cut.
+
+    The sets and their shrunk outputs come from `_shrink_outputs` over
+    the shared cut context (`_independent_rest_cuts`).
     """
     rows = []
     for instance, g in full_corpus(max_n):
         t0 = time.perf_counter()
         bad = None
         sets_checked = 0
-        full = g.full_mask()
-        table = _EdgeTable(g, WidthVariant.LSIM)
-        for umask in _independent_complement_cuts(g):
-            comp = full ^ umask
-            if not is_independent_mask(g, comp):
-                raise ValueError(f"{instance}: cut {umask} has a dependent "
-                                 f"rest side")
-            r = table.max_size(table.crossing(umask))
+        for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
             enables = functools.cache(
                 functools.partial(_enables_mask, g, umask)
             )
-            for smask in independent_set_masks(g, umask):
-                out, _ = _shrink_mask(g, comp, smask, enables)
+            for smask, out in _shrink_outputs(g, comp, subsets, enables):
                 sets_checked += 1
                 if not (
                     out & ~smask == 0
-                    and neighborhood_mask(g, out) & comp
-                    == neighborhood_mask(g, smask) & comp
+                    and nbr[out] & comp == nbr[smask] & comp
                     and enables(out)
                     and out.bit_count() <= r
                 ):
@@ -265,9 +312,9 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
             if bad:
                 break
             small = {
-                neighborhood_mask(g, t) & comp
-                for t in independent_set_masks(g, umask, max_size=r)
-                if enables(t)
+                nbr[t] & comp
+                for t in subsets
+                if t.bit_count() <= r and enables(t)
             }
             if small != trace_masks(g, umask):
                 bad = (f"enabling sets of size <= {r} miss a trace at "
@@ -558,7 +605,8 @@ def run_grid_width_range(
 
 def run_separation(rs: Sequence[int] = (3, 4), *, seed: int = 0) -> list[ReportRow]:
     """Threaded cliques separate the parameters: the upper-subgraph width
-    stays bounded (<= 2; measured exactly) while the cut-graph width grows
+    is the constant 1 (computed exactly; proven: any edge forces width 1
+    and the row-major ordering reaches it) while the cut-graph width grows
     at least linearly in r."""
     rows = []
     for r in rs:
@@ -566,7 +614,7 @@ def run_separation(rs: Sequence[int] = (3, 4), *, seed: int = 0) -> list[ReportR
         g = clique_thread(r)
         lu_rep = exact_width(g, WidthVariant.LU)
         lmim_rep = exact_width(g, WidthVariant.LMIM)
-        ok = lu_rep.value <= 2 and lmim_rep.value >= (r - 1) / 2
+        ok = lu_rep.value == 1 and lmim_rep.value >= (r - 1) / 2
         rows.append(
             _timed(
                 ReportRow(
@@ -576,7 +624,7 @@ def run_separation(rs: Sequence[int] = (3, 4), *, seed: int = 0) -> list[ReportR
                     m=g.m,
                     lu=lu_rep.value,
                     lmimw=lmim_rep.value,
-                    bound=f"lu <= 2 and lmimw >= {(r - 1) / 2}",
+                    bound=f"lu == 1 and lmimw >= {(r - 1) / 2}",
                     passed=ok,
                     seed=seed,
                     detail=f"exact lu={lu_rep.value} lmimw={lmim_rep.value}",

@@ -6,8 +6,9 @@ distinct residual constraints a prefix of variables can produce, and when
 V is independent every trace is already realized by a subset that
 "enables" an induced cut matching, hence by at most r vertices, r the
 largest such matching.  The mask kernel `_shrink_mask` finds that subset
-and logs its moves, `shrink_to_enabler` wraps it for vertex sets, and the
-`shrink` verify suite runs the kernel and checks the statement per cut.
+by repeated `_shrink_step`s and logs its moves, `shrink_to_enabler` wraps
+it for vertex sets, and the `shrink` verify suite runs one step per set
+and checks the statement per cut.
 
 `trace_masks` never enumerates independent sets: it adds the vertices of U
 one at a time and derives each family from the previous one with
@@ -25,10 +26,13 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
 from .graph import (
+    DEFAULT_MATCHING_BUDGET,
     Graph,
+    WidthVariant,
+    _EdgeTable,
+    _Work,
     is_independent_mask,
     mask_of,
-    max_induced_cut_matching,
     neighborhood_mask,
     vertices_of,
 )
@@ -214,20 +218,52 @@ def _max_enabling_subset(enables, smask: int) -> int:
     return 0
 
 
+def _shrink_step(g: Graph, comp: int, cur: int, enables, moves: list) -> int:
+    """One recombine move of `_shrink_mask` on the non-enabling set cur,
+    with the eliminations it needs; returns the next set, a strict subset
+    of cur with the same trace on comp.
+
+    Around the lexicographically least maximum enabling subset S0 of cur
+    and its smallest outside member w, S0 + {w} does not enable (S0 is
+    maximum), so eliminations (drop the smallest member whose individual
+    trace, its neighbors on comp not covered by the rest of the set, is
+    empty) reduce it to an enabling set; the next set is that set and the
+    untouched remainder.  The moves, ("eliminate", v) each and then
+    ("recombine", s0, w, reduced, remainder), are appended to `moves`.
+    """
+    adj = g.adj
+    s0 = _max_enabling_subset(enables, cur)
+    outside = cur & ~s0
+    wbit = outside & -outside
+    reduced = s0 | wbit
+    while not enables(reduced):
+        dropped = None
+        for v in vertices_of(reduced):
+            rest = reduced & ~(1 << v)
+            individual = (adj[v] & comp) & ~(
+                neighborhood_mask(g, rest) & comp
+            )
+            if not individual:
+                dropped = v
+                break
+        if dropped is None:  # pragma: no cover - impossible when
+            # the complement side is independent
+            raise AssertionError("no eliminable member found")
+        reduced &= ~(1 << dropped)
+        moves.append(("eliminate", dropped))
+    remainder = cur & ~(s0 | wbit)
+    moves.append(("recombine", s0, wbit.bit_length() - 1, reduced, remainder))
+    return reduced | remainder
+
+
 def _shrink_mask(g: Graph, comp: int, smask: int, enables) -> tuple[int, list]:
-    """Shrink smask to an enabling subset with the same trace on comp;
-    returns (subset, moves), the moves alternating until the set enables:
+    """Shrink smask to an enabling subset with the same trace on comp by
+    `_shrink_step` until the set enables; returns (subset, moves).
 
-    * eliminate - drop the smallest member whose individual trace
-      (neighbors on comp not covered by the rest of the set) is empty.
-    * recombine - around the lexicographically least maximum enabling
-      subset S0 and the smallest outside member w, reduce S0 + {w} by
-      eliminations and continue with it and the untouched remainder.
-
-    Both keep the trace, so the output has the input's trace, enables a
-    matching and has at most r vertices, r the largest induced cut
-    matching.  The `shrink` suite checks this, and apart from the kernel
-    that the enabling sets of size <= r leave every trace.
+    Every step keeps the trace, so the output has the input's trace,
+    enables a matching and has at most r vertices, r the largest induced
+    cut matching.  The `shrink` suite checks this, and apart from the
+    kernel that the enabling sets of size <= r leave every trace.
 
     Unchecked preconditions: `comp` (the rest side) is independent, smask
     is an independent subset of the other side, and `enables(t)` says
@@ -235,37 +271,9 @@ def _shrink_mask(g: Graph, comp: int, smask: int, enables) -> tuple[int, list]:
     v) or ("recombine", s0, w, reduced, remainder), v and w vertices.
     """
     moves: list = []
-    adj = g.adj
-
-    def eliminate_until_enabling(tmask: int) -> int:
-        while not enables(tmask):
-            dropped = None
-            for v in vertices_of(tmask):
-                rest = tmask & ~(1 << v)
-                individual = (adj[v] & comp) & ~(
-                    neighborhood_mask(g, rest) & comp
-                )
-                if not individual:
-                    dropped = v
-                    break
-            if dropped is None:  # pragma: no cover - impossible when
-                # the complement side is independent
-                raise AssertionError("no eliminable member found")
-            tmask &= ~(1 << dropped)
-            moves.append(("eliminate", dropped))
-        return tmask
-
     cur = smask
     while not enables(cur):
-        s0 = _max_enabling_subset(enables, cur)
-        outside = cur & ~s0
-        wbit = outside & -outside
-        reduced = eliminate_until_enabling(s0 | wbit)
-        remainder = cur & ~(s0 | wbit)
-        moves.append(
-            ("recombine", s0, wbit.bit_length() - 1, reduced, remainder)
-        )
-        cur = reduced | remainder
+        cur = _shrink_step(g, comp, cur, enables, moves)
     return cur, moves
 
 
@@ -337,24 +345,38 @@ def trace_count_bound_check(
     is at most sum_{i<=r} C(|u|, i), at most n^(r+1), and that independent
     subsets of size <= r already generate every trace.  Those subsets are
     enumerated directly, so the last verdict also compares `trace_masks`
-    with an independent enumeration.
+    with an independent enumeration.  The report itself comes from
+    `_trace_bound_report`, which the `trace-bound` suite calls with its
+    per-graph tables.
     """
     umask = mask_of(u, g.n)
     comp = g.full_mask() & ~umask
     if not is_independent_mask(g, comp):
         raise ValueError("complement side is not independent")
-    full = trace_masks(g, umask, budget=budget)
-    r, _ = max_induced_cut_matching(g, vertices_of(umask))
+    family = trace_masks(g, umask, budget=budget)
+    table = _EdgeTable(g, WidthVariant.LSIM)
+    r = table.max_size(
+        table.crossing(umask),
+        _Work(DEFAULT_MATCHING_BUDGET, "induced matching search"),
+    )
     small = {
         neighborhood_mask(g, s) & comp
         for s in independent_set_masks(g, umask, budget=budget, max_size=r)
     }
-    k = umask.bit_count()
+    return _trace_bound_report(g.n, umask.bit_count(), family, r, small)
+
+
+def _trace_bound_report(
+    n: int, k: int, family: set[int], r: int, small: set[int]
+) -> TraceBoundReport:
+    """The bounds for a side of k vertices with trace family `family`,
+    largest induced cut matching r and `small` the traces of its
+    independent subsets of size <= r."""
     binom = sum(math.comb(k, i) for i in range(r + 1))
-    power = g.n ** (r + 1)
-    t = len(full)
+    power = n ** (r + 1)
+    t = len(family)
     return TraceBoundReport(
-        n=g.n,
+        n=n,
         side_size=k,
         trace_count=t,
         matching_size=r,
@@ -362,7 +384,7 @@ def trace_count_bound_check(
         power_bound=power,
         within_binomial=t <= binom,
         within_power=t <= power,
-        small_sets_generate_all=small == full,
+        small_sets_generate_all=small == family,
     )
 
 

@@ -244,13 +244,13 @@ def test_supplementary_grid_prefix_trace_floor():
 
 
 def test_supplementary_separation_property_holds():
-    # the bound form of the separation that `mimlab verify --checks
-    # separation` checks: the upper-subgraph width of the threaded
-    # cliques stays bounded (by 2) while the cut-graph width grows with r
+    # the separation that `mimlab verify --checks separation` checks: the
+    # upper-subgraph width of the threaded cliques is the proven constant
+    # 1 while the cut-graph width grows with r
     for r in (3, 4):
         g = clique_thread(r)
         lu = exact_width(g, WidthVariant.LU).value
         lmimw = exact_width(g, WidthVariant.LMIM).value
-        assert lu <= 2
+        assert lu == 1
         assert lmimw >= (r - 1) / 2
-    report("extra-separation", True, "lu <= 2 and lmimw >= (r-1)/2 verified")
+    report("extra-separation", True, "lu == 1 and lmimw >= (r-1)/2 verified")

@@ -231,3 +231,23 @@ class TestExport:
         run_cli(capsys, "export", "--rows", str(json_path),
                 "--format", "csv", "--out", str(via_export))
         assert direct_csv.read_bytes() == via_export.read_bytes()
+
+    @pytest.mark.parametrize("timing", [[], ["--timing"]])
+    def test_round_trip_reproduces_both_exports(self, tmp_path, capsys,
+                                                timing):
+        rows_json = tmp_path / "a.json"
+        rows_csv = tmp_path / "a.csv"
+        code, _, _ = run_cli(
+            capsys, "verify", "--checks", "corona,vc,separation",
+            "--json-out", str(rows_json), "--csv", str(rows_csv), *timing,
+        )
+        assert code == 0
+        for fmt, original in (("json", rows_json), ("csv", rows_csv)):
+            again = tmp_path / f"again.{fmt}"
+            code, _, _ = run_cli(
+                capsys, "export", "--rows", str(rows_json),
+                "--format", fmt, "--out", str(again), *timing,
+            )
+            assert code == 0
+            assert again.read_bytes() == original.read_bytes()
+        assert ('"wall_ms"' in rows_json.read_text()) == bool(timing)

@@ -1,14 +1,23 @@
+import functools
 import json
 
 import pytest
 
 from mimlab.errors import BudgetExceededError
+from mimlab.graph import (
+    max_induced_cut_matching,
+    neighborhood_mask,
+    vertices_of,
+)
 from mimlab.harness import (
     ExperimentSpec,
     ReportRow,
+    _independent_rest_cuts,
+    _shrink_outputs,
     any_failures,
     any_skipped,
     export,
+    full_corpus,
     grid_prefix_trace_floor,
     run_corona,
     run_grid_width_range,
@@ -19,6 +28,14 @@ from mimlab.harness import (
     run_vc,
     sandwich_instances,
     verify,
+)
+from mimlab.traces import (
+    _enables_mask,
+    _shrink_mask,
+    _trace_bound_report,
+    independent_set_masks,
+    trace_count_bound_check,
+    trace_masks,
 )
 
 
@@ -112,6 +129,48 @@ class TestExport:
         export([ReportRow(check="vc", instance="x", n=1, m=0)], "csv", p,
                include_timing=True)
         assert "wall_ms" in p.read_text().splitlines()[0]
+
+
+class TestCutContext:
+    # The per-graph context of the trace-bound and shrink suites against
+    # the per-cut computations it replaces, on every cut of n <= 5.
+    def test_matches_per_cut_computation(self):
+        for _, g in full_corpus(5):
+            full = g.full_mask()
+            cuts = list(_independent_rest_cuts(g))
+            assert [c[0] for c in cuts] == [
+                full ^ comp for comp in independent_set_masks(g, full)
+            ]
+            for umask, comp, subsets, nbr, r in cuts:
+                assert comp == full ^ umask
+                assert subsets == list(independent_set_masks(g, umask))
+                u = vertices_of(umask)
+                assert r == max_induced_cut_matching(g, u)[0]
+                for s in subsets:
+                    assert nbr[s] == neighborhood_mask(g, s)
+
+    def test_memoised_shrink_matches_kernel(self):
+        sets = 0
+        for _, g in full_corpus(5):
+            for umask, comp, subsets, _, _ in _independent_rest_cuts(g):
+                enables = functools.cache(
+                    functools.partial(_enables_mask, g, umask)
+                )
+                got = list(_shrink_outputs(g, comp, subsets, enables))
+                assert [s for s, _ in got] == subsets
+                for s, out in got:
+                    assert out == _shrink_mask(g, comp, s, enables)[0]
+                sets += len(got)
+        assert sets > 1000
+
+    def test_trace_bound_report_matches_public_check(self):
+        for _, g in full_corpus(5):
+            for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
+                small = {nbr[t] & comp for t in subsets
+                         if t.bit_count() <= r}
+                rep = _trace_bound_report(g.n, umask.bit_count(),
+                                          trace_masks(g, umask), r, small)
+                assert rep == trace_count_bound_check(g, vertices_of(umask))
 
 
 class TestSuitesSmall:

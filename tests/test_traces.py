@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,16 +11,26 @@ from mimlab.generators import (
     perfect_matching_graph,
     skew,
 )
-from mimlab.graph import Graph, max_induced_cut_matching, neighborhood
+from mimlab.graph import (
+    Graph,
+    max_induced_cut_matching,
+    neighborhood,
+    upper_subgraph,
+    vertices_of,
+)
+from mimlab.harness import full_corpus
 from mimlab.traces import (
+    TraceBoundReport,
     enables_induced_matching,
     enum_independent_sets,
+    independent_set_masks,
     shrink_to_enabler,
     trace_count_bound_check,
     trace_masks,
     traces,
     vc_dimension,
 )
+from mimlab.width import WidthVariant, prefix_width
 
 from conftest import graphs
 from oracles import (
@@ -244,15 +256,20 @@ class TestShrink:
 class TestTraceCountBound:
     def test_skew(self):
         rep = trace_count_bound_check(skew(3), [0, 1, 2])
-        assert rep.trace_count == 4
-        assert rep.matching_size == 1
-        assert rep.binomial_bound == 4
+        assert rep == TraceBoundReport(
+            n=6, side_size=3, trace_count=4, matching_size=1,
+            binomial_bound=4, power_bound=36, within_binomial=True,
+            within_power=True, small_sets_generate_all=True,
+        )
         assert rep.all_ok
 
     def test_empty_side(self):
         rep = trace_count_bound_check(C4, range(4))
-        assert rep.trace_count == 1
-        assert rep.matching_size == 0
+        assert rep == TraceBoundReport(
+            n=4, side_size=4, trace_count=1, matching_size=0,
+            binomial_bound=1, power_bound=4, within_binomial=True,
+            within_power=True, small_sets_generate_all=True,
+        )
         assert rep.all_ok
 
     def test_precondition(self):
@@ -263,6 +280,55 @@ class TestTraceCountBound:
         # the far side is a clique here, so the check does not apply
         with pytest.raises(ValueError):
             trace_count_bound_check(clique_corona(3), range(3))
+
+
+    def test_every_corpus_cut_matches_oracles(self):
+        # The whole report, field by field, from the brute-force oracles,
+        # on every cut with independent rest side of the n <= 5 corpus.
+        cuts = 0
+        for _, g in full_corpus(5):
+            edges = edge_set(g)
+            full = g.full_mask()
+            for comp in independent_set_masks(g, full):
+                u = set(vertices_of(full ^ comp))
+                cset = set(vertices_of(comp))
+                fam = naive_traces(g, u)
+                r = naive_max_induced_cut_matching(edges, u)
+                small = {
+                    frozenset(v for x in s for v in g.neighbors(x)) & cset
+                    for s in naive_independent_sets(g, u) if len(s) <= r
+                }
+                k, t = len(u), len(fam)
+                binom = sum(math.comb(k, i) for i in range(r + 1))
+                power = g.n ** (r + 1)
+                assert trace_count_bound_check(g, u) == TraceBoundReport(
+                    n=g.n, side_size=k, trace_count=t, matching_size=r,
+                    binomial_bound=binom, power_bound=power,
+                    within_binomial=t <= binom, within_power=t <= power,
+                    small_sets_generate_all=small == fam,
+                )
+                cuts += 1
+        assert cuts == 571
+
+
+class TestStatementOnEveryCut:
+    # T(W) and the LU prefix width ignore the edges inside the rest, so
+    # every cut is the independent-rest case of its upper subgraph.
+    @given(graphs(max_n=7), st.integers(0, 127))
+    @settings(max_examples=80, deadline=None)
+    def test_upper_subgraph_keeps_traces(self, g, wmask_seed):
+        wmask = wmask_seed & g.full_mask()
+        h = upper_subgraph(g, vertices_of(wmask))
+        assert trace_masks(g, wmask) == trace_masks(h, wmask)
+
+    @given(graphs(max_n=7), st.integers(0, 127))
+    @settings(max_examples=80, deadline=None)
+    def test_binomial_bound_by_lu_prefix_width(self, g, wmask_seed):
+        wmask = wmask_seed & g.full_mask()
+        w = list(vertices_of(wmask))
+        r = prefix_width(g, w, WidthVariant.LU)
+        bound = sum(math.comb(len(w), i) for i in range(r + 1))
+        assert len(trace_masks(g, wmask)) <= bound
 
 
 class TestVcDimension:
