@@ -24,6 +24,7 @@ orderings are computed exactly by subset dynamic programs.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -362,15 +363,20 @@ class MinSizeReport:
     order_total: tuple[int, ...]
 
 
-def _internal_edge_table(g: Graph) -> bytearray:
-    n = g.n
-    table = bytearray(1 << n)
-    adj = g.adj
-    for mask in range(1, 1 << n):
-        b = mask & -mask
-        rest = mask ^ b
-        table[mask] = table[rest] or bool(adj[b.bit_length() - 1] & rest)
-    return table
+def _isolated_table(g: Graph) -> array:
+    """iso[Z] = the vertices of Z with no neighbour in Z, for every Z.
+
+    Built by adding the vertices in ascending order: for Z below b = 1 << v,
+    Z + v keeps the isolated vertices of Z outside N(v), plus v itself when
+    N(v) misses Z.  The entries are machine words, filled in place, so the
+    table takes 2^n words and no more.
+    """
+    iso = array("L", [0])
+    for v, av in enumerate(g.adj):
+        b = 1 << v
+        keep = ~av
+        iso.extend((iso[z] & keep) | (0 if av & z else b) for z in range(b))
+    return iso
 
 
 def min_obdd_size_exact(
@@ -381,6 +387,14 @@ def min_obdd_size_exact(
     method "dp" runs subset dynamic programs over prefix sets for both
     size notions; method "enum" builds the OBDD for every permutation
     (small n only) and serves as an independent cross-check.
+
+    After the prefix set W, with V the vertices outside W, the live
+    states are the traces t in T(W), less the empty trace when G[V] has
+    no edge (it is the true sink).  A state's residual f_t ignores v in
+    V exactly when v is isolated in G[V - t]: v is not forced true and
+    has no undecided neighbour left free.  So the reduced level of v
+    after W has |T(W)| - ND(v) nodes, ND(v) the number of traces t with
+    v in iso[V - t], where iso is the isolated-vertex table of G.
     """
     if method == "enum":
         return _min_sizes_by_enumeration(g)
@@ -394,7 +408,7 @@ def min_obdd_size_exact(
     cnf_of_graph(g)  # validate
     full = (1 << n) - 1
     size = 1 << n
-    he = _internal_edge_table(g)
+    iso = _isolated_table(g)
     adj = g.adj
 
     INF = 1 << 60
@@ -413,23 +427,24 @@ def min_obdd_size_exact(
             b = wmask & -wmask
             fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b, comp)
         tr = fams[p]
-        live = len(tr) - (0 if he[comp] else 1)
-        base_q = gq[wmask] + live
-        base_r = hr[wmask]
+        # nd[b]: the traces whose residual ignores the vertex of bit b.
+        nd: dict[int, int] = {}
+        for t in tr:
+            m = iso[comp ^ t]
+            while m:
+                b = m & -m
+                m ^= b
+                nd[b] = nd.get(b, 0) + 1
+        base_q = gq[wmask] + len(tr) - (1 if iso[comp] == comp else 0)
+        base_r = hr[wmask] + len(tr)
         rest = comp
         while rest:
             b = rest & -rest
             rest ^= b
-            v = b.bit_length() - 1
             tgt = wmask | b
             if base_q < gq[tgt]:
                 gq[tgt] = base_q
-            av = adj[v]
-            dep = 0
-            for t in tr:
-                if t & b or av & comp & ~t:
-                    dep += 1
-            cand = base_r + dep
+            cand = base_r - nd.get(b, 0)
             if cand < hr[tgt]:
                 hr[tgt] = cand
 
@@ -451,15 +466,12 @@ def min_obdd_size_exact(
 
     def live_term(prev: int, _v: int) -> int:
         comp = full ^ prev
-        tr = trace_masks(g, prev)
-        return len(tr) - (0 if he[comp] else 1)
+        return len(trace_masks(g, prev)) - (1 if iso[comp] == comp else 0)
 
     def dep_term(prev: int, v: int) -> int:
         comp = full ^ prev
         tr = trace_masks(g, prev)
-        b = 1 << v
-        av = adj[v]
-        return sum(1 for t in tr if t & b or av & comp & ~t)
+        return len(tr) - sum(iso[comp ^ t] >> v & 1 for t in tr)
 
     return MinSizeReport(
         size_quasi=gq[full] + 2,

@@ -1,13 +1,16 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here works on plain sets and edge lists with no bit tricks and
-no shared code with the library's search engines.  Exponential by design;
-callers keep instances tiny.
+no shared code with the library's search engines, except
+`naive_min_obdd_sizes`, which takes its trace families from the library's
+trace kernel and checks the min-size DP's non-dependence rule by a direct
+scan.  Exponential by design; callers keep instances tiny.
 """
 
 import itertools
 
 from mimlab.graph import Graph
+from mimlab.traces import _trace_step, trace_masks
 
 
 def edge_set(g: Graph) -> set:
@@ -178,3 +181,79 @@ def naive_exact_width_report(g: Graph, variant: str) -> tuple:
     per_prefix = tuple(naive_prefix_width(g, witness[:i], variant)
                        for i in range(1, g.n + 1))
     return f[frozenset(range(g.n))], witness, per_prefix
+
+
+def naive_min_obdd_sizes(g: Graph) -> tuple:
+    """(size_quasi, size_total, order_quasi, order_total) by the subset DP
+    that scans every trace for every (prefix set, next vertex) pair.
+
+    The residual of trace t after W depends on v when v is forced true or
+    keeps an undecided neighbour outside t; "G[V] has an edge" is tested
+    on the edge list.  Ties break as in `min_obdd_size_exact`: the
+    smallest vertex that can come last.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    size = 1 << n
+    adj = g.adj
+    edges = g.edges()
+
+    def has_edge(comp):
+        return any(comp >> u & 1 and comp >> v & 1 for u, v in edges)
+
+    INF = 1 << 60
+    gq = [INF] * size
+    hr = [INF] * size
+    gq[0] = 0
+    hr[0] = 0
+    fams = [{0}] * (n + 1)
+    for wmask in range(size):
+        comp = full ^ wmask
+        p = wmask.bit_count()
+        if p:
+            b = wmask & -wmask
+            fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b, comp)
+        tr = fams[p]
+        live = len(tr) - (0 if has_edge(comp) else 1)
+        base_q = gq[wmask] + live
+        base_r = hr[wmask]
+        rest = comp
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            tgt = wmask | b
+            if base_q < gq[tgt]:
+                gq[tgt] = base_q
+            av = adj[v]
+            dep = 0
+            for t in tr:
+                if t & b or av & comp & ~t:
+                    dep += 1
+            cand = base_r + dep
+            if cand < hr[tgt]:
+                hr[tgt] = cand
+
+    def reconstruct(table, term):
+        order_rev = []
+        wmask = full
+        while wmask:
+            v = next(v for v in range(n) if wmask >> v & 1
+                     and table[wmask ^ 1 << v] + term(wmask ^ 1 << v, v)
+                     == table[wmask])
+            order_rev.append(v)
+            wmask ^= 1 << v
+        return tuple(reversed(order_rev))
+
+    def live_term(prev, _v):
+        comp = full ^ prev
+        return len(trace_masks(g, prev)) - (0 if has_edge(comp) else 1)
+
+    def dep_term(prev, v):
+        comp = full ^ prev
+        b = 1 << v
+        return sum(1 for t in trace_masks(g, prev)
+                   if t & b or adj[v] & comp & ~t)
+
+    return (gq[full] + 2, hr[full] + 2,
+            reconstruct(gq, live_term), reconstruct(hr, dep_term))

@@ -68,6 +68,25 @@ class TestSpec:
                               params={"corpus_max_n": 4, "corona_ks": (3,)})
         assert [r.check for r in verify(spec)] == ["corona"]
 
+    def test_verify_calls_the_module_attribute(self, monkeypatch):
+        # verify resolves each suite when it runs, so a wrapper put on the
+        # module attribute (as the benchmark's tracer does) is called.
+        import mimlab.harness as harness
+
+        calls = []
+        real = harness.run_vc
+
+        def wrapped(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(harness, "run_vc", wrapped)
+        rows = verify(ExperimentSpec(checks=("vc",), seed=3,
+                                     params={"vc_skew_qs": (2,),
+                                             "vc_matching_ks": (2,)}))
+        assert calls == [{"seed": 3, "skew_qs": (2,), "matching_ks": (2,)}]
+        assert rows and all(r.check == "vc" for r in rows)
+
     def test_verify_small(self):
         spec = ExperimentSpec(
             checks=("corona", "vc"),

@@ -17,6 +17,7 @@ from mimlab.obdd import (
     FALSE_ID,
     TRUE_ID,
     Obdd,
+    _isolated_table,
     build_obdd,
     cnf_of_graph,
     count_accepting,
@@ -32,8 +33,8 @@ from mimlab.obdd import (
 )
 from mimlab.traces import trace_masks
 
-from conftest import graphs_without_isolated
-from oracles import naive_count_satisfying
+from conftest import graphs, graphs_without_isolated
+from oracles import naive_count_satisfying, naive_min_obdd_sizes
 
 C4 = fixtures()["c4"]
 K2 = fixtures()["k2"]
@@ -206,6 +207,27 @@ class TestMinimization:
                rep.order_total)
         assert got == expected
 
+    def test_dp_orders_pinned_n13(self):
+        # Recorded with the dependence-scan DP that
+        # oracles.naive_min_obdd_sizes keeps.
+        rep = min_obdd_size_exact(random_connected_graph(13, 4, p=0.4))
+        assert (rep.size_quasi, rep.size_total, rep.order_quasi,
+                rep.order_total) == (
+            65, 55, (12, 4, 3, 1, 5, 6, 7, 10, 8, 2, 11, 9, 0),
+            (11, 10, 9, 6, 12, 0, 5, 7, 8, 3, 4, 2, 1))
+
+    @pytest.mark.parametrize("n, seed", [
+        (9, 0), (9, 1), (10, 2), (10, 3), (11, 4), (11, 5), (12, 6),
+        (12, 7),
+    ])
+    def test_dp_matches_dependence_scan_oracle(self, n, seed):
+        # Past method="enum"'s n <= 8: sizes and tie-broken orders against
+        # the DP that scans every trace for every (W, v) pair.
+        g = random_connected_graph(n, seed, p=0.4)
+        rep = min_obdd_size_exact(g)
+        assert (rep.size_quasi, rep.size_total, rep.order_quasi,
+                rep.order_total) == naive_min_obdd_sizes(g)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             min_obdd_size_exact(K2, method="magic")
@@ -230,6 +252,19 @@ class TestMinimization:
                 enum = min_obdd_size_exact(g, method="enum")
                 assert (dp.size_quasi, dp.size_total) == \
                     (enum.size_quasi, enum.size_total), g.edges()
+
+
+class TestIsolatedTable:
+    @given(graphs(max_n=7))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_are_isolated_vertices(self, g):
+        iso = _isolated_table(g)
+        assert len(iso) == 1 << g.n
+        for z in range(1 << g.n):
+            members = [v for v in range(g.n) if z >> v & 1]
+            lonely = [v for v in members
+                      if not any(u in members for u in g.neighbors(v))]
+            assert iso[z] == sum(1 << v for v in lonely)
 
 
 class TestBoundsReport:
@@ -278,12 +313,10 @@ class TestLevelContract:
         import random
 
         from mimlab import corpus
-        from mimlab.obdd import _internal_edge_table
 
         rng = random.Random(0)
         for n in (3, 4, 5, 6):
             for g in corpus.connected_graphs(n):
-                he = _internal_edge_table(g)
                 for _ in range(2):
                     order = list(range(n))
                     rng.shuffle(order)
@@ -296,7 +329,9 @@ class TestLevelContract:
                     for i, v in enumerate(order):
                         comp = full ^ wmask
                         tr = trace_masks(g, wmask)
-                        live = len(tr) - (0 if he[comp] else 1)
+                        inner = any(comp >> x & 1 and comp >> y & 1
+                                    for x, y in g.edges())
+                        live = len(tr) - (0 if inner else 1)
                         assert z.level_live_counts[i] == live
                         b = 1 << v
                         av = g.adj[v]
