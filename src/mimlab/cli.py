@@ -57,10 +57,19 @@ EXIT_BUDGET = 3
 
 
 def _positive_int(raw: str) -> int:
-    """The type of --budget, also applied to MIMLAB_BUDGET."""
+    """The type of --budget (also applied to MIMLAB_BUDGET), --corpus-n
+    and --pair-n."""
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _nonnegative_int(raw: str) -> int:
+    """The type of --random-count."""
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -117,7 +126,10 @@ def _parse_vertices(raw: str, n: int) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        v = int(part) - 1
+        try:
+            v = int(part) - 1
+        except ValueError:
+            raise ValueError(f"vertex {part!r} is not an integer") from None
         if not 0 <= v < n:
             raise ValueError(f"vertex {part} out of range")
         out.append(v)
@@ -264,6 +276,10 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = verify(spec)
+    if not rows:
+        print("error: the checks and parameters select no instance",
+              file=sys.stderr)
+        return EXIT_USAGE
     for row in rows:
         status = "SKIP" if row.skipped else ("pass" if row.passed else "FAIL")
         print(f"[{row.check}] {row.instance}: {status}"
@@ -382,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run verification suites")
     ver.add_argument("--checks", default=",".join(CHECK_NAMES),
                      help="comma separated check names")
-    ver.add_argument("--corpus-n", type=int, default=None)
-    ver.add_argument("--pair-n", type=int, default=None)
-    ver.add_argument("--random-count", type=int, default=None)
+    ver.add_argument("--corpus-n", type=_positive_int, default=None)
+    ver.add_argument("--pair-n", type=_positive_int, default=None)
+    ver.add_argument("--random-count", type=_nonnegative_int, default=None)
     ver.add_argument("--csv", help="export rows as CSV here")
     ver.add_argument("--json-out", help="export rows as JSON here")
     ver.add_argument("--strict", action="store_true",

@@ -8,7 +8,6 @@ same rows byte for byte (timing is excluded from exports by default).
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from .graph import (
 )
 from .obdd import obdd_bounds_report, subfunction_count
 from .traces import (
-    _enables_mask,
+    _Enablers,
     _shrink_step,
     _trace_bound_report,
     independent_set_masks,
@@ -98,6 +97,8 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.checks:
+            raise ValueError("no check requested")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}")
@@ -259,21 +260,22 @@ def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
 
 
 def _shrink_outputs(
-    g: Graph, comp: int, subsets: list[int], enables
+    rule: _Enablers, subsets: list[int]
 ) -> Iterator[tuple[int, int]]:
     """(S, `_shrink_mask`'s output for S) for each S in subsets, which
-    must list every independent subset of U = full ^ comp smallest first.
+    must list every independent subset of the cut's side U smallest first.
 
-    A non-enabling set costs one `_shrink_step`: the step returns a strict
-    subset of S, listed and shrunk before S, and `_shrink_mask` continues
-    from it, so the output of S is the output of that subset.
+    Asking `rule.max_enabler` in that order fills its memo at |S| lookups
+    a set.  A non-enabling set costs one `_shrink_step`: the step returns
+    a strict subset of S, listed and shrunk before S, and `_shrink_mask`
+    continues from it, so the output of S is the output of that subset.
     """
     out_of: dict[int, int] = {}
     for smask in subsets:
-        if enables(smask):
+        if rule.max_enabler(smask) == smask:
             out = smask
         else:
-            out = out_of[_shrink_step(g, comp, smask, enables, [])]
+            out = out_of[_shrink_step(rule, smask, [])]
         out_of[smask] = out
         yield smask, out
 
@@ -288,7 +290,9 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
     <= r leave every trace of the cut.
 
     The sets and their shrunk outputs come from `_shrink_outputs` over
-    the shared cut context (`_independent_rest_cuts`).
+    the shared cut context (`_independent_rest_cuts`).  With the rest side
+    independent a set enables exactly when each member has a private
+    neighbour there (`_Enablers`), read from the context's `nbr` table.
     """
     rows = []
     for instance, g in full_corpus(max_n):
@@ -296,15 +300,13 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
         bad = None
         sets_checked = 0
         for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
-            enables = functools.cache(
-                functools.partial(_enables_mask, g, umask)
-            )
-            for smask, out in _shrink_outputs(g, comp, subsets, enables):
+            rule = _Enablers(g.adj, comp, nbr.__getitem__)
+            for smask, out in _shrink_outputs(rule, subsets):
                 sets_checked += 1
                 if not (
                     out & ~smask == 0
                     and nbr[out] & comp == nbr[smask] & comp
-                    and enables(out)
+                    and rule.enables(out)
                     and out.bit_count() <= r
                 ):
                     bad = f"failed at cut {umask} set {smask}"
@@ -314,7 +316,7 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
             small = {
                 nbr[t] & comp
                 for t in subsets
-                if t.bit_count() <= r and enables(t)
+                if t.bit_count() <= r and rule.enables(t)
             }
             if small != trace_masks(g, umask):
                 bad = (f"enabling sets of size <= {r} miss a trace at "

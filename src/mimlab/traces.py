@@ -10,6 +10,13 @@ by repeated `_shrink_step`s and logs its moves, `shrink_to_enabler` wraps
 it for vertex sets, and the `shrink` verify suite runs one step per set
 and checks the statement per cut.
 
+The shrinker's precondition, V independent, makes enabling local: an
+independent S inside U enables an induced cut matching exactly when every
+v in S has a private neighbour, one in V outside N(S - v).  `_Enablers`
+holds this rule and the memoised maximum enabling subset for one cut;
+`enables_induced_matching`, whose V may be dependent, keeps the general
+partner search.
+
 `trace_masks` never enumerates independent sets: it adds the vertices of U
 one at a time and derives each family from the previous one with
 `_trace_step`, the forced-set transition that `obdd.min_obdd_size_exact`
@@ -176,6 +183,8 @@ def enables_induced_matching(g: Graph, u: Iterable[int], s: Iterable[int]) -> bo
 
 
 def _enables_mask(g: Graph, umask: int, smask: int) -> bool:
+    """Partner search for `enables_induced_matching`, whose rest side may
+    be dependent; with it independent, `_Enablers` decides locally."""
     comp = g.full_mask() & ~umask
     adj = g.adj
     svs = list(vertices_of(smask))
@@ -208,72 +217,119 @@ def _enables_mask(g: Graph, umask: int, smask: int) -> bool:
     return rec(0, 0)
 
 
-def _max_enabling_subset(enables, smask: int) -> int:
-    """Lexicographically least maximum-size enabling subset of smask."""
-    bits = [1 << v for v in vertices_of(smask)]
-    for k in range(len(bits), 0, -1):
-        for combo in itertools.combinations(bits, k):
-            if enables(sum(combo)):
-                return sum(combo)
-    return 0
+class _Enablers:
+    """The enabling rule and the maximum enabler on one cut whose rest side
+    `comp` is independent, for independent sets S of the other side.
+
+    There S enables an induced cut matching exactly when every v in S has
+    a private neighbour, one on comp outside N(S - v): private
+    neighbourhoods are pairwise disjoint, so the partners are distinct, and
+    the matching is induced because both sides are independent.  `nbr(t)`
+    is the neighbourhood mask of the independent set t (the suite's
+    per-graph table or a cached `neighborhood_mask`); the maximum
+    enablers are memoised, so one instance serves one cut.
+    """
+
+    __slots__ = ("adj", "comp", "nbr", "best")
+
+    def __init__(self, adj: list[int], comp: int, nbr):
+        self.adj = adj
+        self.comp = comp
+        self.nbr = nbr
+        self.best: dict[int, int] = {}
+
+    def lacking(self, smask: int) -> int:
+        """The lowest bit of smask whose vertex has no private neighbour,
+        or 0 when smask enables."""
+        adj, comp, nbr = self.adj, self.comp, self.nbr
+        m = smask
+        while m:
+            b = m & -m
+            m ^= b
+            if not adj[b.bit_length() - 1] & comp & ~nbr(smask ^ b):
+                return b
+        return 0
+
+    def enables(self, smask: int) -> bool:
+        return not self.lacking(smask)
+
+    def max_enabler(self, smask: int) -> int:
+        """The lexicographically least maximum-size enabling subset of
+        smask; it is smask exactly when smask enables.
+
+        Enabling is closed under subsets, so a set that does not enable
+        takes the best of the answers for its subsets S - v: the largest,
+        and among equal sizes the one holding the lowest vertex of the
+        two sets' difference.  Asked smallest set first, each set costs
+        |S| lookups.
+        """
+        best = self.best
+        out = best.get(smask)
+        if out is not None:
+            return out
+        if not self.lacking(smask):
+            out = smask
+        else:
+            out = size = 0
+            m = smask
+            while m:
+                b = m & -m
+                m ^= b
+                t = best.get(smask ^ b)
+                if t is None:
+                    t = self.max_enabler(smask ^ b)
+                k = t.bit_count()
+                if k > size or (k == size and (t ^ out) & -(t ^ out) & t):
+                    out, size = t, k
+        best[smask] = out
+        return out
 
 
-def _shrink_step(g: Graph, comp: int, cur: int, enables, moves: list) -> int:
+def _shrink_step(rule: _Enablers, cur: int, moves: list) -> int:
     """One recombine move of `_shrink_mask` on the non-enabling set cur,
     with the eliminations it needs; returns the next set, a strict subset
-    of cur with the same trace on comp.
+    of cur with the same trace on the rest side.
 
     Around the lexicographically least maximum enabling subset S0 of cur
     and its smallest outside member w, S0 + {w} does not enable (S0 is
-    maximum), so eliminations (drop the smallest member whose individual
-    trace, its neighbors on comp not covered by the rest of the set, is
-    empty) reduce it to an enabling set; the next set is that set and the
-    untouched remainder.  The moves, ("eliminate", v) each and then
-    ("recombine", s0, w, reduced, remainder), are appended to `moves`.
+    maximum), so eliminations reduce it to an enabling set; the next set
+    is that set and the untouched remainder.  An elimination drops the
+    smallest member with no private neighbour (`_Enablers.lacking`): its
+    neighbours on the independent rest side are all covered by the rest
+    of the set, so the trace stays, and a set whose members all have one
+    enables.  The moves, ("eliminate", v) each and then ("recombine", s0,
+    w, reduced, remainder), are appended to `moves`.
     """
-    adj = g.adj
-    s0 = _max_enabling_subset(enables, cur)
+    s0 = rule.max_enabler(cur)
     outside = cur & ~s0
     wbit = outside & -outside
     reduced = s0 | wbit
-    while not enables(reduced):
-        dropped = None
-        for v in vertices_of(reduced):
-            rest = reduced & ~(1 << v)
-            individual = (adj[v] & comp) & ~(
-                neighborhood_mask(g, rest) & comp
-            )
-            if not individual:
-                dropped = v
-                break
-        if dropped is None:  # pragma: no cover - impossible when
-            # the complement side is independent
-            raise AssertionError("no eliminable member found")
-        reduced &= ~(1 << dropped)
-        moves.append(("eliminate", dropped))
+    while b := rule.lacking(reduced):
+        reduced ^= b
+        moves.append(("eliminate", b.bit_length() - 1))
     remainder = cur & ~(s0 | wbit)
     moves.append(("recombine", s0, wbit.bit_length() - 1, reduced, remainder))
     return reduced | remainder
 
 
-def _shrink_mask(g: Graph, comp: int, smask: int, enables) -> tuple[int, list]:
-    """Shrink smask to an enabling subset with the same trace on comp by
-    `_shrink_step` until the set enables; returns (subset, moves).
+def _shrink_mask(rule: _Enablers, smask: int) -> tuple[int, list]:
+    """Shrink smask to an enabling subset with the same trace on the rest
+    side by `_shrink_step` until the set enables; returns (subset, moves).
 
     Every step keeps the trace, so the output has the input's trace,
     enables a matching and has at most r vertices, r the largest induced
     cut matching.  The `shrink` suite checks this, and apart from the
     kernel that the enabling sets of size <= r leave every trace.
 
-    Unchecked preconditions: `comp` (the rest side) is independent, smask
-    is an independent subset of the other side, and `enables(t)` says
-    whether t enables an induced cut matching.  A move is ("eliminate",
-    v) or ("recombine", s0, w, reduced, remainder), v and w vertices.
+    Unchecked preconditions: the rest side of `rule` is independent and
+    smask is an independent subset of the other side.  A move is
+    ("eliminate", v) or ("recombine", s0, w, reduced, remainder), v and w
+    vertices.
     """
     moves: list = []
     cur = smask
-    while not enables(cur):
-        cur = _shrink_step(g, comp, cur, enables, moves)
+    while not rule.enables(cur):
+        cur = _shrink_step(rule, cur, moves)
     return cur, moves
 
 
@@ -297,8 +353,8 @@ def shrink_to_enabler(
     if not is_independent_mask(g, smask):
         raise ValueError("s is not independent")
 
-    enables = functools.cache(functools.partial(_enables_mask, g, umask))
-    out, moves = _shrink_mask(g, comp, smask, enables)
+    nbr = functools.cache(functools.partial(neighborhood_mask, g))
+    out, moves = _shrink_mask(_Enablers(g.adj, comp, nbr), smask)
 
     def vs(mask: int) -> tuple[int, ...]:
         return tuple(vertices_of(mask))

@@ -135,6 +135,18 @@ def naive_enables(g: Graph, u, s) -> bool:
     return False
 
 
+def naive_max_enabling_subset(enables, smask: int) -> int:
+    """Lexicographically least maximum-size subset of the mask smask on
+    which `enables` holds, by walking `itertools.combinations` of its
+    members from the full size down."""
+    bits = [1 << v for v in range(smask.bit_length()) if smask >> v & 1]
+    for k in range(len(bits), 0, -1):
+        for combo in itertools.combinations(bits, k):
+            if enables(sum(combo)):
+                return sum(combo)
+    return 0
+
+
 def naive_count_satisfying(g: Graph) -> int:
     count = 0
     for mask in range(1 << g.n):

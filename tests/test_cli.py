@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,15 @@ class TestTraces:
         assert code == 3
         assert "budget" in err
 
+    def test_non_integer_side_names_the_token(self, tmp_path, capsys):
+        path = tmp_path / "c4.edges"
+        write_edge_list(fixtures()["c4"], path)
+        code, _, err = run_cli(
+            capsys, "traces", "--input", str(path), "--side", "1,a"
+        )
+        assert code == 2
+        assert "vertex 'a' is not an integer" in err
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_nonpositive_budget_exit_2(self, tmp_path, capsys, budget):
         path = tmp_path / "c4.edges"
@@ -203,6 +216,47 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--checks", "bogus")
         assert code == 2
         assert "unknown check" in err
+
+    # Each of these used to check nothing and exit 0 with rows=0.
+    @pytest.mark.parametrize("flag", ["--pair-n", "--corpus-n"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_corpus_size_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--checks", "shrink", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be a positive integer" in \
+            capsys.readouterr().err
+
+    def test_negative_random_count_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--checks", "obdd-sandwich",
+                  "--random-count=-1"])
+        assert exc.value.code == 2
+        assert "--random-count: must be a non-negative integer" in \
+            capsys.readouterr().err
+
+    def test_no_checks_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--checks", ",")
+        assert code == 2
+        assert "no check requested" in err
+        assert "rows=" not in out
+
+    def test_no_instance_exit_2(self, capsys):
+        # the connected corpus starts at n = 2
+        code, out, err = run_cli(capsys, "verify", "--checks",
+                                 "subfunction-traces", "--corpus-n", "1")
+        assert code == 2
+        assert "select no instance" in err
+        assert "rows=" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "mimlab", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: mimlab" in proc.stdout
 
 
 class TestExport:

@@ -1,4 +1,3 @@
-import functools
 import json
 
 import pytest
@@ -30,7 +29,7 @@ from mimlab.harness import (
     verify,
 )
 from mimlab.traces import (
-    _enables_mask,
+    _Enablers,
     _shrink_mask,
     _trace_bound_report,
     independent_set_masks,
@@ -43,6 +42,10 @@ class TestSpec:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(checks=("nonsense",))
+
+    def test_no_checks_rejected(self):
+        with pytest.raises(ValueError, match="no check requested"):
+            ExperimentSpec(checks=())
 
     def test_unknown_param_rejected(self):
         # a typo for corona_ks must not run the corona defaults
@@ -171,14 +174,13 @@ class TestCutContext:
     def test_memoised_shrink_matches_kernel(self):
         sets = 0
         for _, g in full_corpus(5):
-            for umask, comp, subsets, _, _ in _independent_rest_cuts(g):
-                enables = functools.cache(
-                    functools.partial(_enables_mask, g, umask)
-                )
-                got = list(_shrink_outputs(g, comp, subsets, enables))
+            for umask, comp, subsets, nbr, _ in _independent_rest_cuts(g):
+                got = list(_shrink_outputs(
+                    _Enablers(g.adj, comp, nbr.__getitem__), subsets))
                 assert [s for s, _ in got] == subsets
+                kernel = _Enablers(g.adj, comp, nbr.__getitem__)
                 for s, out in got:
-                    assert out == _shrink_mask(g, comp, s, enables)[0]
+                    assert out == _shrink_mask(kernel, s)[0]
                 sets += len(got)
         assert sets > 1000
 

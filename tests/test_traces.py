@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -15,12 +16,15 @@ from mimlab.graph import (
     Graph,
     max_induced_cut_matching,
     neighborhood,
+    neighborhood_mask,
     upper_subgraph,
     vertices_of,
 )
-from mimlab.harness import full_corpus
+from mimlab.harness import _independent_rest_cuts, full_corpus
 from mimlab.traces import (
     TraceBoundReport,
+    _Enablers,
+    _enables_mask,
     enables_induced_matching,
     enum_independent_sets,
     independent_set_masks,
@@ -37,6 +41,7 @@ from oracles import (
     edge_set,
     naive_enables,
     naive_independent_sets,
+    naive_max_enabling_subset,
     naive_max_induced_cut_matching,
     naive_traces,
 )
@@ -148,6 +153,44 @@ class TestEnables:
                for a in s for b in s if a < b):
             return  # dependent set: precondition violated
         assert enables_induced_matching(g, u, s) == naive_enables(g, u, s)
+
+
+def _rest_cut_rules(max_n: int):
+    """(g, umask, subsets, rule over the suite's `nbr` table, rule over a
+    cached `neighborhood_mask`) for every independent-rest cut."""
+    for _, g in full_corpus(max_n):
+        cached = functools.cache(functools.partial(neighborhood_mask, g))
+        for umask, comp, subsets, nbr, _ in _independent_rest_cuts(g):
+            yield (g, umask, subsets,
+                   _Enablers(g.adj, comp, nbr.__getitem__),
+                   _Enablers(g.adj, comp, cached))
+
+
+class TestEnablingRule:
+    # The private-neighbour rule and the memoised maximum enabler against
+    # the general partner search and the oracles, on every cut of n <= 6
+    # with independent rest side and every independent subset of U.
+    def test_private_neighbours_match_partner_search(self):
+        pairs = 0
+        for g, umask, subsets, rule, cached in _rest_cut_rules(6):
+            u = list(vertices_of(umask))
+            for s in subsets:
+                got = rule.enables(s)
+                assert got == cached.enables(s) == _enables_mask(g, umask, s)
+                if g.n <= 5:
+                    assert got == naive_enables(g, u, vertices_of(s))
+                pairs += 1
+        assert pairs == 31878
+
+    def test_max_enabler_matches_combinations_walk(self):
+        for g, umask, subsets, rule, cached in _rest_cut_rules(6):
+            enables = functools.partial(_enables_mask, g, umask)
+            want = [naive_max_enabling_subset(enables, s) for s in subsets]
+            # smallest first, as the suite fills the memo, and largest
+            # first, which fills it by recursion
+            assert [rule.max_enabler(s) for s in subsets] == want
+            assert [cached.max_enabler(s) for s in reversed(subsets)] == \
+                want[::-1]
 
 
 class TestShrink:
