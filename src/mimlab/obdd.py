@@ -29,9 +29,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .graph import Graph, vertices_of
+from .graph import (
+    Graph,
+    is_independent_mask,
+    mask_of,
+    neighborhood_mask,
+    vertices_of,
+)
 from .traces import _trace_step, trace_masks
-from .width import WidthReport, WidthVariant, exact_width
+from .width import WidthReport, WidthVariant, exact_width, prefix_width_witness
 
 TRUTH_TABLE_LIMIT = 20
 OBDD_DP_LIMIT = 20
@@ -94,8 +100,6 @@ def subfunction_count(g: Graph, prefix, *, limit: int = TRUTH_TABLE_LIMIT) -> in
     if g.n > limit:
         raise BudgetExceededError("semantic subfunction count", limit)
     cnf = cnf_of_graph(g)
-    from .graph import mask_of
-
     umask = mask_of(prefix, g.n)
     comp_bits = [v for v in range(g.n) if not umask >> v & 1]
     u_bits = [v for v in range(g.n) if umask >> v & 1]
@@ -190,17 +194,7 @@ def build_obdd(g: Graph, order: Sequence[int]) -> Obdd:
     for i, v in enumerate(order):
         acc &= ~(1 << v)
         rem_after[i + 1] = acc
-    has_internal = [False] * (n + 1)
-    for i in range(n + 1):
-        mask = rem_after[i]
-        m = mask
-        found = False
-        while m and not found:
-            b = m & -m
-            m ^= b
-            if adj[b.bit_length() - 1] & mask:
-                found = True
-        has_internal[i] = found
+    has_internal = [not is_independent_mask(g, m) for m in rem_after]
 
     level_states: list[list[int]] = []
     level_lo: list[list[int]] = []
@@ -551,9 +545,6 @@ def matching_trace_family(
     all subsets of those endpoints; raises if any two neighborhoods on the
     far side coincide (they cannot, each kept matching partner separates).
     """
-    from .graph import mask_of, neighborhood_mask
-    from .width import prefix_width_witness
-
     umask = mask_of(u, g.n)
     comp = g.full_mask() & ~umask
     _, witness = prefix_width_witness(g, u, variant)

@@ -13,9 +13,9 @@ and checks the statement per cut.
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
 v in S has a private neighbour, one in V outside N(S - v).  `_Enablers`
-holds this rule and the memoised maximum enabling subset for one cut;
-`enables_induced_matching`, whose V may be dependent, keeps the general
-partner search.
+holds this rule and the memoised maximum enabling subset for one cut.
+`enables_induced_matching`, whose V may be dependent, asks the LSIM
+edge table instead, like every other induced-matching question.
 
 `trace_masks` never enumerates independent sets: it adds the vertices of U
 one at a time and derives each family from the previous one with
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError
 from .graph import (
     DEFAULT_MATCHING_BUDGET,
     Graph,
@@ -83,17 +82,13 @@ def independent_set_masks(
 ) -> Iterator[int]:
     """Independent subsets of umask as bitmasks, by size then lexicographic
     on the ascending vertex tuple."""
-    limit = budget or DEFAULT_ENUM_BUDGET
+    work = _Work(budget or DEFAULT_ENUM_BUDGET, "independent set enumeration")
     members = list(vertices_of(umask))
     top = len(members) if max_size is None else min(max_size, len(members))
-    visited = 0
     adj = g.adj
 
     def by_size(k: int, start: int, cur: int, banned: int):
-        nonlocal visited
-        visited += 1
-        if visited > limit:
-            raise BudgetExceededError("independent set enumeration", limit)
+        work.tick()
         if k == 0:
             yield cur
             return
@@ -139,18 +134,15 @@ def trace_masks(
     order with `_trace_step`.  `budget` (default 2^24) caps the family
     entries processed over all steps.
     """
-    limit = budget or DEFAULT_ENUM_BUDGET
+    work = _Work(budget or DEFAULT_ENUM_BUDGET, "trace family transition")
     adj = g.adj
     rest = g.full_mask()
     fam = {0}
-    work = 0
     m = umask
     while m:
         bv = m & -m
         m ^= bv
-        work += len(fam)
-        if work > limit:
-            raise BudgetExceededError("trace family transition", limit)
+        work.tick(len(fam))
         rest ^= bv
         fam = _trace_step(fam, adj[bv.bit_length() - 1], bv, rest)
     return fam
@@ -172,49 +164,22 @@ def traces(g: Graph, u: Iterable[int], *, budget: int | None = None) -> TraceSet
 
 def enables_induced_matching(g: Graph, u: Iterable[int], s: Iterable[int]) -> bool:
     """True iff some induced (u, rest)-matching of g has exactly s as its
-    u-side endpoints."""
+    u-side endpoints.
+
+    One LSIM edge-table query: |s| compatible edges among those crossing
+    the cut from s.  A shared tail is a conflict, so each member of s gets
+    exactly one partner, and LSIM forbids every edge among the endpoints,
+    so the edges form an induced matching; the empty s always enables.
+    """
     umask = mask_of(u, g.n)
     smask = mask_of(s, g.n)
     if smask & ~umask:
         raise ValueError("s is not a subset of u")
     if not is_independent_mask(g, smask):
         raise ValueError("s is not independent")
-    return _enables_mask(g, umask, smask)
-
-
-def _enables_mask(g: Graph, umask: int, smask: int) -> bool:
-    """Partner search for `enables_induced_matching`, whose rest side may
-    be dependent; with it independent, `_Enablers` decides locally."""
-    comp = g.full_mask() & ~umask
-    adj = g.adj
-    svs = list(vertices_of(smask))
-    # A partner of s_i may not touch any other member of s.
-    allowed = []
-    for v in svs:
-        others = smask & ~(1 << v)
-        a = adj[v] & comp
-        o = others
-        while o:
-            b = o & -o
-            o ^= b
-            a &= ~adj[b.bit_length() - 1]
-        if not a:
-            return False
-        allowed.append(a)
-    order = sorted(range(len(svs)), key=lambda i: allowed[i].bit_count())
-
-    def rec(idx: int, forbidden: int) -> bool:
-        if idx == len(order):
-            return True
-        cand = allowed[order[idx]] & ~forbidden
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            if rec(idx + 1, forbidden | b | adj[b.bit_length() - 1]):
-                return True
-        return False
-
-    return rec(0, 0)
+    t = _EdgeTable(g, WidthVariant.LSIM)
+    # s is independent, so its crossing edges are all the edges leaving it
+    return t.exists(t.crossing(umask) & t.crossing(smask), smask.bit_count())
 
 
 class _Enablers:
@@ -447,7 +412,7 @@ def _trace_bound_report(
 def vc_dimension(ts: TraceSet, *, budget: int | None = None) -> int:
     """Largest k such that some k-subset of side_v is shattered by the
     trace family.  Exhaustive, with an early cap at log2(family size)."""
-    limit = budget or DEFAULT_ENUM_BUDGET
+    work = _Work(budget or DEFAULT_ENUM_BUDGET, "VC shattering search")
     ground = sorted(ts.side_v)
     pos = {v: i for i, v in enumerate(ground)}
     fam = [
@@ -457,16 +422,13 @@ def vc_dimension(ts: TraceSet, *, budget: int | None = None) -> int:
         return 0
     best = 0
     max_k = min(len(ground), max(len(fam).bit_length() - 1, 0))
-    work = 0
     for k in range(1, max_k + 1):
         shattered = False
         for combo in itertools.combinations(range(len(ground)), k):
             wmask = 0
             for i in combo:
                 wmask |= 1 << i
-            work += len(fam)
-            if work > limit:
-                raise BudgetExceededError("VC shattering search", limit)
+            work.tick(len(fam))
             seen = {f & wmask for f in fam}
             if len(seen) == 1 << k:
                 shattered = True

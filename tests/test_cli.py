@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,18 @@ class TestVerify:
         assert code == 2
         assert "no check requested" in err
         assert "rows=" not in out
+
+    def test_trace_suites_export_pinned(self, tmp_path, capsys):
+        # The suites built on the trace and matching kernels, small enough
+        # to run on every test pass; any change to a row changes the digest.
+        json_path = tmp_path / "rows.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--checks", "trace-bound,shrink,vc,corona",
+            "--pair-n", "5", "--seed", "0", "--json-out", str(json_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == \
+            "07dad0f0e61f57c60e49a542bfe0666ee92e86f2194887d2509262c027b1ad0a"
 
     def test_no_instance_exit_2(self, capsys):
         # the connected corpus starts at n = 2

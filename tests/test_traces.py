@@ -14,6 +14,7 @@ from mimlab.generators import (
 )
 from mimlab.graph import (
     Graph,
+    is_independent_mask,
     max_induced_cut_matching,
     neighborhood,
     neighborhood_mask,
@@ -24,7 +25,6 @@ from mimlab.harness import _independent_rest_cuts, full_corpus
 from mimlab.traces import (
     TraceBoundReport,
     _Enablers,
-    _enables_mask,
     enables_induced_matching,
     enum_independent_sets,
     independent_set_masks,
@@ -47,6 +47,12 @@ from oracles import (
 )
 
 C4 = fixtures()["c4"]
+
+
+def _assert_budget_error(err, what, budget):
+    assert err.what == what
+    assert err.budget == budget
+    assert str(err) == f"{what}: work budget of {budget} exceeded"
 
 
 class TestEnumIndependentSets:
@@ -77,6 +83,23 @@ class TestEnumIndependentSets:
         g = Graph(20, [])
         with pytest.raises(BudgetExceededError):
             list(enum_independent_sets(g, range(20), budget=100))
+
+    @pytest.mark.parametrize("g, nodes, count", [
+        # one node per call of the size-by-size search
+        (Graph(4, []), 31, 16),
+        (Graph(4, [(0, 1)]), 24, 12),
+    ])
+    def test_budget_threshold(self, g, nodes, count):
+        sets = list(enum_independent_sets(g, range(4), budget=nodes))
+        assert len(sets) == count
+        with pytest.raises(BudgetExceededError) as exc:
+            list(enum_independent_sets(g, range(4), budget=nodes - 1))
+        _assert_budget_error(exc.value, "independent set enumeration",
+                             nodes - 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            list(independent_set_masks(g, g.full_mask(), budget=nodes - 1))
+        _assert_budget_error(exc.value, "independent set enumeration",
+                             nodes - 1)
 
 
 class TestTraces:
@@ -114,8 +137,9 @@ class TestTraces:
         g = perfect_matching_graph(10)
         umask = (1 << 10) - 1
         assert len(trace_masks(g, umask, budget=1023)) == 1024
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             trace_masks(g, umask, budget=1022)
+        _assert_budget_error(exc.value, "trace family transition", 1022)
 
 
 class TestEnables:
@@ -154,6 +178,24 @@ class TestEnables:
             return  # dependent set: precondition violated
         assert enables_induced_matching(g, u, s) == naive_enables(g, u, s)
 
+    def test_every_corpus_pair_matches_naive(self):
+        # Every U and every independent S inside it on the n <= 5 corpus,
+        # the cuts with a dependent rest side included: there no local
+        # rule applies and the partners must be searched.
+        pairs = dependent = 0
+        for _, g in full_corpus(5):
+            full = g.full_mask()
+            for umask in range(full + 1):
+                u = list(vertices_of(umask))
+                rest_dependent = not is_independent_mask(g, full ^ umask)
+                for smask in independent_set_masks(g, umask):
+                    s = list(vertices_of(smask))
+                    assert enables_induced_matching(g, u, s) == \
+                        naive_enables(g, u, s)
+                    pairs += 1
+                    dependent += rest_dependent
+        assert (pairs, dependent) == (6207, 2487)
+
 
 def _rest_cut_rules(max_n: int):
     """(g, umask, subsets, rule over the suite's `nbr` table, rule over a
@@ -168,7 +210,7 @@ def _rest_cut_rules(max_n: int):
 
 class TestEnablingRule:
     # The private-neighbour rule and the memoised maximum enabler against
-    # the general partner search and the oracles, on every cut of n <= 6
+    # the public edge-table query and the oracles, on every cut of n <= 6
     # with independent rest side and every independent subset of U.
     def test_private_neighbours_match_partner_search(self):
         pairs = 0
@@ -176,7 +218,8 @@ class TestEnablingRule:
             u = list(vertices_of(umask))
             for s in subsets:
                 got = rule.enables(s)
-                assert got == cached.enables(s) == _enables_mask(g, umask, s)
+                assert got == cached.enables(s) == \
+                    enables_induced_matching(g, u, vertices_of(s))
                 if g.n <= 5:
                     assert got == naive_enables(g, u, vertices_of(s))
                 pairs += 1
@@ -184,7 +227,11 @@ class TestEnablingRule:
 
     def test_max_enabler_matches_combinations_walk(self):
         for g, umask, subsets, rule, cached in _rest_cut_rules(6):
-            enables = functools.partial(_enables_mask, g, umask)
+            u = list(vertices_of(umask))
+
+            def enables(s):
+                return enables_induced_matching(g, u, vertices_of(s))
+
             want = [naive_max_enabling_subset(enables, s) for s in subsets]
             # smallest first, as the suite fills the memo, and largest
             # first, which fills it by recursion
@@ -386,6 +433,15 @@ class TestVcDimension:
 
     def test_skew_chain(self):
         assert vc_dimension(traces(skew(3), [0, 1, 2])) == 1
+
+    def test_budget_threshold(self):
+        # Four traces on three vertices: one shattered singleton, then
+        # three pairs that are not shattered, four entries each.
+        ts = traces(skew(3), [0, 1, 2])
+        assert vc_dimension(ts, budget=16) == 1
+        with pytest.raises(BudgetExceededError) as exc:
+            vc_dimension(ts, budget=15)
+        _assert_budget_error(exc.value, "VC shattering search", 15)
 
     @given(graphs(max_n=5), st.integers(0, 31))
     @settings(max_examples=40, deadline=None)
