@@ -4,8 +4,11 @@ Graphs on n vertices are encoded as bitmasks over the C(n,2) vertex pairs
 in lexicographic order.  The canonical form of a graph is the minimum mask
 over all vertex relabelings; corpora are grown one vertex at a time (every
 (n+1)-vertex graph arises from an n-vertex graph plus a new vertex with
-some neighborhood) and deduplicated by canonical form, which is vectorized
-over all candidates at once.
+some neighborhood) and deduplicated by canonical form.  Canonical forms
+are table lookups: for each block of relabelings, one small table per
+7-bit slice of the mask maps the slice's value to its relabeled bits, and
+a relabeled mask is the OR of its slices' entries.  The exhaustive corpus
+is capped at n = 8; every default asks for n <= 7.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ import numpy as np
 
 from .graph import Graph
 
-MAX_EXHAUSTIVE_N = 7
+MAX_EXHAUSTIVE_N = 8
+
+# Canonical-form kernel: mask bits per lookup table, relabelings per table
+# set, and masks per gather.  The gather buffers hold _PERM_BLOCK *
+# _ROW_BLOCK images whatever the batch size.
+_SLICE = 7
+_PERM_BLOCK = 256
+_ROW_BLOCK = 256
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -29,7 +39,33 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(pair_order(n))}
 
 
+def _image_blocks(n: int):
+    """Per block of _PERM_BLOCK permutations of range(n), the array whose
+    entry [k, q] is the index of the pair that pair k becomes under the
+    block's q-th permutation."""
+    pairs = pair_order(n)
+    where = np.zeros((n, n), dtype=np.intp)
+    for k, (i, j) in enumerate(pairs):
+        where[i, j] = where[j, i] = k
+    first, second = np.array(pairs, dtype=np.intp).T
+    perms = itertools.permutations(range(n))
+    while block := list(itertools.islice(perms, _PERM_BLOCK)):
+        p = np.array(block, dtype=np.intp).T
+        yield where[p[first], p[second]]
+
+
+def _check_mask(n: int, mask: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    bits = n * (n - 1) // 2
+    if not 0 <= mask < 1 << bits:
+        raise ValueError(
+            f"mask {mask} is outside [0, 2^{bits}) for n={n}"
+        )
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
+    _check_mask(n, mask)
     pairs = pair_order(n)
     edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
     return Graph(n, edges)
@@ -44,21 +80,53 @@ def mask_from_graph(g: Graph) -> int:
 
 
 def _canonicalize_batch(n: int, masks: np.ndarray) -> np.ndarray:
-    """Elementwise minimum over all vertex relabelings of each mask."""
-    pairs = pair_order(n)
-    idx = _pair_index(n)
-    best = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        out = np.zeros_like(masks)
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            dst = idx[(a, b) if a < b else (b, a)]
-            out |= ((masks >> k) & 1) << dst
-        np.minimum(best, out, out=best)
+    """Elementwise minimum over all vertex relabelings of each mask.
+
+    For a block of relabelings, `moved[k, p]` is the bit that pair k moves
+    to under relabeling p.  A slice's table maps each 7-bit slice value
+    to the OR of its set pairs' moved bits, per relabeling; it is filled
+    by doubling, rows 2^b .. 2^(b+1) - 1 being rows 0 .. 2^b - 1 with the
+    slice's bit b added.  Each mask's images under the block are then one
+    gather per slice, ORed together.  Needs n <= 11, so that the C(n,2)
+    pair bits fit in an int64.
+    """
+    npairs = n * (n - 1) // 2
+    dtype = np.int32 if npairs <= 31 else np.int64
+    best = masks.astype(dtype)
+    starts = range(0, npairs, _SLICE)
+    keys = [(best >> s & (1 << _SLICE) - 1).astype(np.uint8) for s in starts]
+    rows = min(_ROW_BLOCK, len(masks))
+    image = np.empty(rows * _PERM_BLOCK, dtype=dtype)
+    part = np.empty_like(image)
+    low = np.empty(rows, dtype=dtype)
+    for images in _image_blocks(n):
+        moved = np.left_shift(1, images, dtype=dtype)
+        tables = []
+        for s in starts:
+            table = np.zeros((1 << _SLICE, moved.shape[1]), dtype=dtype)
+            for b, bit in enumerate(moved[s:s + _SLICE]):
+                np.bitwise_or(table[:1 << b], bit, out=table[1 << b:2 << b])
+            tables.append(table)
+        for lo in range(0, len(masks), rows):
+            hi = min(lo + rows, len(masks))
+            shape = (hi - lo, moved.shape[1])
+            out = image[:shape[0] * shape[1]].reshape(shape)
+            tmp = part[:out.size].reshape(shape)
+            # Keys are below 1 << _SLICE, so "clip" clips nothing; "raise"
+            # would gather through a temporary copy of `out`.
+            np.take(tables[0], keys[0][lo:hi], axis=0, out=out, mode="clip")
+            for table, key in zip(tables[1:], keys[1:]):
+                np.take(table, key[lo:hi], axis=0, out=tmp, mode="clip")
+                out |= tmp
+            np.minimum.reduce(out, axis=1, out=low[:hi - lo])
+            np.minimum(best[lo:hi], low[:hi - lo], out=best[lo:hi])
     return best
 
 
 def canonical_mask(n: int, mask: int) -> int:
+    _check_mask(n, mask)
+    if n > 11:
+        raise ValueError(f"canonical forms need n <= 11, got n={n}")
     if n <= 1:
         return 0
     arr = np.array([mask], dtype=np.int64)

@@ -4,9 +4,12 @@ Everything here works on plain sets and edge lists with no bit tricks and
 no shared code with the library's search engines, except
 `naive_min_obdd_sizes`, which takes its trace families from the library's
 trace kernel and checks the min-size DP's non-dependence rule by a direct
-scan.  Exponential by design; callers keep instances tiny.
+scan.  `naive_canonical_mask` takes and returns pair masks, as the corpus
+does, but numbers the pairs and relabels them on its own.  Exponential by
+design; callers keep instances tiny.
 """
 
+import functools
 import itertools
 
 from mimlab.graph import Graph
@@ -269,3 +272,26 @@ def naive_min_obdd_sizes(g: Graph) -> tuple:
 
     return (gq[full] + 2, hr[full] + 2,
             reconstruct(gq, live_term), reconstruct(hr, dep_term))
+
+
+@functools.lru_cache(maxsize=None)
+def _relabeled_pair_bits(n: int) -> list:
+    """Per pair {i, j}, in lexicographic order, the bit of the pair
+    {p[i], p[j]} for every permutation p of range(n)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {}
+    for k, (i, j) in enumerate(pairs):
+        bit[i, j] = bit[j, i] = 1 << k
+    perms = list(itertools.permutations(range(n)))
+    return [tuple(bit[p[i], p[j]] for p in perms) for i, j in pairs]
+
+
+def naive_canonical_mask(n: int, mask: int) -> int:
+    """Least pair mask over every relabeling of the graph `mask` encodes.
+
+    Bit k of a mask is the k-th vertex pair in lexicographic order.  A
+    relabeled mask is the sum of its edges' new bits, one column each.
+    """
+    columns = [col for k, col in enumerate(_relabeled_pair_bits(n))
+               if mask >> k & 1]
+    return min(map(sum, zip(*columns))) if columns else 0

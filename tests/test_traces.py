@@ -420,6 +420,18 @@ class TestStatementOnEveryCut:
         bound = sum(math.comb(len(w), i) for i in range(r + 1))
         assert len(trace_masks(g, wmask)) <= bound
 
+    @given(graphs(max_n=7), st.integers(0, 127))
+    @settings(max_examples=80, deadline=None)
+    def test_upper_subgraph_keeps_lu_prefix_width(self, g, wmask_seed):
+        # In the upper subgraph the rest is independent, so LU and LSIM
+        # see the same edges there.
+        wmask = wmask_seed & g.full_mask()
+        w = list(vertices_of(wmask))
+        h = upper_subgraph(g, w)
+        r = prefix_width(g, w, WidthVariant.LU)
+        assert prefix_width(h, w, WidthVariant.LU) == r
+        assert prefix_width(h, w, WidthVariant.LSIM) == r
+
 
 class TestVcDimension:
     def test_trivial_family(self):
