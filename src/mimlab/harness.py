@@ -110,6 +110,13 @@ class ExperimentSpec:
         for key in self.params:
             if key not in read:
                 raise ValueError(f"unknown verify parameter {key!r}")
+        # Refuse here, before any suite builds the corpora below the cap.
+        for key in ("corpus_max_n", "pair_max_n"):
+            if self.params.get(key, 0) > corpus.MAX_EXHAUSTIVE_N:
+                raise ValueError(
+                    f"{key}={self.params[key]}: exhaustive corpus capped "
+                    f"at n={corpus.MAX_EXHAUSTIVE_N}"
+                )
 
 
 def _timed(row: ReportRow, started: float) -> ReportRow:
@@ -126,17 +133,22 @@ def connected_corpus(max_n: int) -> list[tuple[str, Graph]]:
     """Connected graphs with at least one edge, exhaustive up to iso."""
     out = []
     for n in range(2, max_n + 1):
-        for i, g in enumerate(corpus.connected_graphs(n)):
-            out.append((f"conn{n}-{i:04d}", g))
+        out.extend(_named(f"conn{n}", corpus.connected_graphs(n)))
     return out
 
 
 def full_corpus(max_n: int) -> list[tuple[str, Graph]]:
     out = []
     for n in range(1, max_n + 1):
-        for i, g in enumerate(corpus.all_graphs(n)):
-            out.append((f"all{n}-{i:04d}", g))
+        out.extend(_named(f"all{n}", corpus.all_graphs(n)))
     return out
+
+
+def _named(stem: str, graphs: list[Graph]) -> list[tuple[str, Graph]]:
+    """`stem-index`, the index padded to at least 4 digits and to the
+    width of the largest one, so that the names sort as text in order."""
+    width = max(4, len(str(len(graphs) - 1)))
+    return [(f"{stem}-{i:0{width}d}", g) for i, g in enumerate(graphs)]
 
 
 def sandwich_instances(

@@ -42,6 +42,9 @@ from .width import WidthReport, WidthVariant, exact_width, prefix_width_witness
 TRUTH_TABLE_LIMIT = 20
 OBDD_DP_LIMIT = 20
 EQUIV_CHECK_LIMIT = 20
+# exhaustive_equiv_check evaluates 2^12 assignments at a time (512-byte
+# tables), so its memory stays bounded up to EQUIV_CHECK_LIMIT.
+_EQUIV_BLOCK_BITS = 12
 BRUTE_ORDER_LIMIT = 8
 
 FALSE_ID = 0
@@ -89,13 +92,44 @@ def write_dimacs(cnf: MonotoneCnf, path) -> None:
         fh.write(format_dimacs(cnf))
 
 
+def _projection_columns(k: int) -> tuple[int, list[int]]:
+    """Truth tables of the k projections over all 2^k assignments.
+
+    Bit j of a table is its value on the assignment that sets variable i
+    to bit i of j.  Returns the all-ones table and one column per
+    variable: column i has bit j set exactly when bit i of j is set.
+    """
+    ones = (1 << (1 << k)) - 1
+    return ones, [ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
+
+
+def _cnf_table(clauses, val: list[int], ones: int) -> int:
+    """AND over the clauses of (a or b), each side a truth table."""
+    table = ones
+    for a, b in clauses:
+        table &= val[a] | val[b]
+        if not table:
+            break
+    return table
+
+
 def subfunction_count(g: Graph, prefix, *, limit: int = TRUTH_TABLE_LIMIT) -> int:
     """Number of distinct residual functions after assigning the prefix.
 
-    Semantic oracle: enumerates the extendable prefix assignments, builds
-    each residual's full truth table over the remaining variables, and
-    counts distinct tables.  Deliberately independent of any trace or
+    Semantic oracle: enumerates the prefix assignments, builds each
+    residual's full truth table over the remaining variables, and counts
+    distinct tables.  Deliberately independent of any trace or
     forced-set reasoning.
+
+    A table is one int holding the residual's value on all 2^k
+    assignments of the k remaining variables (bit j sets the i-th of them,
+    in ascending order, to bit i of j).  Each remaining variable is its
+    projection column, a prefix variable all-ones or 0, and the residual
+    is the AND of (a or b) over the clauses: every clause evaluated on
+    every assignment, 2^k at a time.  A prefix assignment extends to a
+    model exactly when no clause is already falsified (setting the rest
+    true then satisfies a monotone CNF), so the tables that are 0 are the
+    non-extendable ones and are skipped.
     """
     if g.n > limit:
         raise BudgetExceededError("semantic subfunction count", limit)
@@ -103,29 +137,17 @@ def subfunction_count(g: Graph, prefix, *, limit: int = TRUTH_TABLE_LIMIT) -> in
     umask = mask_of(prefix, g.n)
     comp_bits = [v for v in range(g.n) if not umask >> v & 1]
     u_bits = [v for v in range(g.n) if umask >> v & 1]
+    ones, cols = _projection_columns(len(comp_bits))
+    val = [0] * g.n
+    for v, col in zip(comp_bits, cols):
+        val[v] = col
     tables = set()
     for pick in range(1 << len(u_bits)):
-        true_mask = 0
         for i, v in enumerate(u_bits):
-            if pick >> i & 1:
-                true_mask |= 1 << v
-        false_mask = umask & ~true_mask
-        # Extendable iff no clause already has both ends false; the rest
-        # of a monotone CNF is always satisfiable by setting all true.
-        if any(
-            false_mask >> a & 1 and false_mask >> b & 1
-            for a, b in cnf.clauses
-        ):
-            continue
-        table = 0
-        for bpick in range(1 << len(comp_bits)):
-            amask = true_mask
-            for i, v in enumerate(comp_bits):
-                if bpick >> i & 1:
-                    amask |= 1 << v
-            if cnf_satisfied(cnf, amask):
-                table |= 1 << bpick
-        tables.add(table)
+            val[v] = ones if pick >> i & 1 else 0
+        table = _cnf_table(cnf.clauses, val, ones)
+        if table:
+            tables.add(table)
     return len(tables)
 
 
@@ -277,14 +299,6 @@ def eval_obdd(z: Obdd, assignment: Sequence[bool]) -> bool:
     return node == TRUE_ID
 
 
-def _eval_mask(z: Obdd, true_mask: int) -> bool:
-    node = z.root
-    while node not in (FALSE_ID, TRUE_ID):
-        var, lo, hi = z.nodes[node]
-        node = hi if true_mask >> var & 1 else lo
-    return node == TRUE_ID
-
-
 def count_accepting(z: Obdd) -> int:
     """Number of total assignments routed to the true sink."""
     n = z.n
@@ -312,12 +326,42 @@ def count_accepting(z: Obdd) -> int:
 def exhaustive_equiv_check(
     z: Obdd, g: Graph, *, limit: int = EQUIV_CHECK_LIMIT
 ) -> bool:
-    """Compare the OBDD with direct clause evaluation on all assignments."""
+    """Compare the OBDD with direct clause evaluation on all assignments.
+
+    Deliberately independent of the level sweep that builds OBDDs.  Both
+    sides are truth tables over a block of assignments, one bit each: the
+    CNF's is the AND of (a or b) over the clauses, the OBDD's comes by
+    Shannon expansion over its node DAG, with the sinks 0 and all-ones
+    and node (v, lo, hi) giving (v and T(hi)) or (not v and T(lo)).  The
+    lowest 12 variables (`_EQUIV_BLOCK_BITS`) run in parallel as
+    projection columns and the others loop as constants, so one block's
+    tables take at most 512 bytes per node.
+    """
     if g.n > limit:
         raise BudgetExceededError("exhaustive equivalence check", limit)
+    if z.n != g.n:
+        raise ValueError(
+            f"OBDD over {z.n} variables, graph on {g.n} vertices"
+        )
     cnf = cnf_of_graph(g)
-    for true_mask in range(1 << g.n):
-        if _eval_mask(z, true_mask) != cnf_satisfied(cnf, true_mask):
+    low = min(g.n, _EQUIV_BLOCK_BITS)
+    ones, cols = _projection_columns(low)
+    val = cols + [0] * (g.n - low)
+    nodes = z.nodes
+    for high in range(1 << (g.n - low)):
+        for i in range(low, g.n):
+            val[i] = ones if high >> (i - low) & 1 else 0
+        memo = {FALSE_ID: 0, TRUE_ID: ones}
+
+        def table(node: int) -> int:
+            got = memo.get(node)
+            if got is None:
+                var, lo, hi = nodes[node]
+                col = val[var]
+                got = memo[node] = col & table(hi) | ~col & table(lo)
+            return got
+
+        if table(z.root) != _cnf_table(cnf.clauses, val, ones):
             return False
     return True
 

@@ -158,6 +158,47 @@ def naive_count_satisfying(g: Graph) -> int:
     return count
 
 
+def naive_subfunction_count(g: Graph, prefix) -> int:
+    """Distinct residual truth tables after assigning the prefix, built
+    one assignment at a time by evaluating every clause.
+
+    Prefix assignments with a clause already false are skipped; bit j of
+    a table is the assignment setting the i-th remaining vertex, in
+    ascending order, to bit i of j.
+    """
+    edges = g.edges()
+    prefix = sorted(set(prefix))
+    rest = [v for v in range(g.n) if v not in prefix]
+    tables = set()
+    for pick in itertools.product((False, True), repeat=len(prefix)):
+        value = dict(zip(prefix, pick))
+        if any(a in value and b in value and not (value[a] or value[b])
+               for a, b in edges):
+            continue
+        table = 0
+        for j in range(1 << len(rest)):
+            for i, v in enumerate(rest):
+                value[v] = bool(j >> i & 1)
+            if all(value[a] or value[b] for a, b in edges):
+                table |= 1 << j
+        tables.add(table)
+    return len(tables)
+
+
+def naive_equiv_check(z, g: Graph) -> bool:
+    """Walk the OBDD `z` from its root on every assignment and compare
+    the sink reached with the clauses of g evaluated one by one."""
+    edges = g.edges()
+    for pick in itertools.product((False, True), repeat=g.n):
+        node = z.root
+        while node not in (0, 1):
+            var, lo, hi = z.nodes[node]
+            node = hi if pick[var] else lo
+        if (node == 1) != all(pick[a] or pick[b] for a, b in edges):
+            return False
+    return True
+
+
 def naive_vc_dimension(ground: list, family: set) -> int:
     best = 0
     for k in range(1, len(ground) + 1):

@@ -228,6 +228,22 @@ class TestVerify:
         assert f"{flag}: must be a positive integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, key", [("--pair-n", "pair_max_n"),
+                                           ("--corpus-n", "corpus_max_n")])
+    def test_corpus_over_the_cap_exit_2(self, capsys, monkeypatch, flag, key):
+        # refused before any corpus is built
+        import mimlab.cli
+
+        def no_verify(spec):
+            raise AssertionError("verify ran")
+
+        monkeypatch.setattr(mimlab.cli, "verify", no_verify)
+        code, out, err = run_cli(capsys, "verify", "--checks", "trace-bound",
+                                 flag, "9")
+        assert code == 2
+        assert f"{key}=9: exhaustive corpus capped at n=8" in err
+        assert "rows=" not in out
+
     def test_negative_random_count_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--checks", "obdd-sandwich",

@@ -15,6 +15,7 @@ from mimlab.harness import (
     _shrink_outputs,
     any_failures,
     any_skipped,
+    connected_corpus,
     export,
     full_corpus,
     grid_prefix_trace_floor,
@@ -65,6 +66,13 @@ class TestSpec:
         assert ExperimentSpec(checks=("vc",), threads=1).threads == 1
         with pytest.raises(ValueError, match="threads=4"):
             ExperimentSpec(checks=("vc",), threads=4)
+
+    @pytest.mark.parametrize("key", ["corpus_max_n", "pair_max_n"])
+    def test_corpus_over_the_cap_rejected(self, key):
+        assert ExperimentSpec(checks=("vc",), params={key: 8}).params == \
+            {key: 8}
+        with pytest.raises(ValueError, match=f"{key}=9: .*capped at n=8"):
+            ExperimentSpec(checks=("vc",), params={key: 9})
 
     def test_param_of_unrequested_suite_accepted(self):
         spec = ExperimentSpec(checks=("corona",),
@@ -268,3 +276,16 @@ class TestInstances:
         assert any(name.startswith("fixture-") for name in names)
         for _, g in items:
             assert not g.isolated_vertices()
+
+
+class TestCorpusNames:
+    @pytest.mark.parametrize("build", [full_corpus, connected_corpus])
+    def test_names_sort_as_text_in_index_order(self, build):
+        # n = 8 has over 10,000 classes; n <= 7 keeps 4-digit indices
+        names = [name for name, _ in build(8)]
+        assert names == sorted(names)
+        assert len(set(names)) == len(names)
+        assert names[-1] in ("all8-12345", "conn8-11116")
+        for name in names:
+            stem, index = name.split("-")
+            assert len(index) == (5 if stem.endswith("8") else 4)

@@ -13,7 +13,9 @@ from mimlab.generators import (
     two_rows,
 )
 from mimlab.graph import Graph
+from mimlab.harness import connected_corpus, full_corpus, sandwich_instances
 from mimlab.obdd import (
+    _EQUIV_BLOCK_BITS,
     FALSE_ID,
     TRUE_ID,
     Obdd,
@@ -32,9 +34,15 @@ from mimlab.obdd import (
     subfunction_count,
 )
 from mimlab.traces import trace_masks
+from mimlab.width import WidthVariant, exact_width
 
 from conftest import graphs, graphs_without_isolated
-from oracles import naive_count_satisfying, naive_min_obdd_sizes
+from oracles import (
+    naive_count_satisfying,
+    naive_equiv_check,
+    naive_min_obdd_sizes,
+    naive_subfunction_count,
+)
 
 C4 = fixtures()["c4"]
 K2 = fixtures()["k2"]
@@ -77,6 +85,30 @@ class TestSubfunctionCount:
         umask = umask_seed & ((1 << g.n) - 1)
         u = [v for v in range(g.n) if umask >> v & 1]
         assert subfunction_count(g, u) == len(trace_masks(g, umask))
+
+    def test_matches_naive_on_every_corpus_prefix(self):
+        checked = 0
+        for _, g in connected_corpus(6):
+            for umask in range(1 << g.n):
+                u = [v for v in range(g.n) if umask >> v & 1]
+                assert subfunction_count(g, u) == \
+                    naive_subfunction_count(g, u), (g.edges(), u)
+                checked += 1
+        assert checked == 7956
+
+    def test_matches_naive_on_sandwich_witness_prefixes(self):
+        # the prefixes obdd_bounds_report's level contract asks about
+        checked = 0
+        for _, g in sandwich_instances():
+            if g.n not in (7, 8):
+                continue
+            witness = exact_width(g, WidthVariant.LU).witness
+            for i in range(g.n + 1):
+                assert subfunction_count(g, witness[:i]) == \
+                    naive_subfunction_count(g, witness[:i]), \
+                    (g.edges(), witness[:i])
+                checked += 1
+        assert checked > 1000
 
 
 class TestBuildAndEval:
@@ -156,6 +188,59 @@ class TestEquivalenceAndCounting:
         z = build_obdd(g, order)
         assert exhaustive_equiv_check(z, g)
         assert count_accepting(z) == count_satisfying(g)
+
+    def test_variable_count_checked(self):
+        with pytest.raises(ValueError, match="OBDD over 4 variables"):
+            exhaustive_equiv_check(build_obdd(C4, [0, 1, 2, 3]), K2)
+        with pytest.raises(ValueError, match="graph on 4 vertices"):
+            exhaustive_equiv_check(build_obdd(K2, [0, 1]), C4)
+
+    def test_xor_is_not_or(self):
+        # x0 ? not x1 : x1 differs from K2's clause (x0 or x1) only where
+        # a node's false branch accepts more than its true branch
+        nodes = {2: (1, FALSE_ID, TRUE_ID), 3: (1, TRUE_ID, FALSE_ID),
+                 4: (0, 2, 3)}
+        xor = Obdd((0, 1), nodes, 4, (1, 2))
+        assert not naive_equiv_check(xor, K2)
+        assert not exhaustive_equiv_check(xor, K2)
+
+    def test_matches_naive_on_corpus_and_swapped_nodes(self):
+        verdicts = []
+        for _, g in full_corpus(5):
+            if g.isolated_vertices():
+                continue
+            for order in (range(g.n), range(g.n - 1, -1, -1)):
+                z = build_obdd(g, list(order))
+                copies = [z]
+                for nid, (var, lo, hi) in z.nodes.items():
+                    nodes = dict(z.nodes)
+                    nodes[nid] = (var, hi, lo)
+                    copies.append(Obdd(z.order, nodes, z.root,
+                                       z.level_live_counts))
+                for zc in copies:
+                    got = exhaustive_equiv_check(zc, g)
+                    assert got == naive_equiv_check(zc, g), \
+                        (g.edges(), z.order, zc.nodes)
+                    verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    # K(2, n-2) between {u, v} and the rest, and the same graph plus the
+    # edge uv: their CNFs differ only on the assignment with u and v
+    # false.  With u, v = 0, 1 that assignment sets every variable above
+    # the block true, so it lies in the last block; with the top two
+    # vertices it lies in the first.
+    @pytest.mark.parametrize("uv", [(0, 1), (12, 13)])
+    def test_one_differing_assignment_across_blocks(self, uv):
+        n = 14
+        assert n > _EQUIV_BLOCK_BITS
+        g = Graph(n, [(min(a, w), max(a, w)) for a in uv
+                      for w in range(n) if w not in uv])
+        g_uv = Graph(n, list(g.edges()) + [uv])
+        assert count_satisfying(g) == count_satisfying(g_uv) + 1
+        z = build_obdd(g_uv, list(range(n)))
+        assert exhaustive_equiv_check(z, g_uv)
+        assert not exhaustive_equiv_check(z, g)
+        assert not exhaustive_equiv_check(build_obdd(g, list(range(n))), g_uv)
 
     @given(graphs_without_isolated(max_n=6))
     @settings(max_examples=30, deadline=None)
