@@ -26,6 +26,8 @@ from .graph import (
 from .harness import (
     CHECK_NAMES,
     ExperimentSpec,
+    ReportRow,
+    _columns,
     any_failures,
     any_skipped,
     export,
@@ -305,16 +307,23 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     with open(args.rows, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    from .harness import CSV_COLUMNS, ReportRow
-
+    if not isinstance(data, list):
+        raise ValueError(f"{args.rows}: expected a JSON list of rows, "
+                         f"got {type(data).__name__}")
+    columns = set(_columns(include_timing=True))
     rows = []
-    for entry in data:
-        kwargs = {k: entry.get(k) for k in CSV_COLUMNS if k in entry}
-        if "wall_ms" in entry:
-            kwargs["wall_ms"] = entry["wall_ms"]
-        kwargs.setdefault("n", 0)
-        kwargs.setdefault("m", 0)
-        rows.append(ReportRow(**kwargs))
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{args.rows}: row {i} is not a JSON "
+                             f"object: {entry!r}")
+        for key in entry:
+            if key not in columns:
+                raise ValueError(f"{args.rows}: row {i} has unknown key "
+                                 f"{key!r}")
+        for key in ("check", "instance"):
+            if key not in entry:
+                raise ValueError(f"{args.rows}: row {i} has no {key!r}")
+        rows.append(ReportRow(**{"n": 0, "m": 0, **entry}))
     export(rows, args.format, args.out, include_timing=args.timing)
     return EXIT_OK
 

@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _connected
 
 MAX_EXHAUSTIVE_N = 8
 
@@ -167,22 +167,12 @@ def all_graph_masks(n: int) -> tuple[int, ...]:
 
 
 def _connected_mask(n: int, mask: int) -> bool:
-    if n <= 1:
-        return True
     adj = [0] * n
     for k, (i, j) in enumerate(pair_order(n)):
         if mask >> k & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        b = frontier & -frontier
-        frontier ^= b
-        nb = adj[b.bit_length() - 1] & ~seen
-        seen |= nb
-        frontier |= nb
-    return seen == (1 << n) - 1
+    return _connected(adj)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, _connected
 
 
 def skew(q: int) -> Graph:
@@ -289,23 +289,9 @@ def random_connected_graph(n: int, seed: int, p: float = 0.5) -> Graph:
     attempt = 0
     while True:
         g = random_graph(n, p, seed * 10007 + attempt)
-        if _connected(g):
+        if _connected(g.adj):
             return g
         attempt += 1
-
-
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        b = frontier & -frontier
-        frontier ^= b
-        nb = g.adj[b.bit_length() - 1] & ~seen
-        seen |= nb
-        frontier |= nb
-    return seen == g.full_mask()
 
 
 def fixtures() -> dict[str, Graph]:

@@ -182,6 +182,22 @@ def is_independent_mask(g: Graph, smask: int) -> bool:
     return True
 
 
+def _connected(adj: Sequence[int]) -> bool:
+    """True iff the graph with adjacency rows adj is connected (breadth
+    first from vertex 0); the graphs on 0 and 1 vertices are."""
+    if not adj:
+        return True
+    seen = 1
+    frontier = 1
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        nb = adj[b.bit_length() - 1] & ~seen
+        seen |= nb
+        frontier |= nb
+    return seen == (1 << len(adj)) - 1
+
+
 def is_induced_cut_matching(
     g: Graph, u: Iterable[int], matching: Iterable[tuple[int, int]]
 ) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
 from . import corpus
@@ -30,7 +30,6 @@ from .generators import (
 from .graph import (
     Graph,
     _EdgeTable,
-    is_independent_mask,
     mask_of,
     max_induced_cut_matching,
     vertices_of,
@@ -53,22 +52,12 @@ from .width import (
     width_of_ordering,
 )
 
-CHECK_NAMES = (
-    "subfunction-traces",
-    "trace-bound",
-    "shrink",
-    "obdd-sandwich",
-    "horizontal-traces",
-    "grid-prefix-traces",
-    "grid-width-range",
-    "separation",
-    "corona",
-    "vc",
-)
-
 
 @dataclass
 class ReportRow:
+    """One verify row.  Its fields, in order, are the export columns;
+    wall_ms is exported only on request."""
+
     check: str
     instance: str
     n: int
@@ -100,7 +89,7 @@ class ExperimentSpec:
         if not self.checks:
             raise ValueError("no check requested")
         for c in self.checks:
-            if c not in CHECK_NAMES:
+            if c not in _SUITES:
                 raise ValueError(f"unknown check {c!r}")
         if self.threads != 1:
             raise ValueError(
@@ -119,9 +108,15 @@ class ExperimentSpec:
                 )
 
 
-def _timed(row: ReportRow, started: float) -> ReportRow:
-    row.wall_ms = (time.perf_counter() - started) * 1000.0
-    return row
+def _row(
+    check: str, instance: str, g: Graph, seed: int, t0: float, **values
+) -> ReportRow:
+    """The row of one instance: its name and size, the run's seed, the
+    wall time since t0 (the instance's start), and the suite's values."""
+    return ReportRow(
+        check=check, instance=instance, n=g.n, m=g.m, seed=seed,
+        wall_ms=(time.perf_counter() - t0) * 1000.0, **values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +188,6 @@ def _independent_rest_cuts(
         nbr[s] = nbr[s ^ b] | g.adj[b.bit_length() - 1]
     for comp in ind:
         umask = full ^ comp
-        if not is_independent_mask(g, comp):
-            raise ValueError(f"cut {umask} has a dependent rest side")
         subsets = [s for s in ind if not s & comp]
         yield umask, comp, subsets, nbr, table.max_size(table.crossing(umask))
 
@@ -219,18 +212,13 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
             if tcount != scount:
                 bad = (umask, tcount, scount)
                 break
-        row = ReportRow(
-            check="subfunction-traces",
-            instance=instance,
-            n=g.n,
-            m=g.m,
+        rows.append(_row(
+            "subfunction-traces", instance, g, seed, t0,
             passed=bad is None,
-            seed=seed,
             detail=f"prefix sets checked={checked}"
             if bad is None
             else f"mismatch at mask {bad[0]}: traces={bad[1]} residuals={bad[2]}",
-        )
-        rows.append(_timed(row, t0))
+        ))
     return rows
 
 
@@ -256,18 +244,13 @@ def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
             if not rep.all_ok:
                 bad = (umask, rep)
                 break
-        row = ReportRow(
-            check="trace-bound",
-            instance=instance,
-            n=g.n,
-            m=g.m,
+        rows.append(_row(
+            "trace-bound", instance, g, seed, t0,
             passed=bad is None,
-            seed=seed,
             detail=f"cuts checked={cuts}"
             if bad is None
             else f"violated at mask {bad[0]}: {bad[1]}",
-        )
-        rows.append(_timed(row, t0))
+        ))
     return rows
 
 
@@ -334,16 +317,11 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
                 bad = (f"enabling sets of size <= {r} miss a trace at "
                        f"cut {umask}")
                 break
-        row = ReportRow(
-            check="shrink",
-            instance=instance,
-            n=g.n,
-            m=g.m,
+        rows.append(_row(
+            "shrink", instance, g, seed, t0,
             passed=bad is None,
-            seed=seed,
             detail=bad or f"independent sets checked={sets_checked}",
-        )
-        rows.append(_timed(row, t0))
+        ))
     return rows
 
 
@@ -356,51 +334,35 @@ def run_obdd_sandwich(
 ) -> list[ReportRow]:
     """2^width lower bound, per-prefix trace bounds, level contract, and
     OBDD semantic checks on the connected corpus plus fixtures."""
-    instances = sandwich_instances(corpus_max_n, random_ns, random_count, seed)
-
-    def one(item: tuple[str, Graph]) -> ReportRow:
-        instance, g = item
+    rows = []
+    for instance, g in sandwich_instances(
+        corpus_max_n, random_ns, random_count, seed
+    ):
         t0 = time.perf_counter()
         try:
             rep = obdd_bounds_report(g)
         except BudgetExceededError as exc:
-            return _timed(
-                ReportRow(
-                    check="obdd-sandwich",
-                    instance=instance,
-                    n=g.n,
-                    m=g.m,
-                    skipped=True,
-                    exact=False,
-                    seed=seed,
-                    detail=str(exc),
-                ),
-                t0,
-            )
-        return _timed(
-            ReportRow(
-                check="obdd-sandwich",
-                instance=instance,
-                n=g.n,
-                m=g.m,
-                lu=rep.lu,
-                obdd_quasi=rep.min_size_quasi,
-                obdd_reduced=rep.min_size_total,
-                bound=f"2^{rep.lu} <= quasi <= n^{rep.lu + 2}",
-                passed=rep.all_ok,
-                seed=seed,
-                detail=""
-                if rep.all_ok
-                else (
-                    f"lower_ok={rep.lower_ok} upper={rep.upper_mechanism_ok} "
-                    f"level={rep.level_contract_ok} equiv={rep.equivalence_ok} "
-                    f"count={rep.counting_ok}"
-                ),
+            rows.append(_row(
+                "obdd-sandwich", instance, g, seed, t0,
+                skipped=True, exact=False, detail=str(exc),
+            ))
+            continue
+        rows.append(_row(
+            "obdd-sandwich", instance, g, seed, t0,
+            lu=rep.lu,
+            obdd_quasi=rep.min_size_quasi,
+            obdd_reduced=rep.min_size_total,
+            bound=f"2^{rep.lu} <= quasi <= n^{rep.lu + 2}",
+            passed=rep.all_ok,
+            detail=""
+            if rep.all_ok
+            else (
+                f"lower_ok={rep.lower_ok} upper={rep.upper_mechanism_ok} "
+                f"level={rep.level_contract_ok} equiv={rep.equivalence_ok} "
+                f"count={rep.counting_ok}"
             ),
-            t0,
-        )
-
-    return [one(item) for item in instances]
+        ))
+    return rows
 
 
 def run_horizontal_traces(
@@ -436,43 +398,26 @@ def run_horizontal_traces(
                 worst_top = t_top
             if worst_bottom is None or t_bottom < worst_bottom:
                 worst_bottom = t_bottom
-        ok = worst_top >= floor and worst_bottom >= floor
-        rows.append(
-            _timed(
-                ReportRow(
-                    check="horizontal-traces",
-                    instance=f"skew-grid-p{p}-q{q}-r{r}",
-                    n=g.n,
-                    m=g.m,
-                    trace_count=worst_top,
-                    bound=f">= {floor}",
-                    passed=ok,
-                    seed=seed,
-                    detail=(
-                        f"picks={len(picks_list)} worst_top={worst_top} "
-                        f"worst_bottom={worst_bottom}"
-                    ),
-                ),
-                t0,
-            )
-        )
+        rows.append(_row(
+            "horizontal-traces", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
+            trace_count=worst_top,
+            bound=f">= {floor}",
+            passed=worst_top >= floor and worst_bottom >= floor,
+            detail=(
+                f"picks={len(picks_list)} worst_top={worst_top} "
+                f"worst_bottom={worst_bottom}"
+            ),
+        ))
     return rows
 
 
-def grid_prefix_trace_floor(
-    q: int,
-    r: int,
-    *,
-    seed: int = 0,
-    random_orderings: int = 5,
-    budget: int | None = None,
-) -> ReportRow:
+def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
     """Every tested ordering has a prefix whose trace family reaches
     min((q+1)^r, 2^(p/2)).
 
     All orderings are tested when n <= 9 (prefix trace counts are memoized
-    by prefix set); otherwise layer-major, coordinate-major, and seeded
-    random orderings serve as the adversarial test set.
+    by prefix set); otherwise layer-major, coordinate-major, and five
+    seeded random orderings serve as the adversarial test set.
     """
     import itertools as _it
     import random as _random
@@ -484,12 +429,13 @@ def grid_prefix_trace_floor(
     g, meta = skew_grid(p, q, r)
     n = g.n
     floor = min((q + 1) ** r, 2 ** (p // 2))
+    random_orderings = 5
     cache: dict[int, int] = {}
 
     def prefix_traces(wmask: int) -> int:
         got = cache.get(wmask)
         if got is None:
-            got = len(trace_masks(g, wmask, budget=budget))
+            got = len(trace_masks(g, wmask))
             cache[wmask] = got
         return got
 
@@ -522,19 +468,12 @@ def grid_prefix_trace_floor(
         got = max_over_prefixes(order)
         if min_of_max is None or got < min_of_max:
             min_of_max = got
-    return _timed(
-        ReportRow(
-            check="grid-prefix-traces",
-            instance=f"skew-grid-p{p}-q{q}-r{r}",
-            n=n,
-            m=g.m,
-            trace_count=min_of_max,
-            bound=f">= {floor}",
-            passed=min_of_max >= floor,
-            seed=seed,
-            detail=f"{label}; min of max prefix traces={min_of_max}",
-        ),
-        t0,
+    return _row(
+        "grid-prefix-traces", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
+        trace_count=min_of_max,
+        bound=f">= {floor}",
+        passed=min_of_max >= floor,
+        detail=f"{label}; min of max prefix traces={min_of_max}",
     )
 
 
@@ -561,7 +500,6 @@ def run_grid_width_range(
     cases: Sequence[tuple[int, int]] = ((2, 1), (2, 2), (3, 1)),
     *,
     seed: int = 0,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> list[ReportRow]:
     """Layer-major ordering keeps the upper-subgraph width within r+2;
     the exact width is at least r whenever n is within the exact limit."""
@@ -574,46 +512,24 @@ def run_grid_width_range(
             g, meta.layer_major_ordering(), WidthVariant.LU
         )
         ok_upper = layer_value <= r + 2
-        if g.n <= exact_limit:
-            rep = exact_width(g, WidthVariant.LU, limit=exact_limit)
-            ok_lower = rep.value >= r
-            rows.append(
-                _timed(
-                    ReportRow(
-                        check="grid-width-range",
-                        instance=f"skew-grid-p{p}-q{q}-r{r}",
-                        n=g.n,
-                        m=g.m,
-                        lu=rep.value,
-                        bound=f"{r} <= lu <= {r + 2}",
-                        passed=ok_upper and ok_lower,
-                        seed=seed,
-                        detail=f"layer ordering width={layer_value}",
-                    ),
-                    t0,
-                )
-            )
+        if g.n <= DEFAULT_EXACT_LIMIT:
+            lu = exact_width(g, WidthVariant.LU).value
+            bound = f"{r} <= lu <= {r + 2}"
+            passed = ok_upper and lu >= r
+            detail = f"layer ordering width={layer_value}"
         else:
             heur, _ = heuristic_width_upper(g, WidthVariant.LU, seed=seed)
-            rows.append(
-                _timed(
-                    ReportRow(
-                        check="grid-width-range",
-                        instance=f"skew-grid-p{p}-q{q}-r{r}",
-                        n=g.n,
-                        m=g.m,
-                        lu=None,
-                        bound=f"layer width <= {r + 2}",
-                        passed=ok_upper,
-                        seed=seed,
-                        detail=(
-                            f"exact DP infeasible (n={g.n}); layer ordering "
-                            f"width={layer_value}, heuristic upper={heur}"
-                        ),
-                    ),
-                    t0,
-                )
+            lu = None
+            bound = f"layer width <= {r + 2}"
+            passed = ok_upper
+            detail = (
+                f"exact DP infeasible (n={g.n}); layer ordering "
+                f"width={layer_value}, heuristic upper={heur}"
             )
+        rows.append(_row(
+            "grid-width-range", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
+            lu=lu, bound=bound, passed=passed, detail=detail,
+        ))
     return rows
 
 
@@ -628,24 +544,14 @@ def run_separation(rs: Sequence[int] = (3, 4), *, seed: int = 0) -> list[ReportR
         g = clique_thread(r)
         lu_rep = exact_width(g, WidthVariant.LU)
         lmim_rep = exact_width(g, WidthVariant.LMIM)
-        ok = lu_rep.value == 1 and lmim_rep.value >= (r - 1) / 2
-        rows.append(
-            _timed(
-                ReportRow(
-                    check="separation",
-                    instance=f"clique-thread-{r}",
-                    n=g.n,
-                    m=g.m,
-                    lu=lu_rep.value,
-                    lmimw=lmim_rep.value,
-                    bound=f"lu == 1 and lmimw >= {(r - 1) / 2}",
-                    passed=ok,
-                    seed=seed,
-                    detail=f"exact lu={lu_rep.value} lmimw={lmim_rep.value}",
-                ),
-                t0,
-            )
-        )
+        rows.append(_row(
+            "separation", f"clique-thread-{r}", g, seed, t0,
+            lu=lu_rep.value,
+            lmimw=lmim_rep.value,
+            bound=f"lu == 1 and lmimw >= {(r - 1) / 2}",
+            passed=lu_rep.value == 1 and lmim_rep.value >= (r - 1) / 2,
+            detail=f"exact lu={lu_rep.value} lmimw={lmim_rep.value}",
+        ))
     return rows
 
 
@@ -658,23 +564,13 @@ def run_corona(ks: Sequence[int] = (3, 4, 5), *, seed: int = 0) -> list[ReportRo
         u = list(range(k))
         t = len(trace_masks(g, mask_of(u, g.n)))
         r, _ = max_induced_cut_matching(g, u)
-        ok = t == 2**k and r == 1
-        rows.append(
-            _timed(
-                ReportRow(
-                    check="corona",
-                    instance=f"clique-corona-{k}",
-                    n=g.n,
-                    m=g.m,
-                    trace_count=t,
-                    matching_size=r,
-                    bound=f"traces == {2 ** k}, matching == 1",
-                    passed=ok,
-                    seed=seed,
-                ),
-                t0,
-            )
-        )
+        rows.append(_row(
+            "corona", f"clique-corona-{k}", g, seed, t0,
+            trace_count=t,
+            matching_size=r,
+            bound=f"traces == {2 ** k}, matching == 1",
+            passed=t == 2**k and r == 1,
+        ))
     return rows
 
 
@@ -697,23 +593,14 @@ def run_vc(
         ts = traces(g, u)
         vc = vc_dimension(ts)
         r, _ = max_induced_cut_matching(g, u)
-        rows.append(
-            _timed(
-                ReportRow(
-                    check="vc",
-                    instance=instance,
-                    n=g.n,
-                    m=g.m,
-                    trace_count=len(ts),
-                    matching_size=r,
-                    bound="vc == matching",
-                    passed=vc == r,
-                    seed=seed,
-                    detail=f"vc={vc}",
-                ),
-                t0,
-            )
-        )
+        rows.append(_row(
+            "vc", instance, g, seed, t0,
+            trace_count=len(ts),
+            matching_size=r,
+            bound="vc == matching",
+            passed=vc == r,
+            detail=f"vc={vc}",
+        ))
     return rows
 
 
@@ -742,12 +629,13 @@ _SUITES: dict[str, tuple[str, dict[str, str]]] = {
         "grid_trace_cases": "cases",
     }),
     "grid-width-range": ("run_grid_width_range", {
-        "grid_width_cases": "cases", "exact_limit": "exact_limit",
+        "grid_width_cases": "cases",
     }),
     "separation": ("run_separation", {"separation_rs": "rs"}),
     "corona": ("run_corona", {"corona_ks": "ks"}),
     "vc": ("run_vc", {"vc_skew_qs": "skew_qs", "vc_matching_ks": "matching_ks"}),
 }
+CHECK_NAMES = tuple(_SUITES)
 
 
 def verify(spec: ExperimentSpec) -> list[ReportRow]:
@@ -763,25 +651,13 @@ def verify(spec: ExperimentSpec) -> list[ReportRow]:
     return rows
 
 
-CSV_COLUMNS = [
-    "check",
-    "instance",
-    "n",
-    "m",
-    "lu",
-    "lmimw",
-    "lsimw",
-    "trace_count",
-    "matching_size",
-    "obdd_quasi",
-    "obdd_reduced",
-    "bound",
-    "exact",
-    "passed",
-    "skipped",
-    "seed",
-    "detail",
-]
+# Every column but wall_ms, which is exported only on request (so that
+# identical runs export identical bytes).
+CSV_COLUMNS = [f.name for f in fields(ReportRow) if f.name != "wall_ms"]
+
+
+def _columns(include_timing: bool) -> list[str]:
+    return (CSV_COLUMNS + ["wall_ms"]) if include_timing else CSV_COLUMNS
 
 
 def _cell(value) -> str:
@@ -793,14 +669,8 @@ def _cell(value) -> str:
 
 
 def rows_to_dicts(rows: Iterable[ReportRow], include_timing: bool = False):
-    cols = CSV_COLUMNS + (["wall_ms"] if include_timing else [])
-    out = []
-    for row in rows:
-        d = {}
-        for c in cols:
-            d[c] = getattr(row, c)
-        out.append(d)
-    return out
+    cols = _columns(include_timing)
+    return [{c: getattr(row, c) for c in cols} for row in rows]
 
 
 def export(
@@ -818,7 +688,7 @@ def export(
     if fmt == "csv":
         import csv
 
-        cols = CSV_COLUMNS + (["wall_ms"] if include_timing else [])
+        cols = _columns(include_timing)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)

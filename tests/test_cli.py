@@ -334,3 +334,20 @@ class TestExport:
             assert code == 0
             assert again.read_bytes() == original.read_bytes()
         assert ('"wall_ms"' in rows_json.read_text()) == bool(timing)
+
+    @pytest.mark.parametrize("rows, message", [
+        ({"a": 1}, "expected a JSON list of rows, got dict"),
+        ([1], "row 0 is not a JSON object: 1"),
+        ([{"check": "x", "bogus": 1}], "row 0 has unknown key 'bogus'"),
+        ([{"check": "x", "instance": "y"}, {"check": "x"}],
+         "row 1 has no 'instance'"),
+    ])
+    def test_malformed_rows_exit_2(self, tmp_path, capsys, rows, message):
+        rows_json = tmp_path / "rows.json"
+        rows_json.write_text(json.dumps(rows))
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "export", "--rows", str(rows_json),
+                               "--format", "csv", "--out", str(out))
+        assert code == 2
+        assert err == f"error: {rows_json}: {message}\n"
+        assert not out.exists()

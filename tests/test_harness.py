@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from mimlab.graph import (
     vertices_of,
 )
 from mimlab.harness import (
+    CHECK_NAMES,
     ExperimentSpec,
     ReportRow,
     _independent_rest_cuts,
@@ -124,6 +126,24 @@ class TestDeterminism:
             export(rows, "csv", p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_every_check_stamps_the_run_seed(self, tmp_path):
+        # Seed 3, not ReportRow's default 0, so a row that missed the
+        # run's seed would show; any change to a row changes the digest.
+        spec = ExperimentSpec(checks=CHECK_NAMES, seed=3, params={
+            "corpus_max_n": 4, "pair_max_n": 5, "random_ns": (6,),
+            "random_count": 3, "horizontal_cases": ((3, 2, 1),),
+            "mixed_picks": 2, "grid_trace_cases": ((2, 1),),
+            "grid_width_cases": ((2, 1),), "separation_rs": (3,),
+            "corona_ks": (3,), "vc_skew_qs": (1, 2), "vc_matching_ks": (1, 2),
+        })
+        rows = verify(spec)
+        assert {r.check for r in rows} == set(CHECK_NAMES)
+        assert all(r.seed == 3 for r in rows)
+        p = tmp_path / "rows.json"
+        export(rows, "json", p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == \
+            "790e25eb3fe2ada65e94e6dea1aa33f8eb48822b164e09e0bb58cd0e89133196"
 
 
 class TestExport:
