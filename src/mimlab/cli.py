@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 
 from . import generators
 from .errors import BudgetExceededError
@@ -27,7 +28,6 @@ from .harness import (
     CHECK_NAMES,
     ExperimentSpec,
     ReportRow,
-    _columns,
     any_failures,
     any_skipped,
     export,
@@ -39,9 +39,9 @@ from .obdd import (
     count_accepting,
     count_satisfying,
     exhaustive_equiv_check,
-    format_dimacs,
     min_obdd_size_exact,
     obdd_to_dot,
+    write_dimacs,
 )
 from .traces import trace_count_bound_check, traces
 from .width import (
@@ -91,33 +91,31 @@ def _out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# Each `gen` family: its parameters (integer options, except a fixture's
+# name), the constructor they are passed to, and the rule for the comment
+# lines (None: the standard `meta family` line over the parameters).
+_GEN_FAMILIES = {
+    "skew": (("q",), generators.skew, None),
+    "skew-path": (("p", "q"),
+                  lambda p, q: generators.skew_path(p, q)[0], None),
+    "skew-grid": (("p", "q", "r"),
+                  lambda p, q, r: generators.skew_grid(p, q, r)[0],
+                  lambda p, q, r: generators.skew_grid_comments(
+                      generators.SkewGridMeta(p, q, r))),
+    "cliquethread": (("r",), generators.clique_thread, None),
+    "grid": (("p", "r"), generators.grid, None),
+    "corona": (("k",), generators.clique_corona, None),
+    "pmatch": (("k",), generators.perfect_matching_graph, None),
+    "fixture": (("name",), lambda name: generators.fixtures()[name], None),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "skew":
-        g = generators.skew(args.q)
-        comments = generators.generator_comments("skew", q=args.q)
-    elif args.family == "skew-path":
-        g, _ = generators.skew_path(args.p, args.q)
-        comments = generators.generator_comments("skew-path", p=args.p, q=args.q)
-    elif args.family == "skew-grid":
-        g, meta = generators.skew_grid(args.p, args.q, args.r)
-        comments = generators.skew_grid_comments(meta)
-    elif args.family == "cliquethread":
-        g = generators.clique_thread(args.r)
-        comments = generators.generator_comments("cliquethread", r=args.r)
-    elif args.family == "grid":
-        g = generators.grid(args.p, args.r)
-        comments = generators.generator_comments("grid", p=args.p, r=args.r)
-    elif args.family == "corona":
-        g = generators.clique_corona(args.k)
-        comments = generators.generator_comments("corona", k=args.k)
-    elif args.family == "pmatch":
-        g = generators.perfect_matching_graph(args.k)
-        comments = generators.generator_comments("pmatch", k=args.k)
-    elif args.family == "fixture":
-        g = generators.fixtures()[args.name]
-        comments = generators.generator_comments("fixture", name=args.name)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.family)
+    params, make, comment_rule = _GEN_FAMILIES[args.family]
+    kw = {o: getattr(args, o) for o in params}
+    g = make(**kw)
+    comments = (comment_rule(**kw) if comment_rule
+                else generators.generator_comments(args.family, **kw))
     _out(args, format_edge_list(g, comments))
     return EXIT_OK
 
@@ -224,8 +222,7 @@ def _cmd_obdd(args) -> int:
     g = read_edge_list(args.input)
     cnf = cnf_of_graph(g)
     if args.dimacs:
-        with open(args.dimacs, "w", encoding="utf-8") as fh:
-            fh.write(format_dimacs(cnf))
+        write_dimacs(cnf, args.dimacs)
     if args.minimize:
         report = min_obdd_size_exact(
             g, method="enum" if args.minimize == "exact" else "dp"
@@ -304,22 +301,33 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# The export columns with their types: every field of ReportRow.
+_ROW_TYPES = typing.get_type_hints(ReportRow)
+
+
 def _cmd_export(args) -> int:
     with open(args.rows, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"{args.rows}: expected a JSON list of rows, "
                          f"got {type(data).__name__}")
-    columns = set(_columns(include_timing=True))
     rows = []
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"{args.rows}: row {i} is not a JSON "
                              f"object: {entry!r}")
-        for key in entry:
-            if key not in columns:
+        for key, value in entry.items():
+            if key not in _ROW_TYPES:
                 raise ValueError(f"{args.rows}: row {i} has unknown key "
                                  f"{key!r}")
+            allowed = typing.get_args(_ROW_TYPES[key]) or (_ROW_TYPES[key],)
+            # Types match exactly, so true is no int; an integer is a float.
+            if not (type(value) in allowed
+                    or type(value) is int and float in allowed):
+                kinds = " or ".join(
+                    "null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"{args.rows}: row {i} has {key!r} = "
+                                 f"{json.dumps(value)}, not {kinds}")
         for key in ("check", "instance"):
             if key not in entry:
                 raise ValueError(f"{args.rows}: row {i} has no {key!r}")
@@ -358,24 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit a generated graph as an edge list")
     gensub = gen.add_subparsers(dest="family", required=True)
-    for fam, opts in (
-        ("skew", ("q",)),
-        ("skew-path", ("p", "q")),
-        ("skew-grid", ("p", "q", "r")),
-        ("cliquethread", ("r",)),
-        ("grid", ("p", "r")),
-        ("corona", ("k",)),
-        ("pmatch", ("k",)),
-    ):
+    for fam, (params, _, _) in _GEN_FAMILIES.items():
         p = gensub.add_parser(fam, parents=[common])
-        for o in opts:
-            p.add_argument(f"--{o}", type=int, required=True)
+        for o in params:
+            if o == "name":
+                p.add_argument("name", choices=sorted(generators.fixtures()))
+            else:
+                p.add_argument(f"--{o}", type=int, required=True)
         p.add_argument("-o", "--output", default="-")
         p.set_defaults(func=_cmd_gen)
-    pfix = gensub.add_parser("fixture", parents=[common])
-    pfix.add_argument("name", choices=sorted(generators.fixtures()))
-    pfix.add_argument("-o", "--output", default="-")
-    pfix.set_defaults(func=_cmd_gen)
 
     width = sub.add_parser("width", parents=[common],
                            help="width of a graph under a variant")

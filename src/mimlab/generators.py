@@ -106,6 +106,17 @@ class SkewGridMeta:
             out.extend(self.layer_path_order(layer))
         return out
 
+    def coordinate_major_ordering(self) -> list[int]:
+        """Main vertices coordinate by coordinate, each down the layers,
+        then the auxiliary vertices layer by layer."""
+        out = [self.main_vertex(layer, c)
+               for c in range(1, self.coords + 1)
+               for layer in range(1, self.p + 1)]
+        out.extend(self.aux_vertex(layer, gap)
+                   for layer in range(1, self.p + 1)
+                   for gap in range(1, self.coords))
+        return out
+
 
 def skew_grid(p: int, q: int, r: int) -> tuple[Graph, SkewGridMeta]:
     """r parallel skew-paths whose layers are threaded by subdivided paths.
@@ -145,13 +156,12 @@ def skew_grid(p: int, q: int, r: int) -> tuple[Graph, SkewGridMeta]:
     return Graph(meta.main_count + meta.aux_count, edges, labels=labels), meta
 
 
-def grid_rows_for(q: int, r: int, minimum: int = 2) -> int:
-    """Layer count 2 * r * ceil(log2 q) used by the trace-floor family."""
+def grid_rows_for(q: int, r: int) -> int:
+    """Layer count 2 * r * ceil(log2 q), at least 2, used by the
+    trace-floor family."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    if q == 1:
-        return minimum
-    return max(minimum, 2 * r * math.ceil(math.log2(q)))
+    return max(2, 2 * r * math.ceil(math.log2(q)))
 
 
 @dataclass(frozen=True)

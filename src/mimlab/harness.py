@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence
 from . import corpus
 from .errors import BudgetExceededError
 from .generators import (
-    SkewGridMeta,
     clique_corona,
     clique_thread,
     fixtures,
@@ -389,9 +388,8 @@ def run_horizontal_traces(
         worst_top = worst_bottom = None
         for picks in picks_list:
             h = horizontal_subgraph(g, meta, picks)
-            local = {v: i for i, v in enumerate(h.graph.parent_map)}
-            top_mask = sum(1 << local[v] for v in h.top)
-            bottom_mask = sum(1 << local[v] for v in h.bottom)
+            top_mask = sum(1 << h.local(v) for v in h.top)
+            bottom_mask = sum(1 << h.local(v) for v in h.bottom)
             t_top = len(trace_masks(h.graph, top_mask))
             t_bottom = len(trace_masks(h.graph, bottom_mask))
             if worst_top is None or t_top < worst_top:
@@ -454,7 +452,8 @@ def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
         label = "all orderings"
     else:
         rng = _random.Random(seed)
-        fixed = [meta.layer_major_ordering(), _coordinate_major(meta)]
+        fixed = [meta.layer_major_ordering(),
+                 meta.coordinate_major_ordering()]
         randoms = []
         for _ in range(random_orderings):
             o = list(range(n))
@@ -475,17 +474,6 @@ def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
         passed=min_of_max >= floor,
         detail=f"{label}; min of max prefix traces={min_of_max}",
     )
-
-
-def _coordinate_major(meta: SkewGridMeta) -> list[int]:
-    order = []
-    for c in range(1, meta.coords + 1):
-        for layer in range(1, meta.p + 1):
-            order.append(meta.main_vertex(layer, c))
-    for layer in range(1, meta.p + 1):
-        for gap in range(1, meta.coords):
-            order.append(meta.aux_vertex(layer, gap))
-    return order
 
 
 def run_grid_prefix_traces(

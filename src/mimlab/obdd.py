@@ -34,10 +34,9 @@ from .graph import (
     is_independent_mask,
     mask_of,
     neighborhood_mask,
-    vertices_of,
 )
 from .traces import _trace_step, trace_masks
-from .width import WidthReport, WidthVariant, exact_width, prefix_width_witness
+from .width import WidthVariant, exact_width, prefix_width_witness
 
 TRUTH_TABLE_LIMIT = 20
 OBDD_DP_LIMIT = 20
@@ -199,8 +198,10 @@ def build_obdd(g: Graph, order: Sequence[int]) -> Obdd:
     false adds its undecided neighbors to the forced set; setting a forced
     vertex false falsifies; a state with nothing forced and no remaining
     edges is satisfied.  This is the transition of `traces._trace_step`
-    (a forced-set is a trace); the sweep keeps its own loop because it
-    records each state's lo and hi successor.
+    (a forced-set is a trace); the sweep keeps its own rule because it
+    records each state's lo and hi successor.  One successor rule serves
+    both passes: the top-down sweep lists each level's states in discovery
+    order (hi before lo), and the bottom-up reduction maps them to node ids.
     """
     cnf_of_graph(g)  # validates no isolated vertices
     n = g.n
@@ -209,84 +210,49 @@ def build_obdd(g: Graph, order: Sequence[int]) -> Obdd:
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the vertices")
     adj = g.adj
-    full = (1 << n) - 1
+    rest = [(1 << n) - 1]
+    for v in order:
+        rest.append(rest[-1] & ~(1 << v))
+    edges_left = [not is_independent_mask(g, m) for m in rest]
+    levels = [[0]]
 
-    rem_after = [0] * (n + 1)
-    acc = full
-    for i, v in enumerate(order):
-        acc &= ~(1 << v)
-        rem_after[i + 1] = acc
-    has_internal = [not is_independent_mask(g, m) for m in rem_after]
-
-    level_states: list[list[int]] = []
-    level_lo: list[list[int]] = []
-    level_hi: list[list[int]] = []
-    # Sink / next-state encoding during the sweep: -1 false, -2 true,
-    # otherwise index into the next level's state list.
-    order_states = [0]
-    for i, v in enumerate(order):
+    def successors(i: int, node):
+        """(lo, hi) of each state of level i, in order: a sink id, or
+        node(s) for the live state s of level i + 1."""
+        v = order[i]
         bv = 1 << v
-        nxt: dict[int, int] = {}
-        nxt_list: list[int] = []
-        lo_row: list[int] = []
-        hi_row: list[int] = []
+        nbr = adj[v]
+        below = rest[i + 1]
+        live = edges_left[i + 1]
+        for t in levels[i]:
+            hi = t & ~bv
+            hi = node(hi) if hi or live else TRUE_ID
+            if t & bv:
+                yield FALSE_ID, hi
+                continue
+            lo = (t | nbr) & below
+            yield (node(lo) if lo or live else TRUE_ID), hi
 
-        def target(tmask: int) -> int:
-            if tmask == 0 and not has_internal[i + 1]:
-                return -2
-            idx = nxt.get(tmask)
-            if idx is None:
-                idx = len(nxt_list)
-                nxt[tmask] = idx
-                nxt_list.append(tmask)
-            return idx
-
-        for tmask in order_states:
-            hi_row.append(target(tmask & ~bv))
-            if tmask & bv:
-                lo_row.append(-1)
-            else:
-                lo_row.append(target((tmask | adj[v]) & rem_after[i + 1]))
-        level_states.append(order_states)
-        level_lo.append(lo_row)
-        level_hi.append(hi_row)
-        order_states = nxt_list
-    if order_states:  # pragma: no cover - internal consistency
+    for i in range(n):
+        found: dict[int, None] = {}
+        for _ in successors(i, found.setdefault):
+            pass  # node() records each live successor, hi before lo
+        levels.append(list(found))
+    if levels[n]:  # pragma: no cover - internal consistency
         raise AssertionError("live states remain after the last level")
 
     # Reduction: bottom-up unique table + redundant-test elimination.
-    nodes: dict[int, tuple[int, int, int]] = {}
     unique: dict[tuple[int, int, int], int] = {}
-    next_id = 2
-    id_map: list[int] = []
+    ids: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
-        var = order[i]
-        new_map = []
-        for si in range(len(level_states[i])):
-            resolved = []
-            for t in (level_lo[i][si], level_hi[i][si]):
-                if t == -1:
-                    resolved.append(FALSE_ID)
-                elif t == -2:
-                    resolved.append(TRUE_ID)
-                else:
-                    resolved.append(id_map[t])
-            lo_id, hi_id = resolved
-            if lo_id == hi_id:
-                new_map.append(lo_id)
-                continue
-            key = (var, lo_id, hi_id)
-            nid = unique.get(key)
-            if nid is None:
-                nid = next_id
-                next_id += 1
-                unique[key] = nid
-                nodes[nid] = key
-            new_map.append(nid)
-        id_map = new_map
-    root = id_map[0]
-    return Obdd(order, nodes, root,
-                [len(s) for s in level_states], labels=g.labels)
+        pairs = successors(i, ids.__getitem__)
+        ids = {}
+        for t, (lo, hi) in zip(levels[i], pairs):
+            ids[t] = lo if lo == hi else unique.setdefault(
+                (order[i], lo, hi), len(unique) + 2)
+    nodes = {nid: key for key, nid in unique.items()}
+    return Obdd(order, nodes, ids[0], [len(s) for s in levels[:n]],
+                labels=g.labels)
 
 
 def eval_obdd(z: Obdd, assignment: Sequence[bool]) -> bool:
@@ -454,6 +420,11 @@ def min_obdd_size_exact(
     hr = [INF] * size
     gq[0] = 0
     hr[0] = 0
+    # last_q[W] / last_r[W]: the vertex an optimal order of W puts last.
+    # The sets are visited in increasing numeric order and ties update, so
+    # the last optimal predecessor wins: the smallest such vertex.
+    last_q = bytearray(size)
+    last_r = bytearray(size)
     # fams[p] holds the trace family of the latest prefix set of size p.
     # In numeric order the latest set of size p - 1 before W is W minus
     # its lowest vertex, so each family derives from its predecessor's.
@@ -480,42 +451,27 @@ def min_obdd_size_exact(
             b = rest & -rest
             rest ^= b
             tgt = wmask | b
-            if base_q < gq[tgt]:
+            if base_q <= gq[tgt]:
                 gq[tgt] = base_q
+                last_q[tgt] = b.bit_length() - 1
             cand = base_r - nd.get(b, 0)
-            if cand < hr[tgt]:
+            if cand <= hr[tgt]:
                 hr[tgt] = cand
+                last_r[tgt] = b.bit_length() - 1
 
-    def reconstruct(table, term) -> tuple[int, ...]:
+    def order_of(last: bytearray) -> tuple[int, ...]:
         order_rev = []
         wmask = full
         while wmask:
-            best_v = None
-            for v in vertices_of(wmask):
-                prev = wmask ^ (1 << v)
-                if table[prev] + term(prev, v) == table[wmask]:
-                    best_v = v
-                    break
-            if best_v is None:  # pragma: no cover - DP consistency
-                raise AssertionError("order reconstruction failed")
-            order_rev.append(best_v)
-            wmask ^= 1 << best_v
+            order_rev.append(last[wmask])
+            wmask ^= 1 << last[wmask]
         return tuple(reversed(order_rev))
-
-    def live_term(prev: int, _v: int) -> int:
-        comp = full ^ prev
-        return len(trace_masks(g, prev)) - (1 if iso[comp] == comp else 0)
-
-    def dep_term(prev: int, v: int) -> int:
-        comp = full ^ prev
-        tr = trace_masks(g, prev)
-        return len(tr) - sum(iso[comp ^ t] >> v & 1 for t in tr)
 
     return MinSizeReport(
         size_quasi=gq[full] + 2,
         size_total=hr[full] + 2,
-        order_quasi=reconstruct(gq, live_term),
-        order_total=reconstruct(hr, dep_term),
+        order_quasi=order_of(last_q),
+        order_total=order_of(last_r),
     )
 
 
@@ -579,19 +535,18 @@ class ObddBoundsReport:
         )
 
 
-def matching_trace_family(
-    g: Graph, u, *, variant: WidthVariant = WidthVariant.LU
-) -> list[tuple[int, int]]:
+def matching_trace_family(g: Graph, u) -> list[tuple[int, int]]:
     """Distinct-neighborhood family witnessing 2^r traces across a cut.
 
-    Takes the endpoints of a maximum induced cut matching of the variant's
-    derived graph and returns (subset mask, neighborhood mask) pairs for
-    all subsets of those endpoints; raises if any two neighborhoods on the
-    far side coincide (they cannot, each kept matching partner separates).
+    Takes the endpoints of a maximum induced cut matching of the upper
+    subgraph (the LU variant) and returns (subset mask, neighborhood mask)
+    pairs for all subsets of those endpoints; raises if any two
+    neighborhoods on the far side coincide (they cannot, each kept
+    matching partner separates).
     """
     umask = mask_of(u, g.n)
     comp = g.full_mask() & ~umask
-    _, witness = prefix_width_witness(g, u, variant)
+    _, witness = prefix_width_witness(g, u, WidthVariant.LU)
     ends = [a if umask >> a & 1 else b for a, b in witness]
     family = []
     seen = set()
@@ -610,35 +565,27 @@ def matching_trace_family(
     return family
 
 
-def obdd_bounds_report(
-    g: Graph,
-    *,
-    width_report: WidthReport | None = None,
-    min_sizes: MinSizeReport | None = None,
-) -> ObddBoundsReport:
+def obdd_bounds_report(g: Graph) -> ObddBoundsReport:
     """Exact width, exact minimal sizes, and every per-prefix check."""
-    if width_report is None:
-        width_report = exact_width(g, WidthVariant.LU)
-    if min_sizes is None:
-        min_sizes = min_obdd_size_exact(g)
+    width_report = exact_width(g, WidthVariant.LU)
+    min_sizes = min_obdd_size_exact(g)
     lu = width_report.value
+    witness = width_report.witness
     n = g.n
 
     rows = []
     wmask = 0
-    for i, v in enumerate(width_report.witness):
+    for i, v in enumerate(witness):
         wmask |= 1 << v
         r_i = width_report.per_prefix[i]
         t_i = len(trace_masks(g, wmask))
         rows.append(PrefixTraceRow(i + 1, r_i, t_i, n ** (r_i + 1)))
 
-    z = build_obdd(g, width_report.witness)
-    level_ok = True
-    wmask = 0
-    for i in range(n):
-        if z.level_live_counts[i] > subfunction_count(g, vertices_of(wmask)):
-            level_ok = False
-        wmask |= 1 << width_report.witness[i]
+    z = build_obdd(g, witness)
+    level_ok = all(
+        live <= subfunction_count(g, witness[:i])
+        for i, live in enumerate(z.level_live_counts)
+    )
     z_min = build_obdd(g, min_sizes.order_quasi)
     equiv_ok = exhaustive_equiv_check(z, g) and exhaustive_equiv_check(z_min, g)
     expected = count_satisfying(g)
@@ -650,13 +597,13 @@ def obdd_bounds_report(
     # witnesses: it raises if any two subsets of the matching's endpoints
     # leave the same neighborhood on the far side.
     widest = max(range(n), key=lambda i: width_report.per_prefix[i])
-    matching_trace_family(g, width_report.witness[: widest + 1])
+    matching_trace_family(g, witness[: widest + 1])
 
     return ObddBoundsReport(
         n=n,
         m=g.m,
         lu=lu,
-        lu_witness=width_report.witness,
+        lu_witness=witness,
         min_size_quasi=min_sizes.size_quasi,
         min_size_total=min_sizes.size_total,
         lower_bound=2**lu,

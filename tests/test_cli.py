@@ -41,6 +41,34 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    # SHA-256 of the edge list each family writes, comment lines included.
+    @pytest.mark.parametrize("argv, digest", [
+        (["skew", "--q", "3"],
+         "2fbf9d0447948527c9fc0cde40db26a330ed94816fe7bf97e255b7293a753136"),
+        (["skew-path", "--p", "3", "--q", "2"],
+         "76293054550bc5e77759ee7e3905f28ec4857aac4e1a7b6ba675287032e4ac08"),
+        (["skew-grid", "--p", "2", "--q", "2", "--r", "2"],
+         "7ceb9a21b0e653bc0ad8708bceeb79b3ad18a388afed1fc520e2c7465ab7bdaf"),
+        (["cliquethread", "--r", "3"],
+         "24c50835f5738ee9732224fe346ee79cd54d52e6c3b23e808ff239f4195eb0ad"),
+        (["grid", "--p", "2", "--r", "3"],
+         "580b812317886973f631ea9fd77305cf5a8ccb120107dafbd20d31fcaff876fe"),
+        (["corona", "--k", "3"],
+         "28f7c15cb2633abb298613f52e5dec5d0ae0214170253443f5cd384e09777055"),
+        (["pmatch", "--k", "2"],
+         "09d6c2856550060f53e39f5ba5deac6418d59a7170e52b130a1ae5601b2f1d97"),
+        (["fixture", "c4"],
+         "515a99234d177f677d3f38568c74977fab94564b6dbd0154165301055c60c0b8"),
+        (["fixture", "k2"],
+         "fe8934d24d337752f0bbc2b45df0efaf3d139678e347eb49ef8d07f953ded381"),
+        (["fixture", "tworows"],
+         "c8af3a714a58898e2183b50087d729bf0aed3957cc0a1b7afa40340b2a4b07e5"),
+    ])
+    def test_every_family_output_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "gen", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestWidth:
     def test_exact(self, tmp_path, capsys):
@@ -341,6 +369,14 @@ class TestExport:
         ([{"check": "x", "bogus": 1}], "row 0 has unknown key 'bogus'"),
         ([{"check": "x", "instance": "y"}, {"check": "x"}],
          "row 1 has no 'instance'"),
+        ([{"check": "x", "instance": "y", "passed": "maybe"}],
+         "row 0 has 'passed' = \"maybe\", not bool or null"),
+        ([{"check": "x", "instance": "y", "n": [1]}],
+         "row 0 has 'n' = [1], not int"),
+        ([{"check": "x", "instance": "y", "seed": True}],
+         "row 0 has 'seed' = true, not int"),
+        ([{"check": "x", "instance": "y", "wall_ms": "slow"}],
+         "row 0 has 'wall_ms' = \"slow\", not float"),
     ])
     def test_malformed_rows_exit_2(self, tmp_path, capsys, rows, message):
         rows_json = tmp_path / "rows.json"
@@ -351,3 +387,14 @@ class TestExport:
         assert code == 2
         assert err == f"error: {rows_json}: {message}\n"
         assert not out.exists()
+
+    def test_integer_wall_ms_is_a_number(self, tmp_path, capsys):
+        rows_json = tmp_path / "rows.json"
+        rows_json.write_text(json.dumps(
+            [{"check": "x", "instance": "y", "wall_ms": 3, "lu": None}]))
+        out = tmp_path / "out.json"
+        code, _, _ = run_cli(capsys, "export", "--rows", str(rows_json),
+                             "--format", "json", "--out", str(out),
+                             "--timing")
+        assert code == 0
+        assert json.loads(out.read_text())[0]["wall_ms"] == 3

@@ -102,6 +102,16 @@ class TestSkewGrid:
         assert path == [meta.main_vertex(1, 1), meta.aux_vertex(1, 1),
                         meta.main_vertex(1, 2)]
 
+    def test_coordinate_major_ordering(self):
+        _, meta = skew_grid(2, 2, 1)
+        assert meta.coordinate_major_ordering() == [
+            meta.main_vertex(1, 1), meta.main_vertex(2, 1),
+            meta.main_vertex(1, 2), meta.main_vertex(2, 2),
+            meta.aux_vertex(1, 1), meta.aux_vertex(2, 1),
+        ]
+        g, meta = skew_grid(4, 3, 1)
+        assert sorted(meta.coordinate_major_ordering()) == list(range(g.n))
+
     def test_rows_for(self):
         assert grid_rows_for(2, 1) == 2
         assert grid_rows_for(2, 2) == 4

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -432,3 +433,26 @@ class TestDot:
         assert "digraph obdd" in dot
         assert "doublecircle" in dot
         assert "style=dashed" in dot
+
+
+class TestNodeTablePinned:
+    def test_node_tables_and_dot_pinned(self):
+        """Node ids, root, level counts and DOT bytes of 68 diagrams: the
+        fixtures, clique_thread(3) and every connected graph with n <= 5,
+        each under the identity and the reversed order.  Any change to the
+        order in which the sweep discovers states or the reduction numbers
+        nodes moves the digest."""
+        graphs = [g for _, g in sorted(fixtures().items())]
+        graphs.append(clique_thread(3))
+        graphs.extend(g for _, g in connected_corpus(5))
+        digest = hashlib.sha256()
+        for g in graphs:
+            for order in (range(g.n), range(g.n - 1, -1, -1)):
+                z = build_obdd(g, list(order))
+                digest.update(repr((sorted(z.nodes.items()), z.root,
+                                    z.level_live_counts)).encode())
+                digest.update(obdd_to_dot(z).encode())
+        assert len(graphs) == 34
+        assert digest.hexdigest() == (
+            "0cd5fda257c708127437853664cbb5b40576b4be8366058048e8b585a4037ee9"
+        )
