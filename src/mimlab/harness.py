@@ -111,7 +111,9 @@ def _row(
     check: str, instance: str, g: Graph, seed: int, t0: float, **values
 ) -> ReportRow:
     """The row of one instance: its name and size, the run's seed, the
-    wall time since t0 (the instance's start), and the suite's values."""
+    wall time since t0 (the instance's start), and the suite's values.
+    `run_rest_cuts` checks trace-bound and shrink in one pass per graph,
+    so when both run, both rows of a graph carry the pass's joint time."""
     return ReportRow(
         check=check, instance=instance, n=g.n, m=g.m, seed=seed,
         wall_ms=(time.perf_counter() - t0) * 1000.0, **values,
@@ -166,7 +168,7 @@ def _independent_rest_cuts(
     g: Graph,
 ) -> Iterator[tuple[int, int, list[int], dict[int, int], int]]:
     """The cuts (U, rest) of g whose rest side is independent, with the
-    per-graph tables that the `trace-bound` and `shrink` suites share.
+    per-graph tables that `run_rest_cuts` builds once for both its checks.
 
     One `_EdgeTable`, one list `ind` of the independent sets of g (in
     `independent_set_masks` order) and their neighbourhood masks `nbr`
@@ -221,38 +223,6 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     return rows
 
 
-def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
-    """Trace-count bounds on every cut with independent rest side.
-
-    The report of each cut is `trace_count_bound_check`'s, built from the
-    shared cut context (`_independent_rest_cuts`): r from the graph's one
-    edge table, and the traces of the independent subsets of size <= r
-    from the graph's one independent-set list.
-    """
-    rows = []
-    for instance, g in full_corpus(max_n):
-        t0 = time.perf_counter()
-        bad = None
-        cuts = 0
-        for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
-            small = {nbr[t] & comp for t in subsets if t.bit_count() <= r}
-            rep = _trace_bound_report(
-                g.n, umask.bit_count(), trace_masks(g, umask), r, small
-            )
-            cuts += 1
-            if not rep.all_ok:
-                bad = (umask, rep)
-                break
-        rows.append(_row(
-            "trace-bound", instance, g, seed, t0,
-            passed=bad is None,
-            detail=f"cuts checked={cuts}"
-            if bad is None
-            else f"violated at mask {bad[0]}: {bad[1]}",
-        ))
-    return rows
-
-
 def _shrink_outputs(
     rule: _Enablers, subsets: list[int]
 ) -> Iterator[tuple[int, int]]:
@@ -274,54 +244,77 @@ def _shrink_outputs(
         yield smask, out
 
 
-def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
-    """The shrinker and the statement it proves, on every qualifying cut.
+def run_rest_cuts(
+    max_n: int = 7,
+    *,
+    seed: int = 0,
+    checks: Sequence[str] = ("trace-bound", "shrink"),
+) -> list[ReportRow]:
+    """The `trace-bound` and `shrink` checks in one pass over every cut
+    with independent rest side; returns the rows of `checks`, by check.
 
-    For each cut with independent rest side and r its largest induced
-    cut matching: every independent set shrinks to a subset with the same
-    trace that enables a matching and has at most r vertices; and,
-    independently of the shrinker, the enabling independent sets of size
-    <= r leave every trace of the cut.
-
-    The sets and their shrunk outputs come from `_shrink_outputs` over
-    the shared cut context (`_independent_rest_cuts`).  With the rest side
-    independent a set enables exactly when each member has a private
-    neighbour there (`_Enablers`), read from the context's `nbr` table.
+    Per graph one cut context (`_independent_rest_cuts`), per cut one
+    family `trace_masks(g, umask)`, the independent side of both checks.
+    With r the largest induced cut matching, trace-bound is
+    `trace_count_bound_check`'s report.  shrink checks that every
+    independent set shrinks (`_shrink_outputs`) to an enabling subset of
+    at most r vertices with the same trace, and, apart from the shrinker,
+    that the enabling sets of size <= r leave every trace (enabling by
+    `_Enablers`' private-neighbour rule).  Each check stops at its own
+    first failure, and a graph's pass once every requested check has
+    failed.  An unrequested check does none of its own work.
     """
-    rows = []
+    if not set(checks) <= {"trace-bound", "shrink"}:
+        raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
+    rows: dict[str, list[ReportRow]] = {check: [] for check in checks}
     for instance, g in full_corpus(max_n):
         t0 = time.perf_counter()
-        bad = None
-        sets_checked = 0
+        live = set(rows)
+        bad: dict[str, str] = {}  # check -> detail of its first failure
+        cuts = sets_checked = 0
         for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
-            rule = _Enablers(g.adj, comp, nbr.__getitem__)
-            for smask, out in _shrink_outputs(rule, subsets):
-                sets_checked += 1
-                if not (
-                    out & ~smask == 0
-                    and nbr[out] & comp == nbr[smask] & comp
-                    and rule.enables(out)
-                    and out.bit_count() <= r
-                ):
-                    bad = f"failed at cut {umask} set {smask}"
-                    break
-            if bad:
+            family = trace_masks(g, umask)
+            if "trace-bound" in live:
+                small = {nbr[t] & comp for t in subsets if t.bit_count() <= r}
+                rep = _trace_bound_report(g.n, umask.bit_count(), family,
+                                          r, small)
+                cuts += 1
+                if not rep.all_ok:
+                    bad["trace-bound"] = f"violated at mask {umask}: {rep}"
+            if "shrink" in live:
+                rule = _Enablers(g.adj, comp, nbr.__getitem__)
+                for smask, out in _shrink_outputs(rule, subsets):
+                    sets_checked += 1
+                    if (out & ~smask or nbr[out] & comp != nbr[smask] & comp
+                            or not rule.enables(out) or out.bit_count() > r):
+                        bad["shrink"] = f"failed at cut {umask} set {smask}"
+                        break
+                else:
+                    enabled = {nbr[t] & comp for t in subsets
+                               if t.bit_count() <= r and rule.enables(t)}
+                    if enabled != family:
+                        bad["shrink"] = (f"enabling sets of size <= {r} "
+                                         f"miss a trace at cut {umask}")
+            live -= bad.keys()
+            if not live:
                 break
-            small = {
-                nbr[t] & comp
-                for t in subsets
-                if t.bit_count() <= r and rule.enables(t)
-            }
-            if small != trace_masks(g, umask):
-                bad = (f"enabling sets of size <= {r} miss a trace at "
-                       f"cut {umask}")
-                break
-        rows.append(_row(
-            "shrink", instance, g, seed, t0,
-            passed=bad is None,
-            detail=bad or f"independent sets checked={sets_checked}",
-        ))
-    return rows
+        done = {"trace-bound": f"cuts checked={cuts}",
+                "shrink": f"independent sets checked={sets_checked}"}
+        for check, got in rows.items():
+            got.append(_row(check, instance, g, seed, t0,
+                            passed=check not in bad,
+                            detail=bad.get(check, done[check])))
+    return [row for got in rows.values() for row in got]
+
+
+def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
+    """The `trace-bound` check of `run_rest_cuts` alone."""
+    return run_rest_cuts(max_n, seed=seed, checks=("trace-bound",))
+
+
+def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
+    """The `shrink` check of `run_rest_cuts` alone."""
+    return run_rest_cuts(max_n, seed=seed, checks=("shrink",))
 
 
 def run_obdd_sandwich(
@@ -600,11 +593,13 @@ def run_vc(
 # Check name -> (suite function name, {spec.params key: suite keyword}).
 # Every default lives in the suite's signature only.  `verify` looks the
 # suite up by name when it runs, so a wrapper installed on the module
-# attribute (a tracer, a test double) is what runs.
+# attribute (a tracer, a test double) is what runs.  A suite named by more
+# than one check (trace-bound and shrink share `run_rest_cuts`, and both
+# read pair_max_n) runs once, with the requested checks as `checks`.
 _SUITES: dict[str, tuple[str, dict[str, str]]] = {
     "subfunction-traces": ("run_subfunction_traces", {"corpus_max_n": "max_n"}),
-    "trace-bound": ("run_trace_bound", {"pair_max_n": "max_n"}),
-    "shrink": ("run_shrink", {"pair_max_n": "max_n"}),
+    "trace-bound": ("run_rest_cuts", {"pair_max_n": "max_n"}),
+    "shrink": ("run_rest_cuts", {"pair_max_n": "max_n"}),
     "obdd-sandwich": ("run_obdd_sandwich", {
         "corpus_max_n": "corpus_max_n",
         "random_ns": "random_ns",
@@ -627,14 +622,19 @@ CHECK_NAMES = tuple(_SUITES)
 
 
 def verify(spec: ExperimentSpec) -> list[ReportRow]:
-    """Run every requested check; rows ordered by (check, instance)."""
+    """Run every requested check, each suite once; rows ordered by
+    (check, instance)."""
+    by_suite: dict[str, list[str]] = {}
+    for check in dict.fromkeys(spec.checks):
+        by_suite.setdefault(_SUITES[check][0], []).append(check)
     rows: list[ReportRow] = []
-    for check in spec.checks:
-        name, keywords = _SUITES[check]
-        suite = globals()[name]
-        kwargs = {kw: spec.params[key] for key, kw in keywords.items()
+    for name, checks in by_suite.items():
+        kwargs = {kw: spec.params[key]
+                  for key, kw in _SUITES[checks[0]][1].items()
                   if key in spec.params}
-        rows.extend(suite(seed=spec.seed, **kwargs))
+        if sum(suite == name for suite, _ in _SUITES.values()) > 1:
+            kwargs["checks"] = tuple(checks)
+        rows.extend(globals()[name](seed=spec.seed, **kwargs))
     rows.sort(key=lambda r: (r.check, r.instance))
     return rows
 

@@ -7,8 +7,8 @@ V is independent every trace is already realized by a subset that
 "enables" an induced cut matching, hence by at most r vertices, r the
 largest such matching.  The mask kernel `_shrink_mask` finds that subset
 by repeated `_shrink_step`s and logs its moves, `shrink_to_enabler` wraps
-it for vertex sets, and the `shrink` verify suite runs one step per set
-and checks the statement per cut.
+it for vertex sets, and `harness.run_rest_cuts` checks the statement
+(`shrink`, one step per set) and the bounds (`trace-bound`) per cut.
 
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
@@ -283,7 +283,7 @@ def _shrink_mask(rule: _Enablers, smask: int) -> tuple[int, list]:
 
     Every step keeps the trace, so the output has the input's trace,
     enables a matching and has at most r vertices, r the largest induced
-    cut matching.  The `shrink` suite checks this, and apart from the
+    cut matching.  The `shrink` check tests this, and apart from the
     kernel that the enabling sets of size <= r leave every trace.
 
     Unchecked preconditions: the rest side of `rule` is independent and
@@ -367,8 +367,8 @@ def trace_count_bound_check(
     subsets of size <= r already generate every trace.  Those subsets are
     enumerated directly, so the last verdict also compares `trace_masks`
     with an independent enumeration.  The report itself comes from
-    `_trace_bound_report`, which the `trace-bound` suite calls with its
-    per-graph tables.
+    `_trace_bound_report`, which `harness.run_rest_cuts` calls for the
+    `trace-bound` check with its per-graph tables.
     """
     umask = mask_of(u, g.n)
     comp = g.full_mask() & ~umask

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,12 +22,16 @@ from mimlab.harness import (
     export,
     full_corpus,
     grid_prefix_trace_floor,
+    rows_to_dicts,
     run_corona,
     run_grid_width_range,
     run_horizontal_traces,
     run_obdd_sandwich,
+    run_rest_cuts,
     run_separation,
+    run_shrink,
     run_subfunction_traces,
+    run_trace_bound,
     run_vc,
     sandwich_instances,
     verify,
@@ -220,6 +225,151 @@ class TestCutContext:
                 rep = _trace_bound_report(g.n, umask.bit_count(),
                                           trace_masks(g, umask), r, small)
                 assert rep == trace_count_bound_check(g, vertices_of(umask))
+
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows_to_dicts(rows)).encode()).hexdigest()
+
+
+class TestRestCutPass:
+    # trace-bound and shrink run in one pass per cut (run_rest_cuts); their
+    # rows must be those of the two separate suites it replaced.
+
+    def test_rows_pinned(self):
+        # Digests recorded from the two separate suites, before the merge.
+        assert _digest(run_trace_bound(6)) == \
+            "c64d370d100fddd2db180ae08942936d1358e779861f22d3cf458f2b894c04e5"
+        assert _digest(run_shrink(6)) == \
+            "94e74cb588cbf0cbfb6064b1af992d29ff9dc089c280911db15b4af2d581459e"
+
+    def test_joint_verify_equals_suites_alone(self):
+        rows = verify(ExperimentSpec(checks=("trace-bound", "shrink"),
+                                     params={"pair_max_n": 6}))
+        alone = run_shrink(6) + run_trace_bound(6)
+        assert rows_to_dicts(rows) == rows_to_dicts(alone)
+        assert rows_to_dicts(run_rest_cuts(5)) == \
+            rows_to_dicts(run_trace_bound(5) + run_shrink(5))
+
+    def test_unknown_check_rejected(self):
+        with pytest.raises(ValueError, match="'vc'"):
+            run_rest_cuts(3, checks=("shrink", "vc"))
+
+    def test_one_family_per_cut(self, monkeypatch):
+        import mimlab.harness as harness
+
+        calls = []
+        real = harness.trace_masks
+
+        def counted(g, umask, **kwargs):
+            calls.append(umask)
+            return real(g, umask, **kwargs)
+
+        monkeypatch.setattr(harness, "trace_masks", counted)
+        verify(ExperimentSpec(checks=("trace-bound", "shrink"),
+                              params={"pair_max_n": 5}))
+        cuts = [c[0] for _, g in full_corpus(5)
+                for c in _independent_rest_cuts(g)]
+        assert calls == cuts
+
+    @pytest.mark.parametrize("check,others", [
+        ("trace-bound", ("_shrink_outputs", "_Enablers")),
+        ("shrink", ("_trace_bound_report",)),
+    ])
+    def test_single_check_skips_the_other_kernel(self, monkeypatch, check,
+                                                 others):
+        import mimlab.harness as harness
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the other check's kernel ran")
+
+        for name in others:
+            monkeypatch.setattr(harness, name, boom)
+        rows = verify(ExperimentSpec(checks=(check,),
+                                     params={"pair_max_n": 5}))
+        assert rows and all(r.check == check and r.passed for r in rows)
+
+    def test_verify_calls_the_shared_suite_once(self, monkeypatch):
+        import mimlab.harness as harness
+
+        calls = []
+        real = harness.run_rest_cuts
+
+        def wrapped(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(harness, "run_rest_cuts", wrapped)
+        # a check named twice runs once
+        rows = verify(ExperimentSpec(
+            checks=("shrink", "vc", "trace-bound", "shrink", "vc"), seed=2,
+            params={"pair_max_n": 3, "vc_skew_qs": (1,),
+                    "vc_matching_ks": (1,)}))
+        assert calls == [{"seed": 2, "max_n": 3,
+                          "checks": ("shrink", "trace-bound")}]
+        assert len({(r.check, r.instance) for r in rows}) == len(rows)
+
+    def test_trace_bound_failure_leaves_shrink_running(self, monkeypatch):
+        import mimlab.harness as harness
+
+        # The first of the 13 cuts of all5-0014 fails.  The check reaches
+        # its cuts in the same order whether it runs alone or with shrink,
+        # and every earlier graph passes, so that cut is report number k.
+        corpus = full_corpus(5)
+        k = 1 + sum(len(list(_independent_rest_cuts(h)))
+                    for _, h in corpus[:-20])
+
+        def failing_at(k):
+            seen = [0]
+
+            def report(*args):
+                rep = _trace_bound_report(*args)
+                seen[0] += 1
+                return replace(rep, within_power=False) if seen[0] == k \
+                    else rep
+            return report
+
+        clean_shrink = run_shrink(5)
+        monkeypatch.setattr(harness, "_trace_bound_report", failing_at(k))
+        alone = run_trace_bound(5)
+        monkeypatch.setattr(harness, "_trace_bound_report", failing_at(k))
+        joint = run_rest_cuts(5)
+        umask = next(_independent_rest_cuts(corpus[-20][1]))[0]
+        bad = [r for r in alone if not r.passed]
+        assert [r.instance for r in bad] == ["all5-0014"]
+        assert bad[0].detail.startswith(f"violated at mask {umask}: ")
+        assert "within_power=False" in bad[0].detail
+        assert rows_to_dicts(joint) == rows_to_dicts(alone + clean_shrink)
+        # shrink went on through the 12 cuts after the failing one
+        row = {r.instance: r for r in joint if r.check == "shrink"}
+        assert row["all5-0014"].passed
+        assert row["all5-0014"].detail.startswith("independent sets checked=")
+
+    def test_shrink_failure_leaves_trace_bound_running(self, monkeypatch):
+        import mimlab.harness as harness
+
+        # The third of the 13 cuts of all5-0014 fails at its first set.
+        name, g = full_corpus(5)[-20]
+        umask, comp = list(_independent_rest_cuts(g))[2][:2]
+
+        class Lying(_Enablers):
+            # no set of the chosen cut enables, as far as the suite asks
+            def enables(self, smask):
+                if self.adj == g.adj and self.comp == comp:
+                    return False
+                return super().enables(smask)
+
+        clean_bound = run_trace_bound(5)
+        monkeypatch.setattr(harness, "_Enablers", Lying)
+        alone = run_shrink(5)
+        joint = run_rest_cuts(5)
+        bad = [r for r in alone if not r.passed]
+        assert [(r.instance, r.detail) for r in bad] == \
+            [(name, f"failed at cut {umask} set 0")]
+        assert rows_to_dicts(joint) == rows_to_dicts(clean_bound + alone)
+        # trace-bound went on through all 13 cuts
+        row = {r.instance: r for r in joint if r.check == "trace-bound"}
+        assert row[name].passed and row[name].detail == "cuts checked=13"
 
 
 class TestSuitesSmall:
