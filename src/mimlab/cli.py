@@ -3,10 +3,10 @@
 Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 0 success, 1 exact check failure, 2 usage error, 3 budget exhaustion
 (under `verify --strict`, a skipped row also exits 3).  `--budget` is
-read only by `traces` (trace-family entries processed) and by
-`width --heuristic` (orderings evaluated); MIMLAB_BUDGET is the default
-of the former and is read nowhere else.  Both must be positive integers;
-anything else exits 2.
+read only by `traces` (trace-family entries processed), by exact `width`
+(prefix sets tested) and by `width --heuristic` (orderings evaluated);
+MIMLAB_BUDGET is the default of the first two and is read nowhere else.
+Both must be positive integers; anything else exits 2.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ def _cmd_width(args) -> int:
         _, per_prefix = width_of_ordering(g, witness, variant)
         mode = "heuristic"
     else:
-        report = exact_width(g, variant)
+        report = exact_width(g, variant,
+                             budget=args.budget or _env_budget())
         value, witness, per_prefix = report.value, report.witness, report.per_prefix
         mode = "exact"
     payload = {
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget", type=_positive_int, default=None,
         help="trace-family entries `traces` may process (default: "
-             "MIMLAB_BUDGET, else 2^24) and number of "
+             "MIMLAB_BUDGET, else 2^24), prefix sets exact `width` may "
+             "test (default: MIMLAB_BUDGET, else unbounded) and number of "
              "orderings evaluated by `width --heuristic` (default "
              f"{DEFAULT_HEURISTIC_BUDGET}); the other subcommands ignore it",
     )

@@ -7,8 +7,10 @@ over all vertex relabelings; corpora are grown one vertex at a time (every
 some neighborhood) and deduplicated by canonical form.  Canonical forms
 are table lookups: for each block of relabelings, one small table per
 7-bit slice of the mask maps the slice's value to its relabeled bits, and
-a relabeled mask is the OR of its slices' entries.  The exhaustive corpus
-is capped at n = 8; every default asks for n <= 7.
+a relabeled mask is the OR of its slices' entries.  `canonical_mask`
+keeps those tables for n <= 7 (about 7.7 MB at n = 7), so that single
+masks cost a few gathers; the corpus build streams them.  The exhaustive
+corpus is capped at n = 8; every default asks for n <= 7.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ MAX_EXHAUSTIVE_N = 8
 _SLICE = 7
 _PERM_BLOCK = 256
 _ROW_BLOCK = 256
+# Largest n whose tables `canonical_mask` keeps.
+_CACHED_TABLES_N = 7
 
 
 def pair_order(n: int) -> list[tuple[int, int]]:
@@ -79,37 +83,59 @@ def mask_from_graph(g: Graph) -> int:
     return mask
 
 
-def _canonicalize_batch(n: int, masks: np.ndarray) -> np.ndarray:
-    """Elementwise minimum over all vertex relabelings of each mask.
+def _mask_dtype(n: int):
+    """The narrowest integer type that holds the C(n,2) pair bits."""
+    return np.int32 if n * (n - 1) // 2 <= 31 else np.int64
 
-    For a block of relabelings, `moved[k, p]` is the bit that pair k moves
-    to under relabeling p.  A slice's table maps each 7-bit slice value
-    to the OR of its set pairs' moved bits, per relabeling; it is filled
-    by doubling, rows 2^b .. 2^(b+1) - 1 being rows 0 .. 2^b - 1 with the
-    slice's bit b added.  Each mask's images under the block are then one
-    gather per slice, ORed together.  Needs n <= 11, so that the C(n,2)
-    pair bits fit in an int64.
+
+def _slice_tables(n: int):
+    """Per block of relabelings, the list of its slice tables.
+
+    `moved[k, p]` is the bit that pair k moves to under the block's
+    relabeling p.  A slice's table maps each 7-bit slice value to the OR
+    of its set pairs' moved bits, per relabeling; it is filled by
+    doubling, rows 2^b .. 2^(b+1) - 1 being rows 0 .. 2^b - 1 with the
+    slice's bit b added.
     """
-    npairs = n * (n - 1) // 2
-    dtype = np.int32 if npairs <= 31 else np.int64
-    best = masks.astype(dtype)
-    starts = range(0, npairs, _SLICE)
-    keys = [(best >> s & (1 << _SLICE) - 1).astype(np.uint8) for s in starts]
-    rows = min(_ROW_BLOCK, len(masks))
-    image = np.empty(rows * _PERM_BLOCK, dtype=dtype)
-    part = np.empty_like(image)
-    low = np.empty(rows, dtype=dtype)
+    dtype = _mask_dtype(n)
     for images in _image_blocks(n):
         moved = np.left_shift(1, images, dtype=dtype)
         tables = []
-        for s in starts:
+        for s in range(0, len(moved), _SLICE):
             table = np.zeros((1 << _SLICE, moved.shape[1]), dtype=dtype)
             for b, bit in enumerate(moved[s:s + _SLICE]):
                 np.bitwise_or(table[:1 << b], bit, out=table[1 << b:2 << b])
             tables.append(table)
+        yield tables
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_slice_tables(n: int) -> tuple[list[np.ndarray], ...]:
+    return tuple(_slice_tables(n))
+
+
+def _canonicalize_batch(n: int, masks: np.ndarray,
+                        blocks=None) -> np.ndarray:
+    """Elementwise minimum over all vertex relabelings of each mask.
+
+    Each mask's images under a block of relabelings are one gather per
+    slice table (`_slice_tables`, streamed unless `blocks` gives them),
+    ORed together.  Needs n <= 11, so that the C(n,2) pair bits fit in
+    an int64.
+    """
+    npairs = n * (n - 1) // 2
+    dtype = _mask_dtype(n)
+    best = masks.astype(dtype)
+    keys = [(best >> s & (1 << _SLICE) - 1).astype(np.uint8)
+            for s in range(0, npairs, _SLICE)]
+    rows = min(_ROW_BLOCK, len(masks))
+    image = np.empty(rows * _PERM_BLOCK, dtype=dtype)
+    part = np.empty_like(image)
+    low = np.empty(rows, dtype=dtype)
+    for tables in _slice_tables(n) if blocks is None else blocks:
         for lo in range(0, len(masks), rows):
             hi = min(lo + rows, len(masks))
-            shape = (hi - lo, moved.shape[1])
+            shape = (hi - lo, tables[0].shape[1])
             out = image[:shape[0] * shape[1]].reshape(shape)
             tmp = part[:out.size].reshape(shape)
             # Keys are below 1 << _SLICE, so "clip" clips nothing; "raise"
@@ -130,7 +156,8 @@ def canonical_mask(n: int, mask: int) -> int:
     if n <= 1:
         return 0
     arr = np.array([mask], dtype=np.int64)
-    return int(_canonicalize_batch(n, arr)[0])
+    blocks = _cached_slice_tables(n) if n <= _CACHED_TABLES_N else None
+    return int(_canonicalize_batch(n, arr, blocks)[0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -280,6 +280,12 @@ class _EdgeTable:
     edges entering a neighbour of v only under LSIM (edges inside the
     rest).  The rule does not depend on the cut, so one table serves
     every prefix of every ordering.
+
+    It follows that a new matching must use the newest vertex's edges:
+    every edge crossing W that does not leave c also crosses W - c, so
+    a compatible selection across W larger than the largest one across
+    W - c uses exactly one edge leaving c.  `exists_through` asks that
+    question by branching on those edges alone.
     """
 
     __slots__ = ("ends", "out", "into", "conf")
@@ -331,6 +337,21 @@ class _EdgeTable:
     def exists(self, cand: int, k: int, work: _Work | None = None) -> bool:
         """Are there k pairwise compatible edges in the mask cand?"""
         return k <= 0 or _mis_exists(self.conf, cand, k, work)
+
+    def exists_through(self, cand: int, through: int, k: int) -> bool:
+        """Are there k >= 1 pairwise compatible edges in cand, one of
+        them in through?  The edges of through share a tail, so at most
+        one of them can be chosen; the search branches on them only."""
+        if k == 1:
+            return through != 0
+        conf = self.conf
+        while through:
+            b = through & -through
+            through ^= b
+            if _mis_exists(conf, cand & ~conf[b.bit_length() - 1], k - 1,
+                           None):
+                return True
+        return False
 
     def max_size(self, cand: int, work: _Work | None = None) -> int:
         k = 0

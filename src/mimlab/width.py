@@ -13,6 +13,15 @@ minimum over all n! orderings a min-max recurrence over prefix sets.
 `exact_width` evaluates it by a threshold search that, for k = 0, 1, ...,
 visits only the prefix sets reachable through prefixes of width <= k, so
 graphs of small width touch a small part of the 2^n sets.
+
+The conflict rule between two crossing edges does not depend on the cut,
+and every edge crossing W that does not leave its newest vertex c also
+crosses W - c.  So a new matching must use the newest vertex's edges: a
+matching across W larger than any across W - c uses exactly one edge
+leaving c.  Wherever the width of W - c is already bounded, the engines
+search W's larger matchings only through c's edges
+(`_EdgeTable.exists_through`).  The absolute queries (`prefix_width`,
+`width_of_ordering`) keep the full search.
 """
 
 from __future__ import annotations
@@ -82,13 +91,19 @@ def _width_of_ordering_capped(
     table: _EdgeTable, pi: Sequence[int], cap: int
 ) -> int:
     """Width of the ordering under the graph's edge table, or `cap` as
-    soon as it cannot beat `cap`."""
+    soon as it cannot beat `cap`.
+
+    `best` is at least the width of the previous prefix, so a larger
+    matching must use the newest vertex's edges: each step searches
+    through the edges leaving v only."""
     best = 0
     leaving = entering = 0
     for v in pi:
         leaving |= table.out[v]
         entering |= table.into[v]
-        while best < cap and table.exists(leaving & ~entering, best + 1):
+        cand = leaving & ~entering
+        through = cand & table.out[v]
+        while best < cap and table.exists_through(cand, through, best + 1):
             best += 1
         if best >= cap:
             return cap
@@ -105,6 +120,7 @@ def exact_width(
     variant: WidthVariant,
     *,
     limit: int = DEFAULT_EXACT_LIMIT,
+    budget: int | None = None,
 ) -> WidthReport:
     """Exact width minimum over all vertex orderings, with a witness.
 
@@ -116,18 +132,31 @@ def exact_width(
     that the walk also visits, so f is exact on the visited sets; f and
     the proven lower bound on the prefix width of each rejected set carry
     over from one threshold to the next.  Small widths therefore visit a
-    small part of the 2^n sets.  The witness is reconstructed by always
-    removing the smallest-index minimizing vertex, so it is canonical.
-    Guarded by `limit` on n (2^n-byte tables).
+    small part of the 2^n sets.
+
+    A tested set W is reached with a minimising predecessor W - c, and
+    f(W - c) = m bounds the prefix width of W - c.  Every query asks for
+    a matching larger than m, so a new matching must use the newest
+    vertex's edges, and each query searches through the edges leaving c
+    only.  The same loop ORs W's edge masks, so the crossing edges cost
+    nothing extra.
+
+    The witness is reconstructed by always removing the smallest-index
+    minimizing vertex, so it is canonical.  Guarded by `limit` on n
+    (2^n-byte tables); `budget`, when given, caps the number of sets
+    tested (counted once per popcount layer) and raises
+    BudgetExceededError past it.
     """
     n = g.n
     if n > limit:
         raise BudgetExceededError(f"exact width DP on {n} vertices", limit)
+    work = _Work(budget, "exact width search") if budget else None
     if n == 0:
         return WidthReport(variant, 0, (), ())
     full = (1 << n) - 1
     size = 1 << n
     table = _EdgeTable(g, variant)
+    out_e, into_e = table.out, table.into
 
     # f[W] is exact once set, and 255 until then.  lb[W] is a proven
     # lower bound on prefix_width(W), raised each time W is rejected.
@@ -139,6 +168,7 @@ def exact_width(
         layer = {0}
         for _ in range(n):
             nxt = set()
+            tested = 0
             for s in layer:
                 out = full ^ s
                 while out:
@@ -150,23 +180,33 @@ def exact_width(
                         continue
                     if lb[wmask] > k:
                         continue
+                    tested += 1
                     m = 255
+                    leaving = entering = 0
                     w = wmask
                     while w:
                         c = w & -w
                         w ^= c
+                        x = c.bit_length() - 1
+                        leaving |= out_e[x]
+                        entering |= into_e[x]
                         t = f[wmask ^ c]
                         if t < m:
                             m = t
+                            newest = x
                     p = max(m, lb[wmask])
-                    cand = table.crossing(wmask)
-                    while p <= k and cand and table.exists(cand, p + 1):
+                    cand = leaving & ~entering
+                    through = cand & out_e[newest]
+                    while p <= k and table.exists_through(cand, through,
+                                                          p + 1):
                         p += 1
                     if p > k:
                         lb[wmask] = p
                     else:
                         f[wmask] = p
                         nxt.add(wmask)
+            if work is not None:
+                work.tick(tested)
             layer = nxt
         if layer:
             break

@@ -112,6 +112,38 @@ class TestWidth:
         assert code == 3
         assert "budget" in err
 
+    # clique_thread(3) tests 243 prefix sets in the exact search.
+    @pytest.mark.parametrize("flag, env", [
+        (("--budget", "1"), None),
+        ((), "1"),
+        (("--budget", "242"), "10000"),
+    ])
+    def test_exact_budget_exit_3(self, tmp_path, capsys, monkeypatch, flag,
+                                 env):
+        from mimlab.generators import clique_thread
+
+        path = tmp_path / "ct3.edges"
+        write_edge_list(clique_thread(3), path)
+        if env is not None:
+            monkeypatch.setenv("MIMLAB_BUDGET", env)
+        code, _, err = run_cli(
+            capsys, "width", "--variant", "lu", "--input", str(path), *flag
+        )
+        assert code == 3
+        assert "exact width search: work budget of" in err
+
+    def test_exact_within_budget(self, tmp_path, capsys, monkeypatch):
+        from mimlab.generators import clique_thread
+
+        path = tmp_path / "ct3.edges"
+        write_edge_list(clique_thread(3), path)
+        monkeypatch.setenv("MIMLAB_BUDGET", "243")
+        code, out, _ = run_cli(
+            capsys, "width", "--variant", "lu", "--input", str(path)
+        )
+        assert code == 0
+        assert "value: 1" in out
+
 
 class TestTraces:
     def test_text(self, tmp_path, capsys):

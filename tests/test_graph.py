@@ -6,6 +6,8 @@ from mimlab.errors import BudgetExceededError
 from mimlab.generators import clique_corona, fixtures, skew, two_rows
 from mimlab.graph import (
     Graph,
+    WidthVariant,
+    _EdgeTable,
     cut_graph,
     induced_subgraph,
     is_independent,
@@ -16,6 +18,7 @@ from mimlab.graph import (
     format_edge_list,
     upper_subgraph,
 )
+from mimlab.harness import full_corpus
 
 from conftest import graphs
 from oracles import naive_max_induced_cut_matching, derived_edges
@@ -190,6 +193,38 @@ class TestMaxInducedCutMatching:
         assert size == naive_max_induced_cut_matching(set(g.edges()), u)
         if witness:
             assert is_induced_cut_matching(g, u, witness)
+
+
+def _check_delta_rule(g):
+    """For every prefix set W, vertex c in W and size k above the
+    largest matching across W - c, a matching of size k across W exists
+    exactly when one exists through the edges leaving c, and exactly when
+    the naive oracle finds one."""
+    for variant in WidthVariant:
+        table = _EdgeTable(g, variant)
+        for wmask in range(1, 1 << g.n):
+            w = {v for v in range(g.n) if wmask >> v & 1}
+            naive = naive_max_induced_cut_matching(
+                derived_edges(g, w, variant.value), w)
+            cand = table.crossing(wmask)
+            for c in w:
+                before = table.max_size(table.crossing(wmask ^ 1 << c))
+                for k in range(before + 1, naive + 2):
+                    through = table.exists_through(cand, cand & table.out[c],
+                                                   k)
+                    assert through == table.exists(cand, k) == (k <= naive), \
+                        (g.edges(), variant, sorted(w), c, k)
+
+
+class TestExistsThrough:
+    def test_corpus(self):
+        for _, g in full_corpus(6):
+            _check_delta_rule(g)
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, g):
+        _check_delta_rule(g)
 
 
 class TestEdgeListFormat:

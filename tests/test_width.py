@@ -194,6 +194,75 @@ class TestExactWidth:
         assert (rep.witness, rep.per_prefix) == (witness, per_prefix)
         assert rep.value == max(per_prefix)
 
+    # The benchmark's four low-width exact grids (n = 14-15): any change
+    # to the search must keep every value, witness and per-prefix width.
+    @pytest.mark.parametrize("pqr, variant, value, witness, per_prefix", [
+        ((3, 3, 1), "lu", 1,
+         (13, 6, 3, 14, 4, 11, 7, 5, 12, 8, 9, 0, 10, 2, 1),
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ((3, 3, 1), "lmim", 1,
+         (13, 3, 6, 14, 4, 11, 7, 5, 12, 8, 9, 0, 10, 2, 1),
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ((3, 3, 1), "lsim", 1,
+         (13, 6, 14, 11, 7, 3, 12, 8, 9, 4, 0, 10, 5, 2, 1),
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ((3, 1, 3), "lu", 2,
+         (14, 8, 12, 5, 4, 10, 2, 13, 7, 6, 11, 9, 3, 1, 0),
+         (1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ((3, 1, 3), "lmim", 2,
+         (14, 12, 8, 4, 5, 10, 2, 13, 7, 6, 11, 9, 3, 1, 0),
+         (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ((3, 1, 3), "lsim", 2,
+         (14, 8, 12, 5, 10, 2, 13, 7, 11, 6, 9, 4, 3, 1, 0),
+         (1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ((5, 2, 1), "lu", 1,
+         (14, 9, 8, 13, 6, 7, 12, 4, 5, 11, 2, 3, 10, 1, 0),
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ((5, 2, 1), "lmim", 1,
+         (14, 6, 8, 7, 13, 9, 12, 2, 4, 3, 11, 5, 10, 1, 0),
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ((5, 2, 1), "lsim", 1,
+         (14, 8, 13, 9, 6, 12, 7, 4, 11, 5, 2, 10, 3, 1, 0),
+         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
+        ((2, 2, 2), "lu", 2,
+         (13, 12, 11, 6, 7, 10, 3, 9, 5, 4, 8, 2, 1, 0),
+         (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ((2, 2, 2), "lmim", 2,
+         (13, 12, 7, 6, 5, 4, 11, 10, 3, 9, 8, 2, 1, 0),
+         (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+        ((2, 2, 2), "lsim", 2,
+         (13, 12, 11, 6, 10, 7, 3, 9, 4, 8, 5, 2, 1, 0),
+         (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+    ])
+    def test_skew_grid_reports_pinned(self, pqr, variant, value, witness,
+                                      per_prefix):
+        rep = exact_width(skew_grid(*pqr)[0], WidthVariant(variant))
+        assert (rep.value, rep.witness, rep.per_prefix) == \
+            (value, witness, per_prefix)
+
+    # Dense random graphs (n = 14, p = 0.4), where no structure prunes.
+    @pytest.mark.parametrize("seed, value, witness, per_prefix", [
+        (0, 2,
+         (11, 10, 13, 12, 6, 2, 8, 5, 4, 3, 9, 7, 1, 0),
+         (1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+        (1, 2,
+         (13, 11, 10, 12, 9, 8, 4, 6, 5, 7, 3, 2, 1, 0),
+         (1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+    ])
+    def test_dense_random_report_pinned(self, seed, value, witness,
+                                        per_prefix):
+        g = random_connected_graph(14, seed, p=0.4)
+        rep = exact_width(g, WidthVariant.LU)
+        assert (rep.value, rep.witness, rep.per_prefix) == \
+            (value, witness, per_prefix)
+
+    def test_budget_counts_tested_sets(self):
+        # clique_thread(3) tests 243 prefix sets under lu.
+        g = clique_thread(3)
+        assert exact_width(g, WidthVariant.LU, budget=243).value == 1
+        with pytest.raises(BudgetExceededError, match="exact width search"):
+            exact_width(g, WidthVariant.LU, budget=242)
+
     def test_matches_full_table_oracle_exhaustive(self):
         from mimlab import corpus
 
@@ -290,6 +359,20 @@ class TestHeuristic:
              "random10": random_connected_graph(10, 3, p=0.4)}[name]
         assert heuristic_width_upper(g, WidthVariant(variant)) == \
             (value, order)
+
+    # (value, ordering) of lu at seed 0 on the benchmark's order grids
+    # (n = 21-25).
+    @pytest.mark.parametrize("pqr, value, order", [
+        ((3, 2, 2), 4, tuple(range(21))),
+        ((2, 3, 2), 5, (10, 20, 18, 6, 0, 19, 11, 2, 3, 9, 5, 7, 4, 17, 14,
+                        21, 15, 16, 8, 1, 13, 12)),
+        ((3, 4, 1), 4, tuple(range(21))),
+        ((5, 3, 1), 4, (5, 13, 6, 11, 4, 16, 23, 1, 17, 8, 12, 24, 14, 9, 3,
+                        2, 18, 7, 10, 15, 19, 0, 20, 21, 22)),
+    ])
+    def test_order_grids_pinned(self, pqr, value, order):
+        assert heuristic_width_upper(skew_grid(*pqr)[0], WidthVariant.LU,
+                                     seed=0) == (value, order)
 
     def test_exact_value_of_reported_ordering(self):
         value, witness = heuristic_width_upper(
