@@ -4,8 +4,9 @@ Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 0 success, 1 exact check failure, 2 usage error, 3 budget exhaustion
 (under `verify --strict`, a skipped row also exits 3).  `--budget` is
 read only by `traces` (trace-family entries processed), by exact `width`
-(prefix sets tested) and by `width --heuristic` (orderings evaluated);
-MIMLAB_BUDGET is the default of the first two and is read nowhere else.
+(prefix sets tested), by `obdd --minimize dp` (trace-family entries the
+min-size DP processes) and by `width --heuristic` (orderings evaluated);
+MIMLAB_BUDGET is the default of the first three and is read nowhere else.
 Both must be positive integers; anything else exits 2.
 """
 
@@ -226,7 +227,8 @@ def _cmd_obdd(args) -> int:
         write_dimacs(cnf, args.dimacs)
     if args.minimize:
         report = min_obdd_size_exact(
-            g, method="enum" if args.minimize == "exact" else "dp"
+            g, method="enum" if args.minimize == "exact" else "dp",
+            budget=args.budget or _env_budget(),
         )
         order = report.order_quasi
         print(f"minimal quasi-reduced size: {report.size_quasi}")
@@ -351,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_positive_int, default=None,
         help="trace-family entries `traces` may process (default: "
              "MIMLAB_BUDGET, else 2^24), prefix sets exact `width` may "
-             "test (default: MIMLAB_BUDGET, else unbounded) and number of "
+             "test (default: MIMLAB_BUDGET, else unbounded), trace-family "
+             "entries `obdd --minimize dp` may process (default: "
+             "MIMLAB_BUDGET, else unbounded) and number of "
              "orderings evaluated by `width --heuristic` (default "
              f"{DEFAULT_HEURISTIC_BUDGET}); the other subcommands ignore it",
     )

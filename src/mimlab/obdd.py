@@ -31,6 +31,7 @@ from typing import Sequence
 from .errors import BudgetExceededError
 from .graph import (
     Graph,
+    _Work,
     is_independent_mask,
     mask_of,
     neighborhood_mask,
@@ -384,7 +385,11 @@ def _isolated_table(g: Graph) -> array:
 
 
 def min_obdd_size_exact(
-    g: Graph, *, method: str = "dp", limit: int = OBDD_DP_LIMIT
+    g: Graph,
+    *,
+    method: str = "dp",
+    limit: int = OBDD_DP_LIMIT,
+    budget: int | None = None,
 ) -> MinSizeReport:
     """Exact minimum OBDD sizes over all variable orderings.
 
@@ -399,6 +404,10 @@ def min_obdd_size_exact(
     has no undecided neighbour left free.  So the reduced level of v
     after W has |T(W)| - ND(v) nodes, ND(v) the number of traces t with
     v in iso[V - t], where iso is the isolated-vertex table of G.
+
+    `budget`, when given, caps the trace-family entries the DP processes
+    (counted once per prefix set) and raises BudgetExceededError past it;
+    method "enum" has its own n guard and ignores it.
     """
     if method == "enum":
         return _min_sizes_by_enumeration(g)
@@ -410,6 +419,7 @@ def min_obdd_size_exact(
             f"OBDD minimization subset DP on {n} variables", limit
         )
     cnf_of_graph(g)  # validate
+    work = _Work(budget, "OBDD minimization DP") if budget else None
     full = (1 << n) - 1
     size = 1 << n
     iso = _isolated_table(g)
@@ -436,6 +446,8 @@ def min_obdd_size_exact(
             b = wmask & -wmask
             fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b, comp)
         tr = fams[p]
+        if work is not None:
+            work.tick(len(tr))
         # nd[b]: the traces whose residual ignores the vertex of bit b.
         nd: dict[int, int] = {}
         for t in tr:

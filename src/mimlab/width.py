@@ -20,8 +20,11 @@ crosses W - c.  So a new matching must use the newest vertex's edges: a
 matching across W larger than any across W - c uses exactly one edge
 leaving c.  Wherever the width of W - c is already bounded, the engines
 search W's larger matchings only through c's edges
-(`_EdgeTable.exists_through`).  The absolute queries (`prefix_width`,
-`width_of_ordering`) keep the full search.
+(`_EdgeTable.exists_through`).  `exact_width` carries each walked set's
+edge ORs from the set it was generated from, and one query through the
+generating vertex's edges decides whether the new set exceeds the
+threshold.  The absolute queries (`prefix_width`, `width_of_ordering`)
+keep the full search.
 """
 
 from __future__ import annotations
@@ -129,17 +132,18 @@ def exact_width(
     k = 0, 1, ... walk, by popcount, the prefix sets W with f(W) <= k,
     each reached from a predecessor with f <= k, until the walk reaches
     the full set.  Every set with f(W) <= k has a minimising predecessor
-    that the walk also visits, so f is exact on the visited sets; f and
-    the proven lower bound on the prefix width of each rejected set carry
-    over from one threshold to the next.  Small widths therefore visit a
-    small part of the 2^n sets.
+    that the walk also visits, so the walk at threshold k accepts exactly
+    the sets with f <= k.  A set first accepted at threshold k therefore
+    has f = k, with no predecessor minimum to take, and f carries over
+    from one threshold to the next.  Small widths visit a small part of
+    the 2^n sets.
 
-    A tested set W is reached with a minimising predecessor W - c, and
-    f(W - c) = m bounds the prefix width of W - c.  Every query asks for
-    a matching larger than m, so a new matching must use the newest
-    vertex's edges, and each query searches through the edges leaving c
-    only.  The same loop ORs W's edge masks, so the crossing edges cost
-    nothing extra.
+    Each walked set carries the ORs of its vertices' leaving and entering
+    edge masks, so a set W = s + b generated from a walked set s gets its
+    crossing edges from s's pair and b's masks, one OR each.  Since
+    f(s) <= k bounds the prefix width of s, a (k+1)-matching across W
+    must use an edge leaving b, so one query through b's edges decides
+    whether W is rejected at threshold k or accepted with f(W) = k.
 
     The witness is reconstructed by always removing the smallest-index
     minimizing vertex, so it is canonical.  Guarded by `limit` on n
@@ -159,52 +163,43 @@ def exact_width(
     out_e, into_e = table.out, table.into
 
     # f[W] is exact once set, and 255 until then.  lb[W] is a proven
-    # lower bound on prefix_width(W), raised each time W is rejected.
+    # lower bound on prefix_width(W), raised to k + 1 when W is rejected
+    # at threshold k, so that no set is tested twice at one threshold.
+    # A layer maps each of its sets to the ORs of its vertices' leaving
+    # and entering edge masks.
     f = bytearray(b"\xff") * size
     lb = bytearray(size)
     f[0] = 0
     k = 0
     while True:
-        layer = {0}
+        layer = {0: (0, 0)}
         for _ in range(n):
-            nxt = set()
+            nxt = {}
             tested = 0
-            for s in layer:
-                out = full ^ s
-                while out:
-                    b = out & -out
-                    out ^= b
+            for s, (s_out, s_in) in layer.items():
+                rest = full ^ s
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
                     wmask = s | b
-                    if f[wmask] != 255:
-                        nxt.add(wmask)
+                    if wmask in nxt:
                         continue
-                    if lb[wmask] > k:
+                    fw = f[wmask]
+                    if fw == 255 and lb[wmask] > k:
                         continue
-                    tested += 1
-                    m = 255
-                    leaving = entering = 0
-                    w = wmask
-                    while w:
-                        c = w & -w
-                        w ^= c
-                        x = c.bit_length() - 1
-                        leaving |= out_e[x]
-                        entering |= into_e[x]
-                        t = f[wmask ^ c]
-                        if t < m:
-                            m = t
-                            newest = x
-                    p = max(m, lb[wmask])
-                    cand = leaving & ~entering
-                    through = cand & out_e[newest]
-                    while p <= k and table.exists_through(cand, through,
-                                                          p + 1):
-                        p += 1
-                    if p > k:
-                        lb[wmask] = p
-                    else:
-                        f[wmask] = p
-                        nxt.add(wmask)
+                    x = b.bit_length() - 1
+                    leaving = s_out | out_e[x]
+                    entering = s_in | into_e[x]
+                    if fw == 255:
+                        # f(s) <= k bounds pw(s), so a (k+1)-matching
+                        # across W must use an edge leaving b.
+                        tested += 1
+                        cand = leaving & ~entering
+                        if table.exists_through(cand, cand & out_e[x], k + 1):
+                            lb[wmask] = k + 1
+                            continue
+                        f[wmask] = k
+                    nxt[wmask] = (leaving, entering)
             if work is not None:
                 work.tick(tested)
             layer = nxt
@@ -254,7 +249,9 @@ def heuristic_width_upper(
     rng = random.Random(seed)
     table = _EdgeTable(g, variant)
     best_order = list(range(n))
-    best_value, _ = width_of_ordering(g, best_order, variant)
+    # No ordering's width reaches the number of oriented edges plus one.
+    best_value = _width_of_ordering_capped(table, best_order,
+                                           len(table.ends) + 1)
     evals = 1
     current = list(best_order)
     current_value = best_value

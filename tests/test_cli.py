@@ -247,6 +247,36 @@ class TestObdd:
         pick = lambda out: [l for l in out.splitlines() if "minimal" in l]
         assert pick(out_dp) == pick(out_enum)
 
+    @pytest.mark.parametrize("flag, env", [
+        (("--budget", "1"), None),
+        ((), "1"),
+    ])
+    def test_minimize_dp_budget_exit_3(self, tmp_path, capsys, monkeypatch,
+                                       flag, env):
+        from mimlab.generators import clique_thread
+
+        path = tmp_path / "ct3.edges"
+        write_edge_list(clique_thread(3), path)
+        if env is not None:
+            monkeypatch.setenv("MIMLAB_BUDGET", env)
+        code, out, err = run_cli(capsys, "obdd", "--input", str(path),
+                                 "--minimize", "dp", *flag)
+        assert code == 3
+        assert "OBDD minimization DP: work budget of" in err
+        assert "minimal" not in out
+
+    def test_minimize_dp_unbudgeted(self, tmp_path, capsys, monkeypatch):
+        from mimlab.generators import clique_thread
+
+        path = tmp_path / "ct3.edges"
+        write_edge_list(clique_thread(3), path)
+        monkeypatch.delenv("MIMLAB_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, "obdd", "--input", str(path),
+                               "--minimize", "dp")
+        assert code == 0
+        assert "minimal quasi-reduced size: 29" in out
+        assert "minimal reduced size: 26" in out
+
 
 class TestVerify:
     def test_small_run_exit_0(self, tmp_path, capsys):

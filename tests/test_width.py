@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -262,6 +263,37 @@ class TestExactWidth:
         assert exact_width(g, WidthVariant.LU, budget=243).value == 1
         with pytest.raises(BudgetExceededError, match="exact width search"):
             exact_width(g, WidthVariant.LU, budget=242)
+
+    # Prefix sets tested on skew_grid(2, 2, 2), a width-2 graph whose
+    # search rejects sets at two thresholds.
+    @pytest.mark.parametrize("variant, tested", [
+        ("lu", 9184), ("lmim", 5247), ("lsim", 12026),
+    ])
+    def test_budget_counts_tested_sets_skew_grid(self, variant, tested):
+        g = skew_grid(2, 2, 2)[0]
+        assert exact_width(g, WidthVariant(variant), budget=tested).value == 2
+        with pytest.raises(BudgetExceededError, match="exact width search"):
+            exact_width(g, WidthVariant(variant), budget=tested - 1)
+
+    def test_reports_digest_pinned(self):
+        # Every connected graph with n <= 7 and 36 seeded random graphs
+        # with n = 8-13, in all three variants: any change to the search
+        # must keep every value, witness and per-prefix width.
+        from mimlab import corpus
+
+        gs = [g for n in range(1, 8) for g in corpus.connected_graphs(n)]
+        gs += [random_connected_graph(n, seed, p=p) for n in range(8, 14)
+               for seed in range(3) for p in (0.3, 0.5)]
+        h = hashlib.sha256()
+        for g in gs:
+            for variant in WidthVariant:
+                rep = exact_width(g, variant)
+                h.update(repr((rep.value, rep.witness,
+                               rep.per_prefix)).encode())
+        assert (len(gs), h.hexdigest()) == (
+            1032,
+            "e8ec86aad90b7f6df81cdc72d1fea9b1c34e29375f42ac33dbedb84b2be91196",
+        )
 
     def test_matches_full_table_oracle_exhaustive(self):
         from mimlab import corpus
