@@ -4,8 +4,9 @@ Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 0 success, 1 exact check failure, 2 usage error, 3 budget exhaustion
 (under `verify --strict`, a skipped row also exits 3).  `--budget` is
 read only by `traces` (trace-family entries processed), by exact `width`
-(prefix sets tested), by `obdd --minimize dp` (trace-family entries the
-min-size DP processes) and by `width --heuristic` (orderings evaluated);
+(prefix sets tested, default 2^22), by `obdd --minimize dp`
+(trace-family entries the min-size DP processes) and by `width
+--heuristic` (orderings evaluated);
 MIMLAB_BUDGET is the default of the first three and is read nowhere else.
 Both must be positive integers; anything else exits 2.
 """
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_positive_int, default=None,
         help="trace-family entries `traces` may process (default: "
              "MIMLAB_BUDGET, else 2^24), prefix sets exact `width` may "
-             "test (default: MIMLAB_BUDGET, else unbounded), trace-family "
+             "test (default: MIMLAB_BUDGET, else 2^22), trace-family "
              "entries `obdd --minimize dp` may process (default: "
              "MIMLAB_BUDGET, else unbounded) and number of "
              "orderings evaluated by `width --heuristic` (default "

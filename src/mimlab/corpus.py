@@ -207,9 +207,17 @@ def connected_graph_masks(n: int) -> tuple[int, ...]:
     return tuple(m for m in all_graph_masks(n) if _connected_mask(n, m))
 
 
+@functools.lru_cache(maxsize=None)
+def _graphs(n: int) -> dict[int, Graph]:
+    """Every class's graph on n vertices by canonical mask, built once:
+    Graph is immutable, so both corpora share these objects."""
+    return {m: graph_from_mask(n, m) for m in all_graph_masks(n)}
+
+
 def all_graphs(n: int) -> list[Graph]:
-    return [graph_from_mask(n, m) for m in all_graph_masks(n)]
+    return list(_graphs(n).values())
 
 
 def connected_graphs(n: int) -> list[Graph]:
-    return [graph_from_mask(n, m) for m in connected_graph_masks(n)]
+    graphs = _graphs(n)
+    return [graphs[m] for m in connected_graph_masks(n)]

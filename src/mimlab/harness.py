@@ -43,13 +43,7 @@ from .traces import (
     traces,
     vc_dimension,
 )
-from .width import (
-    DEFAULT_EXACT_LIMIT,
-    WidthVariant,
-    exact_width,
-    heuristic_width_upper,
-    width_of_ordering,
-)
+from .width import WidthVariant, exact_width, width_of_ordering
 
 
 @dataclass
@@ -483,7 +477,7 @@ def run_grid_width_range(
     seed: int = 0,
 ) -> list[ReportRow]:
     """Layer-major ordering keeps the upper-subgraph width within r+2;
-    the exact width is at least r whenever n is within the exact limit."""
+    the exact width is at least r."""
     rows = []
     for q, r in cases:
         t0 = time.perf_counter()
@@ -492,24 +486,12 @@ def run_grid_width_range(
         layer_value, _ = width_of_ordering(
             g, meta.layer_major_ordering(), WidthVariant.LU
         )
-        ok_upper = layer_value <= r + 2
-        if g.n <= DEFAULT_EXACT_LIMIT:
-            lu = exact_width(g, WidthVariant.LU).value
-            bound = f"{r} <= lu <= {r + 2}"
-            passed = ok_upper and lu >= r
-            detail = f"layer ordering width={layer_value}"
-        else:
-            heur, _ = heuristic_width_upper(g, WidthVariant.LU, seed=seed)
-            lu = None
-            bound = f"layer width <= {r + 2}"
-            passed = ok_upper
-            detail = (
-                f"exact DP infeasible (n={g.n}); layer ordering "
-                f"width={layer_value}, heuristic upper={heur}"
-            )
+        lu = exact_width(g, WidthVariant.LU).value
         rows.append(_row(
             "grid-width-range", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
-            lu=lu, bound=bound, passed=passed, detail=detail,
+            lu=lu, bound=f"{r} <= lu <= {r + 2}",
+            passed=layer_value <= r + 2 and lu >= r,
+            detail=f"layer ordering width={layer_value}",
         ))
     return rows
 

@@ -113,7 +113,7 @@ def _cnf_table(clauses, val: list[int], ones: int) -> int:
     return table
 
 
-def subfunction_count(g: Graph, prefix, *, limit: int = TRUTH_TABLE_LIMIT) -> int:
+def subfunction_count(g: Graph, prefix) -> int:
     """Number of distinct residual functions after assigning the prefix.
 
     Semantic oracle: enumerates the prefix assignments, builds each
@@ -131,8 +131,9 @@ def subfunction_count(g: Graph, prefix, *, limit: int = TRUTH_TABLE_LIMIT) -> in
     true then satisfies a monotone CNF), so the tables that are 0 are the
     non-extendable ones and are skipped.
     """
-    if g.n > limit:
-        raise BudgetExceededError("semantic subfunction count", limit)
+    if g.n > TRUTH_TABLE_LIMIT:
+        raise BudgetExceededError("semantic subfunction count",
+                                  TRUTH_TABLE_LIMIT)
     cnf = cnf_of_graph(g)
     umask = mask_of(prefix, g.n)
     comp_bits = [v for v in range(g.n) if not umask >> v & 1]
@@ -290,9 +291,7 @@ def count_accepting(z: Obdd) -> int:
     return acc(z.root) << level(z.root)
 
 
-def exhaustive_equiv_check(
-    z: Obdd, g: Graph, *, limit: int = EQUIV_CHECK_LIMIT
-) -> bool:
+def exhaustive_equiv_check(z: Obdd, g: Graph) -> bool:
     """Compare the OBDD with direct clause evaluation on all assignments.
 
     Deliberately independent of the level sweep that builds OBDDs.  Both
@@ -304,8 +303,9 @@ def exhaustive_equiv_check(
     projection columns and the others loop as constants, so one block's
     tables take at most 512 bytes per node.
     """
-    if g.n > limit:
-        raise BudgetExceededError("exhaustive equivalence check", limit)
+    if g.n > EQUIV_CHECK_LIMIT:
+        raise BudgetExceededError("exhaustive equivalence check",
+                                  EQUIV_CHECK_LIMIT)
     if z.n != g.n:
         raise ValueError(
             f"OBDD over {z.n} variables, graph on {g.n} vertices"
@@ -388,7 +388,6 @@ def min_obdd_size_exact(
     g: Graph,
     *,
     method: str = "dp",
-    limit: int = OBDD_DP_LIMIT,
     budget: int | None = None,
 ) -> MinSizeReport:
     """Exact minimum OBDD sizes over all variable orderings.
@@ -414,9 +413,9 @@ def min_obdd_size_exact(
     if method != "dp":
         raise ValueError(f"unknown minimization method {method!r}")
     n = g.n
-    if n > limit:
+    if n > OBDD_DP_LIMIT:
         raise BudgetExceededError(
-            f"OBDD minimization subset DP on {n} variables", limit
+            f"OBDD minimization subset DP on {n} variables", OBDD_DP_LIMIT
         )
     cnf_of_graph(g)  # validate
     work = _Work(budget, "OBDD minimization DP") if budget else None

@@ -12,7 +12,10 @@ A prefix's width depends only on the prefix as a set, which makes the exact
 minimum over all n! orderings a min-max recurrence over prefix sets.
 `exact_width` evaluates it by a threshold search that, for k = 0, 1, ...,
 visits only the prefix sets reachable through prefixes of width <= k, so
-graphs of small width touch a small part of the 2^n sets.
+graphs of small width touch a small part of the 2^n sets.  Its tables are
+dicts of the sets it settles, so memory grows with those sets, not with
+2^n; no guard on n applies, only a budget on the sets tested
+(DEFAULT_EXACT_BUDGET unless the caller gives one).
 
 The conflict rule between two crossing edges does not depend on the cut,
 and every edge crossing W that does not leave its newest vertex c also
@@ -33,10 +36,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
 from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
 
-DEFAULT_EXACT_LIMIT = 24
+DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
 
 
@@ -122,7 +124,6 @@ def exact_width(
     g: Graph,
     variant: WidthVariant,
     *,
-    limit: int = DEFAULT_EXACT_LIMIT,
     budget: int | None = None,
 ) -> WidthReport:
     """Exact width minimum over all vertex orderings, with a witness.
@@ -146,37 +147,35 @@ def exact_width(
     whether W is rejected at threshold k or accepted with f(W) = k.
 
     The witness is reconstructed by always removing the smallest-index
-    minimizing vertex, so it is canonical.  Guarded by `limit` on n
-    (2^n-byte tables); `budget`, when given, caps the number of sets
-    tested (counted once per popcount layer) and raises
-    BudgetExceededError past it.
+    minimizing vertex, so it is canonical.  Memory grows with the sets
+    the walk settles, not with 2^n, and there is no guard on n: `budget`
+    caps the number of sets tested (counted once per popcount layer,
+    default DEFAULT_EXACT_BUDGET) and raises BudgetExceededError past it.
     """
     n = g.n
-    if n > limit:
-        raise BudgetExceededError(f"exact width DP on {n} vertices", limit)
-    work = _Work(budget, "exact width search") if budget else None
+    work = _Work(budget or DEFAULT_EXACT_BUDGET, "exact width search")
     if n == 0:
         return WidthReport(variant, 0, (), ())
     full = (1 << n) - 1
-    size = 1 << n
     table = _EdgeTable(g, variant)
     out_e, into_e = table.out, table.into
 
-    # f[W] is exact once set, and 255 until then.  lb[W] is a proven
-    # lower bound on prefix_width(W), raised to k + 1 when W is rejected
-    # at threshold k, so that no set is tested twice at one threshold.
-    # A layer maps each of its sets to the ORs of its vertices' leaving
-    # and entering edge masks.
-    f = bytearray(b"\xff") * size
-    lb = bytearray(size)
-    f[0] = 0
+    # f maps each accepted set to its exact f; a set absent from f is
+    # untested.  A layer maps each of its sets to the ORs of its
+    # vertices' leaving and entering edge masks, or to None when the set
+    # was rejected at threshold k, so that no set is tested twice at one
+    # threshold.
+    f = {0: 0}
     k = 0
     while True:
         layer = {0: (0, 0)}
         for _ in range(n):
             nxt = {}
             tested = 0
-            for s, (s_out, s_in) in layer.items():
+            for s, ors in layer.items():
+                if ors is None:
+                    continue
+                s_out, s_in = ors
                 rest = full ^ s
                 while rest:
                     b = rest & -rest
@@ -184,26 +183,22 @@ def exact_width(
                     wmask = s | b
                     if wmask in nxt:
                         continue
-                    fw = f[wmask]
-                    if fw == 255 and lb[wmask] > k:
-                        continue
                     x = b.bit_length() - 1
                     leaving = s_out | out_e[x]
                     entering = s_in | into_e[x]
-                    if fw == 255:
+                    if wmask not in f:
                         # f(s) <= k bounds pw(s), so a (k+1)-matching
                         # across W must use an edge leaving b.
                         tested += 1
                         cand = leaving & ~entering
                         if table.exists_through(cand, cand & out_e[x], k + 1):
-                            lb[wmask] = k + 1
+                            nxt[wmask] = None
                             continue
                         f[wmask] = k
                     nxt[wmask] = (leaving, entering)
-            if work is not None:
-                work.tick(tested)
+            work.tick(tested)
             layer = nxt
-        if layer:
+        if layer.get(full) is not None:
             break
         k += 1
 
@@ -217,7 +212,7 @@ def exact_width(
         while w:
             b = w & -w
             w ^= b
-            t = f[wmask ^ b]
+            t = f.get(wmask ^ b, 256)
             if t < best_f:
                 best_f = t
                 best_v = b.bit_length() - 1

@@ -158,7 +158,7 @@ def test_criterion_09_grid_width_range():
     assert len(rows) == 3
     assert not any_failures(rows)
     exact_rows = [r for r in rows if r.lu is not None]
-    assert len(exact_rows) == 2  # (2,1) and (3,1) are within the DP range
+    assert len(exact_rows) == 3  # every case, (2,2) at n = 28 included
 
 
 def test_criterion_10a_separation_constant_width_value():

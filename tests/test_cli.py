@@ -101,16 +101,32 @@ class TestWidth:
         assert code == 0
         assert "mode: heuristic" in out
 
-    def test_budget_exit_3(self, tmp_path, capsys):
+    def test_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        # With no flag and no env the exact search runs under
+        # DEFAULT_EXACT_BUDGET; clique_thread(3) tests 243 prefix sets.
         from mimlab.generators import clique_thread
 
-        path = tmp_path / "big.edges"
-        write_edge_list(clique_thread(5), path)  # 25 vertices > DP limit
+        monkeypatch.setattr("mimlab.width.DEFAULT_EXACT_BUDGET", 100)
+        monkeypatch.delenv("MIMLAB_BUDGET", raising=False)
+        path = tmp_path / "ct3.edges"
+        write_edge_list(clique_thread(3), path)
         code, _, err = run_cli(
             capsys, "width", "--variant", "lu", "--input", str(path)
         )
         assert code == 3
         assert "budget" in err
+
+    def test_exact_beyond_24_vertices(self, tmp_path, capsys, monkeypatch):
+        from mimlab.generators import clique_thread
+
+        monkeypatch.delenv("MIMLAB_BUDGET", raising=False)
+        path = tmp_path / "ct5.edges"
+        write_edge_list(clique_thread(5), path)  # 25 vertices
+        code, out, _ = run_cli(
+            capsys, "width", "--variant", "lu", "--input", str(path)
+        )
+        assert code == 0
+        assert "value: 1" in out
 
     # clique_thread(3) tests 243 prefix sets in the exact search.
     @pytest.mark.parametrize("flag, env", [

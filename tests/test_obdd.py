@@ -10,6 +10,7 @@ from mimlab.generators import (
     clique_corona,
     clique_thread,
     fixtures,
+    perfect_matching_graph,
     random_connected_graph,
     two_rows,
 )
@@ -78,7 +79,7 @@ class TestSubfunctionCount:
 
     def test_guard(self):
         with pytest.raises(BudgetExceededError):
-            subfunction_count(C4, [0], limit=3)
+            subfunction_count(perfect_matching_graph(11), [0])
 
     @given(graphs_without_isolated(max_n=6), st.integers(0, 63))
     @settings(max_examples=50, deadline=None)
@@ -320,7 +321,7 @@ class TestMinimization:
 
     def test_guard(self):
         with pytest.raises(BudgetExceededError):
-            min_obdd_size_exact(clique_thread(3), limit=5)
+            min_obdd_size_exact(perfect_matching_graph(11))
 
     @given(graphs_without_isolated(max_n=5))
     @settings(max_examples=25, deadline=None)

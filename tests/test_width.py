@@ -14,7 +14,6 @@ from mimlab.generators import (
     two_rows,
 )
 from mimlab.graph import (
-    Graph,
     cut_graph,
     is_induced_cut_matching,
     max_induced_cut_matching,
@@ -321,10 +320,24 @@ class TestExactWidth:
             assert tuple(per_prefix) == rep.per_prefix
             assert rep.value == max(rep.per_prefix)
 
-    def test_guard(self):
-        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-        with pytest.raises(BudgetExceededError):
-            exact_width(g, WidthVariant.LU, limit=4)
+    def test_default_budget(self, monkeypatch):
+        # budget=None applies DEFAULT_EXACT_BUDGET; clique_thread(3)
+        # tests 243 prefix sets under lu.
+        monkeypatch.setattr("mimlab.width.DEFAULT_EXACT_BUDGET", 242)
+        with pytest.raises(BudgetExceededError, match="exact width search"):
+            exact_width(clique_thread(3), WidthVariant.LU)
+        monkeypatch.setattr("mimlab.width.DEFAULT_EXACT_BUDGET", 243)
+        assert exact_width(clique_thread(3), WidthVariant.LU).value == 1
+
+    def test_beyond_24_vertices(self):
+        # No guard on n: the tables hold only the sets the search settles.
+        g = skew_grid(4, 2, 2)[0]
+        assert g.n == 28
+        rep = exact_width(g, WidthVariant.LU)
+        assert rep.value == 2
+        assert width_of_ordering(g, rep.witness, WidthVariant.LU)[0] == 2
+        # Criterion 10a's proven value, at r = 5 (n = 25).
+        assert exact_width(clique_thread(5), WidthVariant.LU).value == 1
 
     @given(graphs(max_n=5))
     @settings(max_examples=30, deadline=None)
