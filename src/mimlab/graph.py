@@ -285,7 +285,10 @@ class _EdgeTable:
     every edge crossing W that does not leave c also crosses W - c, so
     a compatible selection across W larger than the largest one across
     W - c uses exactly one edge leaving c.  `exists_through` asks that
-    question by branching on those edges alone.
+    question by branching on those edges alone.  Nor can the largest
+    selection shrink by more than one: the edges crossing W - c that do
+    not cross W all enter c, and edges sharing a head conflict, so at
+    most one of them is lost.
     """
 
     __slots__ = ("ends", "out", "into", "conf")

@@ -26,12 +26,21 @@ search W's larger matchings only through c's edges
 (`_EdgeTable.exists_through`).  `exact_width` carries each walked set's
 edge ORs from the set it was generated from, and one query through the
 generating vertex's edges decides whether the new set exceeds the
-threshold.  The absolute queries (`prefix_width`, `width_of_ordering`)
-keep the full search.
+threshold.
+
+Adding c to W - c also changes a prefix width by at most one downwards:
+the edges crossing W - c that stop crossing W all enter c, and edges
+sharing a head conflict, so a compatible selection keeps at most one of
+them.  Along an ordering each prefix width is therefore the previous one
+plus or minus one, and one scan (`_prefix_scan`) decides each step with
+at most two queries: a matching one larger through c's edges, and one of
+the previous size across W.  `width_of_ordering` and
+`heuristic_width_upper` both score orderings with it.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -78,46 +87,57 @@ def prefix_width_witness(
 
 
 def width_of_ordering(
-    g: Graph, pi: Sequence[int], variant: WidthVariant
+    g: Graph, pi: Iterable[int], variant: WidthVariant
 ) -> tuple[int, list[int]]:
     """Max prefix width along the ordering, plus all per-prefix widths."""
-    _check_permutation(g, pi)
+    pi = _permutation(g, pi)
     table = _EdgeTable(g, variant)
-    per_prefix = []
-    leaving = entering = 0
-    for v in pi:
-        leaving |= table.out[v]
-        entering |= table.into[v]
-        per_prefix.append(table.max_size(leaving & ~entering))
-    return max(per_prefix, default=0), per_prefix
+    # No ordering's width reaches the number of oriented edges plus one.
+    _, widths = _prefix_scan(table, pi, len(table.ends) + 1)
+    return max(widths), widths[1:]
 
 
-def _width_of_ordering_capped(
-    table: _EdgeTable, pi: Sequence[int], cap: int
-) -> int:
-    """Width of the ordering under the graph's edge table, or `cap` as
-    soon as it cannot beat `cap`.
-
-    `best` is at least the width of the previous prefix, so a larger
-    matching must use the newest vertex's edges: each step searches
-    through the edges leaving v only."""
-    best = 0
-    leaving = entering = 0
-    for v in pi:
-        leaving |= table.out[v]
-        entering |= table.into[v]
-        cand = leaving & ~entering
-        through = cand & table.out[v]
-        while best < cap and table.exists_through(cand, through, best + 1):
-            best += 1
-        if best >= cap:
-            return cap
-    return best
+def _prefix_scan(
+    table: _EdgeTable, order: Sequence[int], cap: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (leaving, entering) edge ORs and the width min(pw, cap) of
+    the prefixes of `order` of length 0, 1, ..., n in turn."""
+    out_e, into_e = table.out, table.into
+    ors = [(0, 0)]
+    widths = [0]
+    leaving = entering = p = 0
+    for c in order:
+        leaving |= out_e[c]
+        entering |= into_e[c]
+        p = _step(table, leaving & ~entering, c, p, cap)
+        ors.append((leaving, entering))
+        widths.append(p)
+    return ors, widths
 
 
-def _check_permutation(g: Graph, pi: Sequence[int]) -> None:
+def _step(table: _EdgeTable, cand: int, c: int, p: int, cap: int) -> int:
+    """min(pw(W), cap), given p = min(pw(W - c), cap), the edges cand
+    crossing W and W's newest vertex c.
+
+    pw(W) is pw(W - c) - 1, pw(W - c) or pw(W - c) + 1, and a matching
+    larger than pw(W - c) uses one edge leaving c.  At the cap pw(W - c)
+    is unknown, but pw(W) >= cap - 1 still holds."""
+    if p >= cap:
+        return cap if table.exists(cand, cap) else cap - 1
+    if table.exists_through(cand, cand & table.out[c], p + 1):
+        return p + 1
+    return p if table.exists(cand, p) else p - 1
+
+
+def _permutation(g: Graph, pi: Iterable[int]) -> tuple[int, ...]:
+    """pi as a tuple, checked to be a permutation of g's vertices."""
+    try:
+        pi = tuple(operator.index(v) for v in pi)
+    except TypeError:
+        raise ValueError("ordering entries must be integers") from None
     if sorted(pi) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
+    return pi
 
 
 def exact_width(
@@ -235,44 +255,72 @@ def heuristic_width_upper(
 
     Hill climbing on adjacent transpositions with seeded random restarts;
     the identity ordering is always the first candidate, and `budget`
-    caps the number of ordering evaluations.  The result is the exact
-    width of the best ordering found, hence always >= the true width.
+    (at least 1) caps the number of ordering evaluations.  The result is
+    the exact width of the best ordering found, hence always >= the true
+    width.
+
+    The climb keeps the current ordering's prefix ORs and widths (capped
+    just above the best value when a restart scans them).  Swapping
+    positions i and i + 1 changes only the prefix of length i + 1, so a
+    neighbour can beat the current value only when that prefix is the
+    one prefix at or above it; every other neighbour counts as evaluated
+    and is rejected with no search, and that one is decided by one step
+    from the prefix before it.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     n = g.n
     if n == 0:
         return 0, ()
     rng = random.Random(seed)
     table = _EdgeTable(g, variant)
-    best_order = list(range(n))
+    out_e, into_e = table.out, table.into
+    current = list(range(n))
     # No ordering's width reaches the number of oriented edges plus one.
-    best_value = _width_of_ordering_capped(table, best_order,
-                                           len(table.ends) + 1)
+    ors, widths = _prefix_scan(table, current, len(table.ends) + 1)
+    current_value = best_value = max(widths)
+    best_order = list(current)
     evals = 1
-    current = list(best_order)
-    current_value = best_value
     while evals < budget and best_value > 0:
         improved = False
+        top = _single_top(widths, current_value)
         for i in range(n - 1):
             if evals >= budget:
                 break
-            current[i], current[i + 1] = current[i + 1], current[i]
-            value = _width_of_ordering_capped(table, current, current_value)
             evals += 1
-            if value < current_value:
-                current_value = value
-                improved = True
-                if value < best_value:
-                    best_value = value
-                    best_order = list(current)
-            else:
-                current[i], current[i + 1] = current[i + 1], current[i]
+            if i + 1 != top:
+                continue
+            c = current[i + 1]
+            leaving, entering = ors[i]
+            leaving |= out_e[c]
+            entering |= into_e[c]
+            w = _step(table, leaving & ~entering, c, widths[i],
+                      current_value)
+            if w >= current_value:
+                continue
+            current[i], current[i + 1] = c, current[i]
+            ors[i + 1] = (leaving, entering)
+            widths[i + 1] = w
+            current_value = max(widths)
+            top = _single_top(widths, current_value)
+            improved = True
+            if current_value < best_value:
+                best_value = current_value
+                best_order = list(current)
         if not improved and evals < budget:
             current = list(range(n))
             rng.shuffle(current)
-            current_value = _width_of_ordering_capped(table, current,
-                                                      best_value + 1)
+            ors, widths = _prefix_scan(table, current, best_value + 1)
+            current_value = max(widths)
             evals += 1
             if current_value < best_value:
                 best_value = current_value
                 best_order = list(current)
     return best_value, tuple(best_order)
+
+
+def _single_top(widths: list[int], value: int) -> int:
+    """Length of the one prefix of width `value`, or -1 if there are
+    several."""
+    top = widths.index(value)
+    return top if value not in widths[top + 1:] else -1

@@ -11,6 +11,7 @@ design; callers keep instances tiny.
 
 import functools
 import itertools
+import random
 
 from mimlab.graph import Graph
 from mimlab.traces import _trace_step, trace_masks
@@ -82,6 +83,56 @@ def naive_exact_width(g: Graph, variant: str) -> int:
         naive_width_of_ordering(g, pi, variant)
         for pi in itertools.permutations(range(g.n))
     )
+
+
+def naive_heuristic_width_upper(g: Graph, variant: str, seed: int = 0,
+                                budget: int = 200) -> tuple:
+    """(value, ordering) of the seeded hill climb over orderings, each
+    ordering scored in full by `naive_width_of_ordering`.
+
+    Adjacent transpositions i, i + 1 for i = 0, 1, ... are tried in turn
+    and kept when they lower the current value; a sweep that keeps none
+    is followed by a restart at a shuffled ordering.  The identity comes
+    first, and every tried transposition or restart counts against
+    `budget`.  A transposition is scored min(width, current value) and a
+    restart min(width, best value + 1), so the current value after a
+    restart is capped there too.
+    """
+    n = g.n
+    if n == 0:
+        return 0, ()
+    rng = random.Random(seed)
+    current = list(range(n))
+    best_value = current_value = naive_width_of_ordering(g, current, variant)
+    best_order = list(current)
+    evals = 1
+    while evals < budget and best_value > 0:
+        improved = False
+        for i in range(n - 1):
+            if evals >= budget:
+                break
+            current[i], current[i + 1] = current[i + 1], current[i]
+            value = min(naive_width_of_ordering(g, current, variant),
+                        current_value)
+            evals += 1
+            if value < current_value:
+                current_value = value
+                improved = True
+                if value < best_value:
+                    best_value = value
+                    best_order = list(current)
+            else:
+                current[i], current[i + 1] = current[i + 1], current[i]
+        if not improved and evals < budget:
+            current = list(range(n))
+            rng.shuffle(current)
+            current_value = min(naive_width_of_ordering(g, current, variant),
+                                best_value + 1)
+            evals += 1
+            if current_value < best_value:
+                best_value = current_value
+                best_order = list(current)
+    return best_value, tuple(best_order)
 
 
 def naive_independent_sets(g: Graph, u) -> list:

@@ -14,6 +14,7 @@ from mimlab.generators import (
     two_rows,
 )
 from mimlab.graph import (
+    _EdgeTable,
     cut_graph,
     is_induced_cut_matching,
     max_induced_cut_matching,
@@ -21,6 +22,7 @@ from mimlab.graph import (
 )
 from mimlab.width import (
     WidthVariant,
+    _prefix_scan,
     exact_width,
     heuristic_width_upper,
     prefix_width,
@@ -33,6 +35,7 @@ from oracles import (
     derived_edges,
     naive_exact_width,
     naive_exact_width_report,
+    naive_heuristic_width_upper,
     naive_lex_least_witness,
     naive_prefix_width,
 )
@@ -136,6 +139,17 @@ class TestWidthOfOrdering:
         with pytest.raises(ValueError):
             width_of_ordering(K2, [0, 0], WidthVariant.LU)
 
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            width_of_ordering(K2, [0.0, 1.0], WidthVariant.LU)
+
+    def test_generator_ordering(self):
+        # the permutation check must not use up a one-shot iterator
+        g = two_rows()
+        for variant in WidthVariant:
+            assert width_of_ordering(g, (v for v in range(8)), variant) == \
+                width_of_ordering(g, list(range(8)), variant)
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_per_prefix_matches_naive(self, data):
@@ -148,6 +162,34 @@ class TestWidthOfOrdering:
                         for i in range(g.n)]
             assert per_prefix == expected
             assert value == max(expected, default=0)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_capped_scan_matches_naive(self, data):
+        # past the cap a prefix width can still fall to cap - 1
+        g = data.draw(graphs(max_n=7))
+        pi = data.draw(st.permutations(range(g.n)))
+        cap = data.draw(st.integers(1, 3))
+        for variant in WidthVariant:
+            table = _EdgeTable(g, variant)
+            ors, widths = _prefix_scan(table, pi, cap)
+            assert widths == [
+                min(naive_prefix_width(g, pi[:i], variant.value), cap)
+                for i in range(g.n + 1)]
+            assert [a & ~b for a, b in ors] == [
+                table.crossing(sum(1 << v for v in pi[:i]))
+                for i in range(g.n + 1)]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_widths_step_by_at_most_one(self, data):
+        # the fact the prefix scan rests on, judged by the naive oracle
+        g = data.draw(graphs(max_n=7))
+        pi = data.draw(st.permutations(range(g.n)))
+        for variant in WidthVariant:
+            widths = [naive_prefix_width(g, pi[:i], variant.value)
+                      for i in range(g.n + 1)]
+            assert all(abs(a - b) <= 1 for a, b in zip(widths, widths[1:]))
 
 
 class TestExactWidth:
@@ -419,6 +461,25 @@ class TestHeuristic:
         assert heuristic_width_upper(skew_grid(*pqr)[0], WidthVariant.LU,
                                      seed=0) == (value, order)
 
+    @pytest.mark.parametrize("g", [
+        C4,
+        skew_grid(3, 1, 2)[0],
+        random_connected_graph(7, 1, p=0.4),
+        random_connected_graph(8, 2, p=0.5),
+    ], ids=["c4", "skewgrid312", "random7", "random8"])
+    def test_matches_full_rescan_oracle(self, g):
+        _assert_heuristic_matches_oracle(g)
+
+    @given(graphs(max_n=6))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_full_rescan_oracle_random(self, g):
+        _assert_heuristic_matches_oracle(g)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            heuristic_width_upper(C4, WidthVariant.LU, budget=budget)
+
     def test_exact_value_of_reported_ordering(self):
         value, witness = heuristic_width_upper(
             clique_thread(3), WidthVariant.LMIM, seed=3
@@ -427,6 +488,16 @@ class TestHeuristic:
             clique_thread(3), witness, WidthVariant.LMIM
         )
         assert recomputed == value
+
+
+def _assert_heuristic_matches_oracle(g):
+    # budgets 2 and 13 run out mid-sweep or at a restart
+    for variant in WidthVariant:
+        for seed in (0, 1, 7):
+            for budget in (1, 2, 13, 200):
+                assert heuristic_width_upper(g, variant, seed, budget) == \
+                    naive_heuristic_width_upper(g, variant.value, seed,
+                                                budget)
 
 
 class TestSetFunctionProperty:
