@@ -173,7 +173,6 @@ class HorizontalSubgraph:
     top: frozenset[int]  # grid vertex ids
     bottom: frozenset[int]
     core_matching: tuple[tuple[int, int], ...]  # (top, bottom) grid ids
-    intervals: tuple[tuple[int, ...], ...]  # coordinates per block
 
     def local(self, grid_vertex: int) -> int:
         return self.graph.parent_map.index(grid_vertex)
@@ -205,16 +204,11 @@ def horizontal_subgraph(
     from .graph import induced_subgraph
 
     sub = induced_subgraph(g, top + bottom)
-    intervals = tuple(
-        tuple(range(block * meta.q + 1, (block + 1) * meta.q + 1))
-        for block in range(meta.r)
-    )
     return HorizontalSubgraph(
         graph=sub,
         top=frozenset(top),
         bottom=frozenset(bottom),
         core_matching=tuple(core),
-        intervals=intervals,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import corpus
 from .errors import BudgetExceededError
@@ -101,17 +101,33 @@ class ExperimentSpec:
                 )
 
 
-def _row(
-    check: str, instance: str, g: Graph, seed: int, t0: float, **values
-) -> ReportRow:
-    """The row of one instance: its name and size, the run's seed, the
-    wall time since t0 (the instance's start), and the suite's values.
-    `run_rest_cuts` checks trace-bound and shrink in one pass per graph,
-    so when both run, both rows of a graph carry the pass's joint time."""
-    return ReportRow(
-        check=check, instance=instance, n=g.n, m=g.m, seed=seed,
-        wall_ms=(time.perf_counter() - t0) * 1000.0, **values,
-    )
+def _rows(
+    checks: Sequence[str],
+    seed: int,
+    cases: Iterable[tuple],
+    evaluate: Callable[..., Sequence[dict]],
+) -> list[ReportRow]:
+    """The rows of `checks` over the cases (instance, g, *args), by check.
+
+    `evaluate(g, *args)` returns one dict of row values per check, in
+    order.  Each row also gets its check, the instance's name and size,
+    the run's seed and the wall time of its case.  A case that exceeds a
+    work budget gets a skipped row for each check instead."""
+    rows: dict[str, list[ReportRow]] = {check: [] for check in checks}
+    for instance, g, *args in cases:
+        t0 = time.perf_counter()
+        try:
+            values = evaluate(g, *args)
+        except BudgetExceededError as exc:
+            skip = dict(skipped=True, exact=False, detail=str(exc))
+            values = [skip] * len(checks)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        for check, vals in zip(checks, values):
+            rows[check].append(ReportRow(
+                check=check, instance=instance, n=g.n, m=g.m, seed=seed,
+                wall_ms=wall_ms, **vals,
+            ))
+    return [row for got in rows.values() for row in got]
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +211,8 @@ def _independent_rest_cuts(
 def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     """Residual-function counts agree with trace counts on every prefix
     set of every connected graph up to max_n."""
-    rows = []
-    for instance, g in connected_corpus(max_n):
-        t0 = time.perf_counter()
+
+    def evaluate(g):
         bad = None
         checked = 0
         for umask in range(1 << g.n):
@@ -207,14 +222,15 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
             if tcount != scount:
                 bad = (umask, tcount, scount)
                 break
-        rows.append(_row(
-            "subfunction-traces", instance, g, seed, t0,
+        return [dict(
             passed=bad is None,
             detail=f"prefix sets checked={checked}"
             if bad is None
             else f"mismatch at mask {bad[0]}: traces={bad[1]} residuals={bad[2]}",
-        ))
-    return rows
+        )]
+
+    return _rows(("subfunction-traces",), seed, connected_corpus(max_n),
+                 evaluate)
 
 
 def _shrink_outputs(
@@ -260,10 +276,10 @@ def run_rest_cuts(
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
-    rows: dict[str, list[ReportRow]] = {check: [] for check in checks}
-    for instance, g in full_corpus(max_n):
-        t0 = time.perf_counter()
-        live = set(rows)
+    checks = tuple(dict.fromkeys(checks))
+
+    def evaluate(g):
+        live = set(checks)
         bad: dict[str, str] = {}  # check -> detail of its first failure
         cuts = sets_checked = 0
         for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
@@ -294,11 +310,10 @@ def run_rest_cuts(
                 break
         done = {"trace-bound": f"cuts checked={cuts}",
                 "shrink": f"independent sets checked={sets_checked}"}
-        for check, got in rows.items():
-            got.append(_row(check, instance, g, seed, t0,
-                            passed=check not in bad,
-                            detail=bad.get(check, done[check])))
-    return [row for got in rows.values() for row in got]
+        return [dict(passed=check not in bad,
+                     detail=bad.get(check, done[check])) for check in checks]
+
+    return _rows(checks, seed, full_corpus(max_n), evaluate)
 
 
 def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
@@ -320,21 +335,10 @@ def run_obdd_sandwich(
 ) -> list[ReportRow]:
     """2^width lower bound, per-prefix trace bounds, level contract, and
     OBDD semantic checks on the connected corpus plus fixtures."""
-    rows = []
-    for instance, g in sandwich_instances(
-        corpus_max_n, random_ns, random_count, seed
-    ):
-        t0 = time.perf_counter()
-        try:
-            rep = obdd_bounds_report(g)
-        except BudgetExceededError as exc:
-            rows.append(_row(
-                "obdd-sandwich", instance, g, seed, t0,
-                skipped=True, exact=False, detail=str(exc),
-            ))
-            continue
-        rows.append(_row(
-            "obdd-sandwich", instance, g, seed, t0,
+
+    def evaluate(g):
+        rep = obdd_bounds_report(g)
+        return [dict(
             lu=rep.lu,
             obdd_quasi=rep.min_size_quasi,
             obdd_reduced=rep.min_size_total,
@@ -347,8 +351,15 @@ def run_obdd_sandwich(
                 f"level={rep.level_contract_ok} equiv={rep.equivalence_ok} "
                 f"count={rep.counting_ok}"
             ),
-        ))
-    return rows
+        )]
+
+    cases = sandwich_instances(corpus_max_n, random_ns, random_count, seed)
+    return _rows(("obdd-sandwich",), seed, cases, evaluate)
+
+
+def _grid_case(p: int, q: int, r: int) -> tuple:
+    """The skew grid (p, q, r) as a case: its name, graph and meta."""
+    return (f"skew-grid-p{p}-q{q}-r{r}", *skew_grid(p, q, r))
 
 
 def run_horizontal_traces(
@@ -361,10 +372,8 @@ def run_horizontal_traces(
     subgraph of small skew grids."""
     import random as _random
 
-    rows = []
-    for p, q, r in cases:
-        t0 = time.perf_counter()
-        g, meta = skew_grid(p, q, r)
+    def evaluate(g, meta):
+        p, q, r = meta.p, meta.q, meta.r
         floor = (q + 1) ** r
         rng = _random.Random(seed * 7919 + p * 100 + q * 10 + r)
         picks_list = [[layer] * meta.coords for layer in range(1, p)]
@@ -383,8 +392,7 @@ def run_horizontal_traces(
                 worst_top = t_top
             if worst_bottom is None or t_bottom < worst_bottom:
                 worst_bottom = t_bottom
-        rows.append(_row(
-            "horizontal-traces", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
+        return [dict(
             trace_count=worst_top,
             bound=f">= {floor}",
             passed=worst_top >= floor and worst_bottom >= floor,
@@ -392,8 +400,10 @@ def run_horizontal_traces(
                 f"picks={len(picks_list)} worst_top={worst_top} "
                 f"worst_bottom={worst_bottom}"
             ),
-        ))
-    return rows
+        )]
+
+    grids = (_grid_case(p, q, r) for p, q, r in cases)
+    return _rows(("horizontal-traces",), seed, grids, evaluate)
 
 
 def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
@@ -409,58 +419,50 @@ def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
 
     if q < 2:
         raise ValueError("the trace floor family needs q >= 2")
-    t0 = time.perf_counter()
-    p = grid_rows_for(q, r)
-    g, meta = skew_grid(p, q, r)
-    n = g.n
-    floor = min((q + 1) ** r, 2 ** (p // 2))
     random_orderings = 5
-    cache: dict[int, int] = {}
 
-    def prefix_traces(wmask: int) -> int:
-        got = cache.get(wmask)
-        if got is None:
-            got = len(trace_masks(g, wmask))
-            cache[wmask] = got
-        return got
+    def evaluate(g, meta):
+        n = g.n
+        floor = min((q + 1) ** r, 2 ** (meta.p // 2))
+        cache: dict[int, int] = {}  # prefix set -> its trace count
 
-    def max_over_prefixes(order) -> int:
-        best = 0
-        wmask = 0
-        for v in order:
-            wmask |= 1 << v
-            t = prefix_traces(wmask)
-            if t > best:
-                best = t
-        return best
+        def max_over_prefixes(order) -> int:
+            best = 0
+            wmask = 0
+            for v in order:
+                wmask |= 1 << v
+                t = cache.get(wmask)
+                if t is None:
+                    t = cache[wmask] = len(trace_masks(g, wmask))
+                if t > best:
+                    best = t
+            return best
 
-    if n <= 9:
-        orderings = _it.permutations(range(n))
-        label = "all orderings"
-    else:
-        rng = _random.Random(seed)
-        fixed = [meta.layer_major_ordering(),
-                 meta.coordinate_major_ordering()]
-        randoms = []
-        for _ in range(random_orderings):
-            o = list(range(n))
-            rng.shuffle(o)
-            randoms.append(o)
-        orderings = fixed + randoms
-        label = f"adversarial orderings={2 + random_orderings}"
+        if n <= 9:
+            orderings = _it.permutations(range(n))
+            label = "all orderings"
+        else:
+            rng = _random.Random(seed)
+            fixed = [meta.layer_major_ordering(),
+                     meta.coordinate_major_ordering()]
+            randoms = []
+            for _ in range(random_orderings):
+                o = list(range(n))
+                rng.shuffle(o)
+                randoms.append(o)
+            orderings = fixed + randoms
+            label = f"adversarial orderings={2 + random_orderings}"
 
-    min_of_max = None
-    for order in orderings:
-        got = max_over_prefixes(order)
-        if min_of_max is None or got < min_of_max:
-            min_of_max = got
-    return _row(
-        "grid-prefix-traces", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
-        trace_count=min_of_max,
-        bound=f">= {floor}",
-        passed=min_of_max >= floor,
-        detail=f"{label}; min of max prefix traces={min_of_max}",
-    )
+        min_of_max = min(map(max_over_prefixes, orderings))
+        return [dict(
+            trace_count=min_of_max,
+            bound=f">= {floor}",
+            passed=min_of_max >= floor,
+            detail=f"{label}; min of max prefix traces={min_of_max}",
+        )]
+
+    return _rows(("grid-prefix-traces",), seed,
+                 [_grid_case(grid_rows_for(q, r), q, r)], evaluate)[0]
 
 
 def run_grid_prefix_traces(
@@ -478,22 +480,21 @@ def run_grid_width_range(
 ) -> list[ReportRow]:
     """Layer-major ordering keeps the upper-subgraph width within r+2;
     the exact width is at least r."""
-    rows = []
-    for q, r in cases:
-        t0 = time.perf_counter()
-        p = grid_rows_for(q, r)
-        g, meta = skew_grid(p, q, r)
+
+    def evaluate(g, meta):
+        r = meta.r
         layer_value, _ = width_of_ordering(
             g, meta.layer_major_ordering(), WidthVariant.LU
         )
         lu = exact_width(g, WidthVariant.LU).value
-        rows.append(_row(
-            "grid-width-range", f"skew-grid-p{p}-q{q}-r{r}", g, seed, t0,
+        return [dict(
             lu=lu, bound=f"{r} <= lu <= {r + 2}",
             passed=layer_value <= r + 2 and lu >= r,
             detail=f"layer ordering width={layer_value}",
-        ))
-    return rows
+        )]
+
+    grids = (_grid_case(grid_rows_for(q, r), q, r) for q, r in cases)
+    return _rows(("grid-width-range",), seed, grids, evaluate)
 
 
 def run_separation(rs: Sequence[int] = (3, 4), *, seed: int = 0) -> list[ReportRow]:
@@ -501,40 +502,38 @@ def run_separation(rs: Sequence[int] = (3, 4), *, seed: int = 0) -> list[ReportR
     is the constant 1 (computed exactly; proven: any edge forces width 1
     and the row-major ordering reaches it) while the cut-graph width grows
     at least linearly in r."""
-    rows = []
-    for r in rs:
-        t0 = time.perf_counter()
-        g = clique_thread(r)
-        lu_rep = exact_width(g, WidthVariant.LU)
-        lmim_rep = exact_width(g, WidthVariant.LMIM)
-        rows.append(_row(
-            "separation", f"clique-thread-{r}", g, seed, t0,
-            lu=lu_rep.value,
-            lmimw=lmim_rep.value,
+
+    def evaluate(g, r):
+        lu = exact_width(g, WidthVariant.LU).value
+        lmimw = exact_width(g, WidthVariant.LMIM).value
+        return [dict(
+            lu=lu,
+            lmimw=lmimw,
             bound=f"lu == 1 and lmimw >= {(r - 1) / 2}",
-            passed=lu_rep.value == 1 and lmim_rep.value >= (r - 1) / 2,
-            detail=f"exact lu={lu_rep.value} lmimw={lmim_rep.value}",
-        ))
-    return rows
+            passed=lu == 1 and lmimw >= (r - 1) / 2,
+            detail=f"exact lu={lu} lmimw={lmimw}",
+        )]
+
+    cases = ((f"clique-thread-{r}", clique_thread(r), r) for r in rs)
+    return _rows(("separation",), seed, cases, evaluate)
 
 
 def run_corona(ks: Sequence[int] = (3, 4, 5), *, seed: int = 0) -> list[ReportRow]:
     """Pendant sides of clique coronas: 2^k traces but matching size 1."""
-    rows = []
-    for k in ks:
-        t0 = time.perf_counter()
-        g = clique_corona(k)
+
+    def evaluate(g, k):
         u = list(range(k))
         t = len(trace_masks(g, mask_of(u, g.n)))
         r, _ = max_induced_cut_matching(g, u)
-        rows.append(_row(
-            "corona", f"clique-corona-{k}", g, seed, t0,
+        return [dict(
             trace_count=t,
             matching_size=r,
             bound=f"traces == {2 ** k}, matching == 1",
             passed=t == 2**k and r == 1,
-        ))
-    return rows
+        )]
+
+    cases = ((f"clique-corona-{k}", clique_corona(k), k) for k in ks)
+    return _rows(("corona",), seed, cases, evaluate)
 
 
 def run_vc(
@@ -545,26 +544,25 @@ def run_vc(
 ) -> list[ReportRow]:
     """On bipartite cuts the VC dimension of the trace family equals the
     maximum induced cut matching."""
-    rows = []
     instances = [(f"skew-{q}", skew(q), q) for q in skew_qs]
     instances += [
         (f"pmatch-{k}", perfect_matching_graph(k), k) for k in matching_ks
     ]
-    for instance, g, half in instances:
-        t0 = time.perf_counter()
+
+    def evaluate(g, half):
         u = list(range(half))
         ts = traces(g, u)
         vc = vc_dimension(ts)
         r, _ = max_induced_cut_matching(g, u)
-        rows.append(_row(
-            "vc", instance, g, seed, t0,
+        return [dict(
             trace_count=len(ts),
             matching_size=r,
             bound="vc == matching",
             passed=vc == r,
             detail=f"vc={vc}",
-        ))
-    return rows
+        )]
+
+    return _rows(("vc",), seed, instances, evaluate)
 
 
 # ---------------------------------------------------------------------------

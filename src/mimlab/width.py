@@ -57,13 +57,12 @@ class WidthReport:
     value: int
     witness: tuple[int, ...]
     per_prefix: tuple[int, ...]
-    exact: bool = True
 
 
 def prefix_width(
     g: Graph,
     w: Iterable[int],
-    variant: WidthVariant,
+    variant: WidthVariant | str,
     *,
     budget: int | None = None,
 ) -> int:
@@ -73,25 +72,25 @@ def prefix_width(
     (w, rest)-matching of the upper subgraph (LU), the cut graph (LMIM),
     or g itself (LSIM).
     """
-    table = _EdgeTable(g, variant)
+    table = _EdgeTable(g, WidthVariant(variant))
     work = _Work(budget, "prefix width search") if budget else None
     return table.max_size(table.crossing(mask_of(w, g.n)), work)
 
 
 def prefix_width_witness(
-    g: Graph, w: Iterable[int], variant: WidthVariant
+    g: Graph, w: Iterable[int], variant: WidthVariant | str
 ) -> tuple[int, list[tuple[int, int]]]:
     """Prefix width together with its lexicographically least witness."""
-    table = _EdgeTable(g, variant)
+    table = _EdgeTable(g, WidthVariant(variant))
     return table.lex_witness(table.crossing(mask_of(w, g.n)))
 
 
 def width_of_ordering(
-    g: Graph, pi: Iterable[int], variant: WidthVariant
+    g: Graph, pi: Iterable[int], variant: WidthVariant | str
 ) -> tuple[int, list[int]]:
     """Max prefix width along the ordering, plus all per-prefix widths."""
     pi = _permutation(g, pi)
-    table = _EdgeTable(g, variant)
+    table = _EdgeTable(g, WidthVariant(variant))
     # No ordering's width reaches the number of oriented edges plus one.
     _, widths = _prefix_scan(table, pi, len(table.ends) + 1)
     return max(widths), widths[1:]
@@ -142,7 +141,7 @@ def _permutation(g: Graph, pi: Iterable[int]) -> tuple[int, ...]:
 
 def exact_width(
     g: Graph,
-    variant: WidthVariant,
+    variant: WidthVariant | str,
     *,
     budget: int | None = None,
 ) -> WidthReport:
@@ -172,6 +171,7 @@ def exact_width(
     caps the number of sets tested (counted once per popcount layer,
     default DEFAULT_EXACT_BUDGET) and raises BudgetExceededError past it.
     """
+    variant = WidthVariant(variant)
     n = g.n
     work = _Work(budget or DEFAULT_EXACT_BUDGET, "exact width search")
     if n == 0:
@@ -239,15 +239,15 @@ def exact_width(
         order_rev.append(best_v)
         wmask ^= 1 << best_v
     witness = tuple(reversed(order_rev))
-    check, per_prefix = width_of_ordering(g, witness, variant)
-    if check != value:  # pragma: no cover - internal consistency
+    _, per_prefix = _prefix_scan(table, witness, len(table.ends) + 1)
+    if max(per_prefix) != value:  # pragma: no cover - internal consistency
         raise AssertionError("witness width disagrees with search value")
-    return WidthReport(variant, value, witness, tuple(per_prefix))
+    return WidthReport(variant, value, witness, tuple(per_prefix[1:]))
 
 
 def heuristic_width_upper(
     g: Graph,
-    variant: WidthVariant,
+    variant: WidthVariant | str,
     seed: int = 0,
     budget: int = DEFAULT_HEURISTIC_BUDGET,
 ) -> tuple[int, tuple[int, ...]]:
@@ -267,6 +267,7 @@ def heuristic_width_upper(
     and is rejected with no search, and that one is decided by one step
     from the prefix before it.
     """
+    variant = WidthVariant(variant)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     n = g.n

@@ -437,6 +437,36 @@ class TestBudgetDiscipline:
         assert any_skipped(rows)
         assert not any_failures(rows)
 
+    def test_every_suite_skips_an_exhausted_instance(self, monkeypatch):
+        import mimlab.harness as harness
+        from mimlab.cli import main
+
+        name, target = full_corpus(4)[-1]
+        real = harness.trace_masks
+
+        def exhausted(g, umask, **kwargs):
+            if g.adj == target.adj:
+                raise BudgetExceededError("forced", 1)
+            return real(g, umask, **kwargs)
+
+        spec = ExperimentSpec(checks=("trace-bound", "shrink", "vc"),
+                              params={"pair_max_n": 4, "vc_skew_qs": (1,),
+                                      "vc_matching_ks": (1,)})
+        clean = rows_to_dicts(verify(spec))
+        monkeypatch.setattr(harness, "trace_masks", exhausted)
+        rows = verify(spec)
+        skipped = [r for r in rows if r.skipped]
+        assert [(r.check, r.instance) for r in skipped] == \
+            [("shrink", name), ("trace-bound", name)]
+        for row in skipped:
+            assert row.passed is None and not row.exact
+            assert (row.n, row.m) == (target.n, target.m)
+            assert row.detail == "forced: work budget of 1 exceeded"
+        assert [d for d in rows_to_dicts(rows) if d["instance"] != name] == \
+            [d for d in clean if d["instance"] != name]
+        assert main(["verify", "--checks", "trace-bound,shrink",
+                     "--pair-n", "4", "--strict"]) == 3
+
 
 class TestInstances:
     def test_sandwich_instances_well_formed(self):

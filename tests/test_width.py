@@ -506,3 +506,33 @@ class TestSetFunctionProperty:
         for perm in itertools.permutations([0, 2, 5]):
             assert prefix_width(g, perm, WidthVariant.LU) == \
                 prefix_width(g, [0, 2, 5], WidthVariant.LU)
+
+
+# Each public width function on clique_thread(4), where the variants
+# differ: LU gives 1 where LMIM gives 2 (exact) or 4 (the top row), so a
+# value read as the wrong member shows.
+CT4 = clique_thread(4)
+BY_VARIANT = {
+    "exact_width": lambda v: exact_width(CT4, v),
+    "prefix_width": lambda v: prefix_width(CT4, range(4), v),
+    "prefix_width_witness": lambda v: prefix_width_witness(CT4, range(4), v),
+    "width_of_ordering": lambda v: width_of_ordering(CT4, range(16), v),
+    "heuristic_width_upper": lambda v: heuristic_width_upper(CT4, v),
+}
+
+
+class TestVariantValue:
+    @pytest.mark.parametrize("name", list(BY_VARIANT))
+    def test_value_acts_as_its_member(self, name):
+        run = BY_VARIANT[name]
+        for variant in WidthVariant:
+            assert run(variant.value) == run(variant)
+
+    @pytest.mark.parametrize("name", list(BY_VARIANT))
+    def test_unknown_variant_rejected(self, name):
+        with pytest.raises(ValueError, match="42 is not a valid WidthVariant"):
+            BY_VARIANT[name](42)
+
+    def test_report_carries_the_member(self):
+        rep = exact_width(CT4, "lmim")
+        assert rep.variant is WidthVariant.LMIM and rep.value == 2
