@@ -193,18 +193,9 @@ def all_graph_masks(n: int) -> tuple[int, ...]:
     return tuple(int(x) for x in np.unique(canon))
 
 
-def _connected_mask(n: int, mask: int) -> bool:
-    adj = [0] * n
-    for k, (i, j) in enumerate(pair_order(n)):
-        if mask >> k & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return _connected(adj)
-
-
 @functools.lru_cache(maxsize=None)
 def connected_graph_masks(n: int) -> tuple[int, ...]:
-    return tuple(m for m in all_graph_masks(n) if _connected_mask(n, m))
+    return tuple(m for m, g in _graphs(n).items() if _connected(g.adj))
 
 
 @functools.lru_cache(maxsize=None)

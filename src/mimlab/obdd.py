@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .graph import (
@@ -36,8 +36,8 @@ from .graph import (
     mask_of,
     neighborhood_mask,
 )
-from .traces import _trace_step, trace_masks
-from .width import WidthVariant, exact_width, prefix_width_witness
+from .traces import _trace_step
+from .width import WidthVariant, _permutation, exact_width, prefix_width_witness
 
 TRUTH_TABLE_LIMIT = 20
 OBDD_DP_LIMIT = 20
@@ -51,16 +51,19 @@ FALSE_ID = 0
 TRUE_ID = 1
 
 
+def _refuse_above(n: int, limit: int, what: str) -> None:
+    """Refuse a computation on more than `limit` variables."""
+    if n > limit:
+        raise BudgetExceededError(f"{what} on {n} variables", limit,
+                                  kind="variable limit")
+
+
 @dataclass(frozen=True)
 class MonotoneCnf:
     """One positive 2-clause per edge; variable i is vertex i."""
 
     n: int
     clauses: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
-
-    def variable_name(self, v: int) -> str:
-        return self.labels[v] if self.labels else f"x{v + 1}"
 
 
 def cnf_of_graph(g: Graph) -> MonotoneCnf:
@@ -70,14 +73,7 @@ def cnf_of_graph(g: Graph) -> MonotoneCnf:
             f"graph has isolated vertices {list(isolated)}; every variable "
             "must occur in a clause"
         )
-    return MonotoneCnf(g.n, g.edges(), labels=g.labels)
-
-
-def cnf_satisfied(cnf: MonotoneCnf, true_mask: int) -> bool:
-    for u, v in cnf.clauses:
-        if not (true_mask >> u & 1 or true_mask >> v & 1):
-            return False
-    return True
+    return MonotoneCnf(g.n, g.edges())
 
 
 def format_dimacs(cnf: MonotoneCnf) -> str:
@@ -131,9 +127,7 @@ def subfunction_count(g: Graph, prefix) -> int:
     true then satisfies a monotone CNF), so the tables that are 0 are the
     non-extendable ones and are skipped.
     """
-    if g.n > TRUTH_TABLE_LIMIT:
-        raise BudgetExceededError("semantic subfunction count",
-                                  TRUTH_TABLE_LIMIT)
+    _refuse_above(g.n, TRUTH_TABLE_LIMIT, "semantic subfunction count")
     cnf = cnf_of_graph(g)
     umask = mask_of(prefix, g.n)
     comp_bits = [v for v in range(g.n) if not umask >> v & 1]
@@ -193,7 +187,7 @@ class Obdd:
         return self.labels[v] if self.labels else f"x{v + 1}"
 
 
-def build_obdd(g: Graph, order: Sequence[int]) -> Obdd:
+def build_obdd(g: Graph, order: Iterable[int]) -> Obdd:
     """Level sweep over the ordering, then standard reduction.
 
     States are forced-sets over undecided vertices.  Setting a vertex
@@ -209,8 +203,7 @@ def build_obdd(g: Graph, order: Sequence[int]) -> Obdd:
     n = g.n
     if n == 0:
         raise ValueError("cannot build an OBDD over zero variables")
-    if sorted(order) != list(range(n)):
-        raise ValueError("order is not a permutation of the vertices")
+    order = _permutation(g, order)
     adj = g.adj
     rest = [(1 << n) - 1]
     for v in order:
@@ -303,9 +296,7 @@ def exhaustive_equiv_check(z: Obdd, g: Graph) -> bool:
     projection columns and the others loop as constants, so one block's
     tables take at most 512 bytes per node.
     """
-    if g.n > EQUIV_CHECK_LIMIT:
-        raise BudgetExceededError("exhaustive equivalence check",
-                                  EQUIV_CHECK_LIMIT)
+    _refuse_above(g.n, EQUIV_CHECK_LIMIT, "exhaustive equivalence check")
     if z.n != g.n:
         raise ValueError(
             f"OBDD over {z.n} variables, graph on {g.n} vertices"
@@ -336,8 +327,7 @@ def exhaustive_equiv_check(z: Obdd, g: Graph) -> bool:
 def count_satisfying(g: Graph, *, limit: int = TRUTH_TABLE_LIMIT) -> int:
     """Satisfying assignments of the edge CNF (= independent sets of g:
     the falsified variables must form an independent set)."""
-    if g.n > limit:
-        raise BudgetExceededError("satisfying assignment count", limit)
+    _refuse_above(g.n, limit, "satisfying assignment count")
     cnf_of_graph(g)  # validates no isolated vertices
     adj = g.adj
     memo: dict[int, int] = {0: 1}
@@ -413,10 +403,7 @@ def min_obdd_size_exact(
     if method != "dp":
         raise ValueError(f"unknown minimization method {method!r}")
     n = g.n
-    if n > OBDD_DP_LIMIT:
-        raise BudgetExceededError(
-            f"OBDD minimization subset DP on {n} variables", OBDD_DP_LIMIT
-        )
+    _refuse_above(n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
     cnf_of_graph(g)  # validate
     work = _Work(budget, "OBDD minimization DP") if budget else None
     full = (1 << n) - 1
@@ -487,9 +474,7 @@ def min_obdd_size_exact(
 
 
 def _min_sizes_by_enumeration(g: Graph) -> MinSizeReport:
-    if g.n > BRUTE_ORDER_LIMIT:
-        raise BudgetExceededError("OBDD minimization by enumeration",
-                                  BRUTE_ORDER_LIMIT)
+    _refuse_above(g.n, BRUTE_ORDER_LIMIT, "OBDD minimization by enumeration")
     best_q = best_t = None
     order_q = order_t = None
     for perm in itertools.permutations(range(g.n)):
@@ -507,43 +492,33 @@ def _min_sizes_by_enumeration(g: Graph) -> MinSizeReport:
 
 
 @dataclass(frozen=True)
-class PrefixTraceRow:
-    prefix_len: int
-    prefix_width: int
-    trace_count: int
-    power_bound: int
-
-    @property
-    def ok(self) -> bool:
-        return self.trace_count <= self.power_bound
-
-
-@dataclass(frozen=True)
 class ObddBoundsReport:
+    """Sizes and verdicts of the sandwich 2^lu <= min size <= n^(lu + 2)
+    on one instance.  Every field named `*_ok` is a verdict."""
+
     n: int
     m: int
     lu: int
-    lu_witness: tuple[int, ...]
     min_size_quasi: int
     min_size_total: int
     lower_bound: int
     upper_expression: int
-    prefix_rows: tuple[PrefixTraceRow, ...]
     lower_ok: bool
+    upper_ok: bool
     upper_mechanism_ok: bool
     level_contract_ok: bool
     equivalence_ok: bool
     counting_ok: bool
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """The verdicts that do not hold, in field order."""
+        return tuple(f.name for f in fields(self)
+                     if f.name.endswith("_ok") and not getattr(self, f.name))
+
+    @property
     def all_ok(self) -> bool:
-        return (
-            self.lower_ok
-            and self.upper_mechanism_ok
-            and self.level_contract_ok
-            and self.equivalence_ok
-            and self.counting_ok
-        )
+        return not self.failed
 
 
 def matching_trace_family(g: Graph, u) -> list[tuple[int, int]]:
@@ -577,32 +552,24 @@ def matching_trace_family(g: Graph, u) -> list[tuple[int, int]]:
 
 
 def obdd_bounds_report(g: Graph) -> ObddBoundsReport:
-    """Exact width, exact minimal sizes, and every per-prefix check."""
+    """Exact width, exact minimal sizes, and every sandwich verdict; the
+    upper mechanism bounds each witness prefix's trace count by n^(r + 1)."""
     width_report = exact_width(g, WidthVariant.LU)
     min_sizes = min_obdd_size_exact(g)
     lu = width_report.value
     witness = width_report.witness
     n = g.n
 
-    rows = []
-    wmask = 0
-    for i, v in enumerate(witness):
-        wmask |= 1 << v
-        r_i = width_report.per_prefix[i]
-        t_i = len(trace_masks(g, wmask))
-        rows.append(PrefixTraceRow(i + 1, r_i, t_i, n ** (r_i + 1)))
+    # Each witness prefix's trace family follows from the one before it.
+    fam, rest, trace_counts = {0}, g.full_mask(), []
+    for v in witness:
+        rest ^= 1 << v
+        fam = _trace_step(fam, g.adj[v], 1 << v, rest)
+        trace_counts.append(len(fam))
 
     z = build_obdd(g, witness)
-    level_ok = all(
-        live <= subfunction_count(g, witness[:i])
-        for i, live in enumerate(z.level_live_counts)
-    )
-    z_min = build_obdd(g, min_sizes.order_quasi)
-    equiv_ok = exhaustive_equiv_check(z, g) and exhaustive_equiv_check(z_min, g)
+    diagrams = (z, build_obdd(g, min_sizes.order_quasi))
     expected = count_satisfying(g)
-    counting_ok = (
-        count_accepting(z) == expected and count_accepting(z_min) == expected
-    )
 
     # The distinct-neighborhood family doubles as a check on matching
     # witnesses: it raises if any two subsets of the matching's endpoints
@@ -614,17 +581,22 @@ def obdd_bounds_report(g: Graph) -> ObddBoundsReport:
         n=n,
         m=g.m,
         lu=lu,
-        lu_witness=witness,
         min_size_quasi=min_sizes.size_quasi,
         min_size_total=min_sizes.size_total,
         lower_bound=2**lu,
         upper_expression=n ** (lu + 2),
-        prefix_rows=tuple(rows),
         lower_ok=2**lu <= min_sizes.size_quasi,
-        upper_mechanism_ok=all(r.ok for r in rows),
-        level_contract_ok=level_ok,
-        equivalence_ok=equiv_ok,
-        counting_ok=counting_ok,
+        upper_ok=min_sizes.size_quasi <= n ** (lu + 2),
+        upper_mechanism_ok=all(
+            t <= n ** (r + 1)
+            for t, r in zip(trace_counts, width_report.per_prefix)
+        ),
+        level_contract_ok=all(
+            live <= subfunction_count(g, witness[:i])
+            for i, live in enumerate(z.level_live_counts)
+        ),
+        equivalence_ok=all(exhaustive_equiv_check(d, g) for d in diagrams),
+        counting_ok=all(count_accepting(d) == expected for d in diagrams),
     )
 
 

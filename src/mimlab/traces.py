@@ -70,7 +70,6 @@ class ShrinkStep:
 
 @dataclass(frozen=True)
 class ShrinkResult:
-    input_set: frozenset[int]
     output_set: frozenset[int]
     trace: frozenset[int]
     steps: tuple[ShrinkStep, ...] = field(default=())
@@ -325,7 +324,6 @@ def shrink_to_enabler(
         return tuple(vertices_of(mask))
 
     return ShrinkResult(
-        input_set=frozenset(vertices_of(smask)),
         output_set=frozenset(vertices_of(out)),
         trace=frozenset(vertices_of(neighborhood_mask(g, out) & comp)),
         steps=tuple(

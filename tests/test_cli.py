@@ -281,6 +281,14 @@ class TestObdd:
         assert "OBDD minimization DP: work budget of" in err
         assert "minimal" not in out
 
+    def test_over_the_variable_limit_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "sg.edges"
+        write_edge_list(skew_grid(4, 2, 2)[0], path)
+        code, _, err = run_cli(capsys, "obdd", "--input", str(path))
+        assert code == 3
+        assert "exhaustive equivalence check on 28 variables: " \
+            "variable limit of 20 exceeded" in err
+
     def test_minimize_dp_unbudgeted(self, tmp_path, capsys, monkeypatch):
         from mimlab.generators import clique_thread
 

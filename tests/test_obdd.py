@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimlab import obdd
 from mimlab.errors import BudgetExceededError
 from mimlab.generators import (
     clique_corona,
@@ -15,11 +17,20 @@ from mimlab.generators import (
     two_rows,
 )
 from mimlab.graph import Graph
-from mimlab.harness import connected_corpus, full_corpus, sandwich_instances
+from mimlab.harness import (
+    connected_corpus,
+    full_corpus,
+    run_obdd_sandwich,
+    sandwich_instances,
+)
 from mimlab.obdd import (
     _EQUIV_BLOCK_BITS,
+    BRUTE_ORDER_LIMIT,
+    EQUIV_CHECK_LIMIT,
     FALSE_ID,
+    OBDD_DP_LIMIT,
     TRUE_ID,
+    TRUTH_TABLE_LIMIT,
     Obdd,
     _isolated_table,
     build_obdd,
@@ -354,6 +365,57 @@ class TestIsolatedTable:
             assert iso[z] == sum(1 << v for v in lonely)
 
 
+class TestOrderValidation:
+    def test_iterator_order_builds_the_same_diagram(self):
+        order = [2, 0, 3, 1]
+        z, z_iter = build_obdd(C4, order), build_obdd(C4, iter(order))
+        assert (z_iter.order, z_iter.nodes, z_iter.root,
+                z_iter.level_live_counts) == \
+            (z.order, z.nodes, z.root, z.level_live_counts)
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            build_obdd(C4, [0.0, 1.0, 2.0, 3.0])
+
+    def test_bool_entries_become_vertex_numbers(self):
+        z = build_obdd(C4, [True, False, 2, 3])
+        assert [type(v) for v in z.order] == [int] * 4
+        assert z.order == (1, 0, 2, 3)
+
+
+PM11 = perfect_matching_graph(11)  # 22 variables
+PM5 = perfect_matching_graph(5)  # 10 variables
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("what, n, limit, call", [
+        pytest.param("semantic subfunction count", 22, TRUTH_TABLE_LIMIT,
+                     lambda: subfunction_count(PM11, [0]),
+                     id="subfunction_count"),
+        pytest.param("exhaustive equivalence check", 22, EQUIV_CHECK_LIMIT,
+                     lambda: exhaustive_equiv_check(
+                         build_obdd(PM11, range(22)), PM11),
+                     id="exhaustive_equiv_check"),
+        pytest.param("satisfying assignment count", 22, TRUTH_TABLE_LIMIT,
+                     lambda: count_satisfying(PM11),
+                     id="count_satisfying"),
+        pytest.param("OBDD minimization subset DP", 22, OBDD_DP_LIMIT,
+                     lambda: min_obdd_size_exact(PM11),
+                     id="min_obdd_size_exact"),
+        pytest.param("OBDD minimization by enumeration", 10,
+                     BRUTE_ORDER_LIMIT,
+                     lambda: min_obdd_size_exact(PM5, method="enum"),
+                     id="min_obdd_size_exact-enum"),
+    ])
+    def test_names_variable_count_and_limit(self, what, n, limit, call):
+        with pytest.raises(BudgetExceededError) as exc:
+            call()
+        assert str(exc.value) == \
+            f"{what} on {n} variables: variable limit of {limit} exceeded"
+        assert exc.value.budget == limit
+        assert "work budget" not in str(exc.value)
+
+
 class TestBoundsReport:
     def test_two_rows(self):
         rep = obdd_bounds_report(two_rows())
@@ -372,6 +434,23 @@ class TestBoundsReport:
         rep = obdd_bounds_report(clique_thread(3))
         assert 2**rep.lu <= rep.min_size_quasi
         assert rep.all_ok
+
+    def test_upper_bound_checked(self, monkeypatch):
+        real = obdd.min_obdd_size_exact
+
+        def oversized(g):
+            rep = real(g)
+            return replace(rep, size_quasi=g.n ** (g.n + 2) + 1)
+
+        monkeypatch.setattr(obdd, "min_obdd_size_exact", oversized)
+        rep = obdd_bounds_report(K2)
+        assert rep.min_size_quasi > rep.upper_expression
+        assert rep.lower_ok and not rep.upper_ok
+        assert rep.failed == ("upper_ok",) and not rep.all_ok
+        rows = run_obdd_sandwich(corpus_max_n=2, random_ns=(),
+                                 random_count=0)
+        assert rows and all(r.passed is False for r in rows)
+        assert all("upper_ok" in r.detail for r in rows)
 
     def test_matching_trace_family_distinct(self):
         g = clique_corona(3)
