@@ -273,6 +273,12 @@ def run_rest_cuts(
     `_Enablers`' private-neighbour rule).  Each check stops at its own
     first failure, and a graph's pass once every requested check has
     failed.  An unrequested check does none of its own work.
+
+    Neither shrink verdict evaluates the rule again: `_shrink_outputs`
+    asks `max_enabler` about every listed subset, and `enables` answers
+    a set that memo holds.  An output that passes the subset test is a
+    listed subset asked no later than its input, and the enabled-set
+    half runs only after every subset has been asked.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")

@@ -23,10 +23,13 @@ orderings are computed exactly by subset dynamic programs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .graph import (
@@ -363,15 +366,43 @@ def _isolated_table(g: Graph) -> array:
 
     Built by adding the vertices in ascending order: for Z below b = 1 << v,
     Z + v keeps the isolated vertices of Z outside N(v), plus v itself when
-    N(v) misses Z.  The entries are machine words, filled in place, so the
-    table takes 2^n words and no more.
+    N(v) misses Z.  The entries are 64-bit words, filled in place, so the
+    table takes 2^n words and no more and reads as a uint64 array.
     """
-    iso = array("L", [0])
+    iso = array("Q", [0])
     for v, av in enumerate(g.adj):
         b = 1 << v
         keep = ~av
         iso.extend((iso[z] & keep) | (0 if av & z else b) for z in range(b))
     return iso
+
+
+# The min-size DP costs and relaxes prefix sets in aligned blocks of
+# 2^_DP_BLOCK_BITS.  A DP key is value << _KEY_BITS | v, v the vertex an
+# optimal order puts last (v < 32, since n <= OBDD_DP_LIMIT).  Keys fit an
+# int32: the level after W has at most 2^min(|W|, n - |W|) <= 2^10 states,
+# so a value is below 20 * 2^10.
+_DP_BLOCK_BITS = 8
+_KEY_BITS = 5
+_KEY_VALUE = -1 << _KEY_BITS
+
+
+@functools.lru_cache(maxsize=None)
+def _block_steps(j: int, n: int) -> tuple:
+    """The steps x -> x + u inside a block of 2^j sets, by popcount k of x
+    from 0 to j - 1: per layer the sets x (one entry per step), the sets
+    x + u, and the row x * n + u of each step in a table of 2^j x n."""
+    layers = []
+    for k in range(j):
+        pairs = [(x, u) for x in range(1 << j) if x.bit_count() == k
+                 for u in range(j) if not x >> u & 1]
+        layer = tuple(np.array(a) for a in ([x for x, _ in pairs],
+                                           [x | 1 << u for x, u in pairs],
+                                           [x * n + u for x, u in pairs]))
+        for a in layer:
+            a.setflags(write=False)
+        layers.append(layer)
+    return tuple(layers)
 
 
 def min_obdd_size_exact(
@@ -394,6 +425,24 @@ def min_obdd_size_exact(
     after W has |T(W)| - ND(v) nodes, ND(v) the number of traces t with
     v in iso[V - t], where iso is the isolated-vertex table of G.
 
+    The families T(W) are built in numeric order of W, each from its
+    predecessor's by `traces._trace_step`.  The level costs are computed
+    per aligned block of 2^_DP_BLOCK_BITS prefix sets: the block's
+    families go into one flat array, one gather reads iso[V - t] for
+    every entry, and those masks, unpacked to bits and summed per set,
+    give every ND(v) of the block.
+
+    The best order of W is stored as a key, value << 5 | v, with v the
+    vertex the order puts last.  The least key therefore holds the
+    optimum and, among optimal orders, the one whose last vertex is
+    smallest; the orders are read back from the keys' low bits.  As a
+    minimum does not depend on the order of the relaxations, a block
+    relaxes the steps W -> W + u inside it by popcount of W's low bits,
+    one scatter-minimum per popcount, and then pushes to W + v, for each
+    higher vertex v it lacks, with one elementwise minimum over that
+    contiguous slice.  The DP keeps the two key columns, the iso table
+    and one block's arrays.
+
     `budget`, when given, caps the trace-family entries the DP processes
     (counted once per prefix set) and raises BudgetExceededError past it;
     method "enum" has its own n guard and ignores it.
@@ -408,68 +457,79 @@ def min_obdd_size_exact(
     work = _Work(budget, "OBDD minimization DP") if budget else None
     full = (1 << n) - 1
     size = 1 << n
-    iso = _isolated_table(g)
+    # Little-endian, so that byte i of an entry holds vertices 8i to 8i + 7.
+    iso = np.frombuffer(_isolated_table(g), dtype=np.uint64).astype(
+        "<u8", copy=False)
     adj = g.adj
+    j = min(n, _DP_BLOCK_BITS)
+    span = 1 << j
+    layers = _block_steps(j, n)
+    vertices = np.arange(n, dtype=np.int32)[:, None]
+    lows = np.arange(span, dtype=np.uint64)
 
-    INF = 1 << 60
-    gq = [INF] * size
-    hr = [INF] * size
-    gq[0] = 0
-    hr[0] = 0
-    # last_q[W] / last_r[W]: the vertex an optimal order of W puts last.
-    # The sets are visited in increasing numeric order and ties update, so
-    # the last optimal predecessor wins: the smallest such vertex.
-    last_q = bytearray(size)
-    last_r = bytearray(size)
+    # keys[W]: the keys of the best quasi and reduced orders of W.
+    keys = np.full((size, 2), np.iinfo(np.int32).max, dtype=np.int32)
+    keys[0] = 0
     # fams[p] holds the trace family of the latest prefix set of size p.
     # In numeric order the latest set of size p - 1 before W is W minus
     # its lowest vertex, so each family derives from its predecessor's.
     fams: list[set[int]] = [{0}] * (n + 1)
-    for wmask in range(size):
-        comp = full ^ wmask
-        p = wmask.bit_count()
-        if p:
-            b = wmask & -wmask
-            fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b, comp)
-        tr = fams[p]
-        if work is not None:
-            work.tick(len(tr))
-        # nd[b]: the traces whose residual ignores the vertex of bit b.
-        nd: dict[int, int] = {}
-        for t in tr:
-            m = iso[comp ^ t]
-            while m:
-                b = m & -m
-                m ^= b
-                nd[b] = nd.get(b, 0) + 1
-        base_q = gq[wmask] + len(tr) - (1 if iso[comp] == comp else 0)
-        base_r = hr[wmask] + len(tr)
-        rest = comp
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            tgt = wmask | b
-            if base_q <= gq[tgt]:
-                gq[tgt] = base_q
-                last_q[tgt] = b.bit_length() - 1
-            cand = base_r - nd.get(b, 0)
-            if cand <= hr[tgt]:
-                hr[tgt] = cand
-                last_r[tgt] = b.bit_length() - 1
+    for block in range(0, size, span):
+        flat = array("Q")
+        lens = array("q")
+        for wmask in range(block, block + span):
+            p = wmask.bit_count()
+            if p:
+                b = wmask & -wmask
+                fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b,
+                                      full ^ wmask)
+            tr = fams[p]
+            if work is not None:
+                work.tick(len(tr))
+            flat.extend(tr)
+            lens.append(len(tr))
+        # nd[W, v] = ND_W(v): one gather of iso[V ^ t] over the block's
+        # traces, unpacked to one column per vertex and summed per set.
+        comps = (full ^ block) ^ lows
+        count = np.frombuffer(lens, dtype=np.int64)
+        ignored = iso[np.frombuffer(flat, dtype=np.uint64)
+                      ^ np.repeat(comps, count)]
+        ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
+                                count=n, bitorder="little")
+        nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,
+                             dtype=np.int32)
+        # cost[W, v]: the quasi and the reduced level of W, v next, as the
+        # key increment of the step W -> W + v.
+        cost = np.empty((span, n, 2), dtype=np.int32)
+        cost[..., 0] = (count - (iso[comps] == comps))[:, None]
+        cost[..., 1] = count[:, None] - nd
+        cost <<= _KEY_BITS
+        cost |= vertices
+        # The block's keys are final once its inner steps are relaxed, by
+        # popcount; then they push to the later blocks W + v.
+        here = keys[block:block + span]
+        step_cost = cost.reshape(span * n, 2)
+        for src, tgt, row in layers:
+            np.minimum.at(here, tgt, (here[src] & _KEY_VALUE) + step_cost[row])
+        done = here & _KEY_VALUE
+        for v in range(j, n):
+            if not block >> v & 1:
+                there = keys[block + (1 << v):block + (1 << v) + span]
+                np.minimum(there, done + cost[:, v], out=there)
 
-    def order_of(last: bytearray) -> tuple[int, ...]:
+    def order_of(best: np.ndarray) -> tuple[int, ...]:
         order_rev = []
         wmask = full
         while wmask:
-            order_rev.append(last[wmask])
-            wmask ^= 1 << last[wmask]
+            order_rev.append(best.item(wmask) & ~_KEY_VALUE)
+            wmask ^= 1 << order_rev[-1]
         return tuple(reversed(order_rev))
 
     return MinSizeReport(
-        size_quasi=gq[full] + 2,
-        size_total=hr[full] + 2,
-        order_quasi=order_of(last_q),
-        order_total=order_of(last_r),
+        size_quasi=(int(keys[full, 0]) >> _KEY_BITS) + 2,
+        size_total=(int(keys[full, 1]) >> _KEY_BITS) + 2,
+        order_quasi=order_of(keys[:, 0]),
+        order_total=order_of(keys[:, 1]),
     )
 
 

@@ -215,7 +215,11 @@ class _Enablers:
         return 0
 
     def enables(self, smask: int) -> bool:
-        return not self.lacking(smask)
+        """Whether smask enables.  A set `max_enabler` has been asked
+        about is answered from its memo, which records the set itself
+        exactly when no member lacks a private neighbour."""
+        out = self.best.get(smask)
+        return not self.lacking(smask) if out is None else out == smask
 
     def max_enabler(self, smask: int) -> int:
         """The lexicographically least maximum-size enabling subset of

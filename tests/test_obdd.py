@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimlab import obdd
+from mimlab import corpus, obdd
 from mimlab.errors import BudgetExceededError
 from mimlab.generators import (
     clique_corona,
@@ -314,6 +315,55 @@ class TestMinimization:
             65, 55, (12, 4, 3, 1, 5, 6, 7, 10, 8, 2, 11, 9, 0),
             (11, 10, 9, 6, 12, 0, 5, 7, 8, 3, 4, 2, 1))
 
+    def test_dp_reports_pinned_on_connected_corpus(self):
+        # Sizes and tie-broken orders of all 995 connected graphs with
+        # 2 <= n <= 7, recorded with the DP that relaxed one prefix set
+        # at a time.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 8):
+            for g in corpus.connected_graphs(n):
+                rep = min_obdd_size_exact(g)
+                digest.update(repr((rep.size_quasi, rep.size_total,
+                                    rep.order_quasi,
+                                    rep.order_total)).encode())
+                count += 1
+        assert count == 995
+        assert digest.hexdigest() == (
+            "1d6ef72251222c4186d61434258a0dd4fe1aa4864864d6cb147596b01694d87b"
+        )
+
+    def test_dp_report_pinned_n15(self):
+        # The benchmark's dense graph n15-s2: its 2^15 prefix sets span
+        # many DP blocks, so every push between blocks is exercised.
+        rep = min_obdd_size_exact(random_connected_graph(15, 2, p=0.4))
+        assert (rep.size_quasi, rep.size_total, rep.order_quasi,
+                rep.order_total) == (
+            84, 69, (12, 11, 5, 4, 3, 14, 8, 6, 1, 13, 0, 7, 10, 9, 2),
+            (14, 6, 11, 3, 8, 5, 1, 12, 4, 0, 7, 13, 10, 2, 9))
+
+    def test_dp_budget_counts_each_family_once(self):
+        # The budget counts the entries of T(W) once per prefix set W:
+        # exactly their sum passes, one less raises.
+        g = random_connected_graph(8, 0, p=0.4)
+        entries = sum(len(trace_masks(g, w)) for w in range(1 << g.n))
+        assert entries == 1314
+        min_obdd_size_exact(g, budget=entries)
+        with pytest.raises(BudgetExceededError):
+            min_obdd_size_exact(g, budget=entries - 1)
+
+    def test_dp_allocation_peak_n15(self):
+        # The int32 keys (two per set), the uint64 iso table and one
+        # block's temporaries: about 1 MB at n = 15, no 2^n x n table.
+        g = random_connected_graph(15, 2, p=0.4)
+        tracemalloc.start()
+        try:
+            min_obdd_size_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("n, seed", [
         (9, 0), (9, 1), (10, 2), (10, 3), (11, 4), (11, 5), (12, 6),
         (12, 7),
@@ -363,6 +413,10 @@ class TestIsolatedTable:
             lonely = [v for v in members
                       if not any(u in members for u in g.neighbors(v))]
             assert iso[z] == sum(1 << v for v in lonely)
+
+    def test_entries_are_64_bit(self):
+        # The DP reads the table as uint64, whatever a C long is.
+        assert _isolated_table(C4).itemsize == 8
 
 
 class TestOrderValidation:
