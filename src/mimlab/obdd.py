@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -39,7 +38,7 @@ from .graph import (
     mask_of,
     neighborhood_mask,
 )
-from .traces import _trace_step
+from .traces import _trace_block, _trace_step
 from .width import WidthVariant, _permutation, exact_width, prefix_width_witness
 
 TRUTH_TABLE_LIMIT = 20
@@ -361,19 +360,22 @@ class MinSizeReport:
     order_total: tuple[int, ...]
 
 
-def _isolated_table(g: Graph) -> array:
+def _isolated_table(g: Graph) -> np.ndarray:
     """iso[Z] = the vertices of Z with no neighbour in Z, for every Z.
 
     Built by adding the vertices in ascending order: for Z below b = 1 << v,
     Z + v keeps the isolated vertices of Z outside N(v), plus v itself when
-    N(v) misses Z.  The entries are 64-bit words, filled in place, so the
-    table takes 2^n words and no more and reads as a uint64 array.
+    N(v) misses Z.  The entries are little-endian uint64 words, so byte i
+    of an entry holds vertices 8i to 8i + 7.
     """
-    iso = array("Q", [0])
+    iso = np.zeros(1 << g.n, dtype="<u8")
+    z = np.arange(1 << g.n >> 1, dtype=np.uint64)
     for v, av in enumerate(g.adj):
         b = 1 << v
-        keep = ~av
-        iso.extend((iso[z] & keep) | (0 if av & z else b) for z in range(b))
+        nv = np.uint64(av)
+        upper = iso[b:2 * b]
+        np.bitwise_and(iso[:b], ~nv, out=upper)
+        np.bitwise_or(upper, np.uint64(b), out=upper, where=z[:b] & nv == 0)
     return iso
 
 
@@ -425,12 +427,15 @@ def min_obdd_size_exact(
     after W has |T(W)| - ND(v) nodes, ND(v) the number of traces t with
     v in iso[V - t], where iso is the isolated-vertex table of G.
 
-    The families T(W) are built in numeric order of W, each from its
-    predecessor's by `traces._trace_step`.  The level costs are computed
-    per aligned block of 2^_DP_BLOCK_BITS prefix sets: the block's
-    families go into one flat array, one gather reads iso[V - t] for
-    every entry, and those masks, unpacked to bits and summed per set,
-    give every ND(v) of the block.
+    The DP works per aligned block of 2^_DP_BLOCK_BITS prefix sets
+    H + x, H the block's vertices from _DP_BLOCK_BITS up and x a set of
+    the lower ones.  Only the base family T(H) is built by
+    `traces._trace_step`, from the family of H minus its lowest vertex,
+    an earlier base.  `traces._trace_block` derives the whole block's
+    families from it, one batched step per low vertex, as one array of
+    (x, t) pairs sorted by x.  One gather reads iso[V - t] for every
+    pair, and those masks, unpacked to bits and summed per set, give
+    every ND(v) of the block.
 
     The best order of W is stored as a key, value << 5 | v, with v the
     vertex the order puts last.  The least key therefore holds the
@@ -444,9 +449,12 @@ def min_obdd_size_exact(
     and one block's arrays.
 
     `budget`, when given, caps the trace-family entries the DP processes
-    (counted once per prefix set) and raises BudgetExceededError past it;
-    method "enum" has its own n guard and ignores it.
+    (|T(W)| counted once per prefix set W, ticked per block) and raises
+    BudgetExceededError past it; a budget below 1 raises ValueError.
+    Method "enum" has its own n guard and ignores the budget.
     """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
     if method == "enum":
         return _min_sizes_by_enumeration(g)
     if method != "dp":
@@ -454,46 +462,43 @@ def min_obdd_size_exact(
     n = g.n
     _refuse_above(n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
     cnf_of_graph(g)  # validate
-    work = _Work(budget, "OBDD minimization DP") if budget else None
+    work = None if budget is None else _Work(budget, "OBDD minimization DP")
     full = (1 << n) - 1
     size = 1 << n
-    # Little-endian, so that byte i of an entry holds vertices 8i to 8i + 7.
-    iso = np.frombuffer(_isolated_table(g), dtype=np.uint64).astype(
-        "<u8", copy=False)
+    iso = _isolated_table(g)
     adj = g.adj
     j = min(n, _DP_BLOCK_BITS)
     span = 1 << j
     layers = _block_steps(j, n)
     vertices = np.arange(n, dtype=np.int32)[:, None]
     lows = np.arange(span, dtype=np.uint64)
+    shift = np.uint64(n)
+    trace_bits = np.uint64(full)
 
     # keys[W]: the keys of the best quasi and reduced orders of W.
     keys = np.full((size, 2), np.iinfo(np.int32).max, dtype=np.int32)
     keys[0] = 0
-    # fams[p] holds the trace family of the latest prefix set of size p.
-    # In numeric order the latest set of size p - 1 before W is W minus
-    # its lowest vertex, so each family derives from its predecessor's.
-    fams: list[set[int]] = [{0}] * (n + 1)
+    # bases[p] holds the trace family of the latest block base of size p.
+    # In numeric order the latest base of size p - 1 before H is H minus
+    # its lowest vertex, so each base family derives from an earlier one.
+    bases: list[set[int]] = [{0}] * (n + 1)
     for block in range(0, size, span):
-        flat = array("Q")
-        lens = array("q")
-        for wmask in range(block, block + span):
-            p = wmask.bit_count()
-            if p:
-                b = wmask & -wmask
-                fams[p] = _trace_step(fams[p - 1], adj[b.bit_length() - 1], b,
-                                      full ^ wmask)
-            tr = fams[p]
-            if work is not None:
-                work.tick(len(tr))
-            flat.extend(tr)
-            lens.append(len(tr))
+        p = block.bit_count()
+        if p:
+            b = block & -block
+            bases[p] = _trace_step(bases[p - 1], adj[b.bit_length() - 1], b,
+                                   full ^ block)
+        pairs = _trace_block(bases[p], adj, block, j, n)
+        if work is not None:
+            work.tick(len(pairs))
+        lowset = pairs >> shift
+        count = np.bincount(lowset.astype(np.intp), minlength=span)
         # nd[W, v] = ND_W(v): one gather of iso[V ^ t] over the block's
-        # traces, unpacked to one column per vertex and summed per set.
-        comps = (full ^ block) ^ lows
-        count = np.frombuffer(lens, dtype=np.int64)
-        ignored = iso[np.frombuffer(flat, dtype=np.uint64)
-                      ^ np.repeat(comps, count)]
+        # traces, V = full - block - x, unpacked to one column per vertex
+        # and summed per set.
+        outside = np.uint64(full ^ block)
+        comps = outside ^ lows
+        ignored = iso[(pairs & trace_bits) ^ lowset ^ outside]
         ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
                                 count=n, bitorder="little")
         nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,

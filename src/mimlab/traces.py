@@ -19,8 +19,12 @@ edge table instead, like every other induced-matching question.
 
 `trace_masks` never enumerates independent sets: it adds the vertices of U
 one at a time and derives each family from the previous one with
-`_trace_step`, the forced-set transition that `obdd.min_obdd_size_exact`
-shares.  Its work budget counts the family entries processed.
+`_trace_step`, the forced-set transition.  Its work budget counts the
+family entries processed.  `obdd.min_obdd_size_exact` needs the families
+of every prefix set: it derives one base family per block of 2^8 prefix
+sets with `_trace_step`, and the block's other families from the base
+with `_trace_block`, the same transition applied to the whole block at
+once in numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .graph import (
     DEFAULT_MATCHING_BUDGET,
@@ -121,6 +127,38 @@ def _trace_step(fam: set[int], adj_v: int, bv: int, rest: int) -> set[int]:
     out = {t & rest for t in fam}
     out.update([(t | adj_v) & rest for t in fam if not t & bv])
     return out
+
+
+def _trace_block(
+    base: set[int], adj: Sequence[int], high: int, j: int, n: int
+) -> np.ndarray:
+    """T(H + x) for every x inside the low vertices 0 .. j - 1, from
+    `base` = T(H), H = `high` a set of vertices j and up, as one uint64
+    array of the pairs x << n | t, t in T(H + x), sorted by x.
+
+    This is `_trace_step`'s forced-set rule applied to many prefix sets at
+    once.  The low vertices u are added in ascending order; a pair (x, t),
+    x a set of the lower ones, gives (x + u, t - u) always and, when u is
+    not in t, (x + u, (t | (N(u) - H - x)) - u).  The new pairs are sorted
+    and kept where they differ from their left neighbour, then appended
+    after the old pairs, whose x all lack u, so the array stays sorted by x.
+    """
+    shift = np.uint64(n)
+    pairs = np.fromiter(base, dtype=np.uint64, count=len(base))
+    for u in range(j):
+        bu = np.uint64(1 << u)
+        grown = np.uint64(1 << u + n)
+        free = np.uint64(adj[u] & ~high & ~(1 << u))
+        avoid = (pairs & ~bu) | grown
+        take = pairs[(pairs & bu) == 0]
+        take |= (free & ~(take >> shift)) | grown
+        new = np.concatenate((avoid, take))
+        new.sort()
+        fresh = np.empty(len(new), dtype=bool)
+        fresh[0] = True
+        np.not_equal(new[1:], new[:-1], out=fresh[1:])
+        pairs = np.concatenate((pairs, new[fresh]))
+    return pairs
 
 
 def trace_masks(

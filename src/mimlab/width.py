@@ -169,11 +169,15 @@ def exact_width(
     minimizing vertex, so it is canonical.  Memory grows with the sets
     the walk settles, not with 2^n, and there is no guard on n: `budget`
     caps the number of sets tested (counted once per popcount layer,
-    default DEFAULT_EXACT_BUDGET) and raises BudgetExceededError past it.
+    default DEFAULT_EXACT_BUDGET) and raises BudgetExceededError past it;
+    a budget below 1 raises ValueError.
     """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
     variant = WidthVariant(variant)
     n = g.n
-    work = _Work(budget or DEFAULT_EXACT_BUDGET, "exact width search")
+    work = _Work(DEFAULT_EXACT_BUDGET if budget is None else budget,
+                 "exact width search")
     if n == 0:
         return WidthReport(variant, 0, (), ())
     full = (1 << n) - 1

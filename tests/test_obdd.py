@@ -352,6 +352,21 @@ class TestMinimization:
         with pytest.raises(BudgetExceededError):
             min_obdd_size_exact(g, budget=entries - 1)
 
+    def test_dp_budget_counts_each_family_once_across_blocks(self):
+        # n = 10 spans four blocks of 2^8 prefix sets, each ticked once
+        # with its entry total: still exactly the sum passes.
+        g = random_connected_graph(10, 0, p=0.4)
+        entries = sum(len(trace_masks(g, w)) for w in range(1 << g.n))
+        assert entries == 6908
+        min_obdd_size_exact(g, budget=entries)
+        with pytest.raises(BudgetExceededError):
+            min_obdd_size_exact(g, budget=entries - 1)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            min_obdd_size_exact(C4, budget=budget)
+
     def test_dp_allocation_peak_n15(self):
         # The int32 keys (two per set), the uint64 iso table and one
         # block's temporaries: about 1 MB at n = 15, no 2^n x n table.

@@ -10,6 +10,7 @@ from mimlab.generators import (
     clique_corona,
     fixtures,
     perfect_matching_graph,
+    random_connected_graph,
     skew,
 )
 from mimlab.graph import (
@@ -25,6 +26,7 @@ from mimlab.harness import _independent_rest_cuts, full_corpus
 from mimlab.traces import (
     TraceBoundReport,
     _Enablers,
+    _trace_block,
     enables_induced_matching,
     enum_independent_sets,
     independent_set_masks,
@@ -140,6 +142,31 @@ class TestTraces:
         with pytest.raises(BudgetExceededError) as exc:
             trace_masks(g, umask, budget=1022)
         _assert_budget_error(exc.value, "trace family transition", 1022)
+
+
+class TestTraceBlock:
+    # The min-size DP's blocks: the 2^8 prefix sets H + x, x inside the
+    # vertices 0..7, H a set of the higher ones; at n = 11 some bases H
+    # have three vertices.
+    @pytest.mark.parametrize("n, seed, p", [
+        (9, 0, 0.4), (10, 1, 0.3), (11, 2, 0.4), (11, 3, 0.6),
+    ])
+    def test_block_families_equal_trace_masks(self, n, seed, p):
+        g = random_connected_graph(n, seed, p=p)
+        j = 8
+        full = (1 << n) - 1
+        for high in range(0, 1 << n, 1 << j):
+            pairs = [int(q) for q in
+                     _trace_block(trace_masks(g, high), g.adj, high, j, n)]
+            lows = [q >> n for q in pairs]
+            assert lows == sorted(lows)
+            assert len(set(pairs)) == len(pairs)
+            fams = {}
+            for q in pairs:
+                fams.setdefault(q >> n, set()).add(q & full)
+            assert sorted(fams) == list(range(1 << j))
+            for x, fam in fams.items():
+                assert fam == trace_masks(g, high | x), (high, x)
 
 
 class TestEnables:

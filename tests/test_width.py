@@ -305,6 +305,11 @@ class TestExactWidth:
         with pytest.raises(BudgetExceededError, match="exact width search"):
             exact_width(g, WidthVariant.LU, budget=242)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            exact_width(C4, WidthVariant.LU, budget=budget)
+
     # Prefix sets tested on skew_grid(2, 2, 2), a width-2 graph whose
     # search rejects sets at two thresholds.
     @pytest.mark.parametrize("variant, tested", [
