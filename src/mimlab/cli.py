@@ -2,13 +2,13 @@
 
 Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 0 success, 1 exact check failure, 2 usage error, 3 budget exhaustion
-(under `verify --strict`, a skipped row also exits 3).  `--budget` is
-read only by `traces` (trace-family entries processed), by exact `width`
-(prefix sets tested, default 2^22), by `obdd --minimize dp`
-(trace-family entries the min-size DP processes) and by `width
---heuristic` (orderings evaluated);
-MIMLAB_BUDGET is the default of the first three and is read nowhere else.
-Both must be positive integers; anything else exits 2.
+(under `verify --strict`, a skipped row also exits 3).  `--budget`, a
+positive integer (anything else exits 2), is read only by `traces`
+(trace-family entries, default 2^24), exact `width` (prefix sets tested,
+2^22), `obdd --minimize dp` (trace-family entries, unbounded) and `width
+--heuristic` (orderings evaluated, 200); for the first three a missing
+`--budget` falls back to MIMLAB_BUDGET, checked the same way, and then
+to the engine's default.
 """
 
 from __future__ import annotations
@@ -77,7 +77,10 @@ def _nonnegative_int(raw: str) -> int:
     return int(raw)
 
 
-def _env_budget() -> int | None:
+def _budget(args) -> int | None:
+    """--budget, else MIMLAB_BUDGET, else None (the engine's default)."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get("MIMLAB_BUDGET")
     try:
         return _positive_int(raw) if raw else None
@@ -143,14 +146,12 @@ def _cmd_width(args) -> int:
     variant = WidthVariant(args.variant)
     if args.heuristic:
         value, witness = heuristic_width_upper(
-            g, variant, seed=args.seed,
-            budget=args.budget or DEFAULT_HEURISTIC_BUDGET,
+            g, variant, seed=args.seed, budget=args.budget,
         )
         _, per_prefix = width_of_ordering(g, witness, variant)
         mode = "heuristic"
     else:
-        report = exact_width(g, variant,
-                             budget=args.budget or _env_budget())
+        report = exact_width(g, variant, budget=_budget(args))
         value, witness, per_prefix = report.value, report.witness, report.per_prefix
         mode = "exact"
     payload = {
@@ -174,7 +175,7 @@ def _cmd_width(args) -> int:
 def _cmd_traces(args) -> int:
     g = read_edge_list(args.input)
     side = _parse_vertices(args.side, g.n)
-    budget = args.budget or _env_budget()
+    budget = _budget(args)
     ts = traces(g, side, budget=budget)
     r, witness = max_induced_cut_matching(g, side)
     bound = None
@@ -229,7 +230,7 @@ def _cmd_obdd(args) -> int:
     if args.minimize:
         report = min_obdd_size_exact(
             g, method="enum" if args.minimize == "exact" else "dp",
-            budget=args.budget or _env_budget(),
+            budget=_budget(args),
         )
         order = report.order_quasi
         print(f"minimal quasi-reduced size: {report.size_quasi}")
@@ -352,11 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
         "--budget", type=_positive_int, default=None,
-        help="trace-family entries `traces` may process (default: "
-             "MIMLAB_BUDGET, else 2^24), prefix sets exact `width` may "
-             "test (default: MIMLAB_BUDGET, else 2^22), trace-family "
-             "entries `obdd --minimize dp` may process (default: "
-             "MIMLAB_BUDGET, else unbounded) and number of "
+        help="a positive integer: trace-family entries `traces` may "
+             "process (default: MIMLAB_BUDGET, else 2^24), prefix sets "
+             "exact `width` may test (default: MIMLAB_BUDGET, else 2^22), "
+             "trace-family entries `obdd --minimize dp` may process "
+             "(default: MIMLAB_BUDGET, else unbounded) and number of "
              "orderings evaluated by `width --heuristic` (default "
              f"{DEFAULT_HEURISTIC_BUDGET}); the other subcommands ignore it",
     )

@@ -9,6 +9,8 @@ All functions here are pure; a Graph never changes after construction.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -253,12 +255,28 @@ class WidthVariant(enum.Enum):
 
 
 class _Work:
+    """A work counter.  Every exact engine builds its budget with it, by
+    one rule: a budget of None means the engine's default (unbounded when
+    it has none), and anything but an integer >= 1 raises ValueError."""
+
     __slots__ = ("nodes", "budget", "what")
 
-    def __init__(self, budget: int, what: str):
+    def __init__(self, budget: int | None, what: str, default=math.inf):
         self.nodes = 0
-        self.budget = budget
+        self.budget = self.limit(budget, default)
         self.what = what
+
+    @staticmethod
+    def limit(budget: int | None, default: float) -> float:
+        if budget is None:
+            return default
+        try:
+            budget = operator.index(budget)
+        except TypeError:
+            budget = 0
+        if budget < 1:
+            raise ValueError("budget must be at least 1")
+        return budget
 
     def tick(self, amount: int = 1) -> None:
         self.nodes += amount
@@ -415,7 +433,7 @@ def max_induced_cut_matching(
     exhaustive one.
     """
     umask = mask_of(u, g.n)
-    work = _Work(budget or DEFAULT_MATCHING_BUDGET, "induced matching search")
+    work = _Work(budget, "induced matching search", DEFAULT_MATCHING_BUDGET)
     table = _EdgeTable(g, WidthVariant.LSIM)
     return table.lex_witness(table.crossing(umask), work)
 

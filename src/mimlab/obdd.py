@@ -448,13 +448,12 @@ def min_obdd_size_exact(
     contiguous slice.  The DP keeps the two key columns, the iso table
     and one block's arrays.
 
-    `budget`, when given, caps the trace-family entries the DP processes
-    (|T(W)| counted once per prefix set W, ticked per block) and raises
-    BudgetExceededError past it; a budget below 1 raises ValueError.
-    Method "enum" has its own n guard and ignores the budget.
+    `budget` caps the trace-family entries the DP processes (|T(W)| once
+    per prefix set W, ticked per block), past which BudgetExceededError
+    is raised; None means unbounded, and anything but an integer >= 1
+    raises ValueError.  Method "enum" has its own n guard instead.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1")
+    work = _Work(budget, "OBDD minimization DP")
     if method == "enum":
         return _min_sizes_by_enumeration(g)
     if method != "dp":
@@ -462,7 +461,6 @@ def min_obdd_size_exact(
     n = g.n
     _refuse_above(n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
     cnf_of_graph(g)  # validate
-    work = None if budget is None else _Work(budget, "OBDD minimization DP")
     full = (1 << n) - 1
     size = 1 << n
     iso = _isolated_table(g)
@@ -489,8 +487,7 @@ def min_obdd_size_exact(
             bases[p] = _trace_step(bases[p - 1], adj[b.bit_length() - 1], b,
                                    full ^ block)
         pairs = _trace_block(bases[p], adj, block, j, n)
-        if work is not None:
-            work.tick(len(pairs))
+        work.tick(len(pairs))
         lowset = pairs >> shift
         count = np.bincount(lowset.astype(np.intp), minlength=span)
         # nd[W, v] = ND_W(v): one gather of iso[V ^ t] over the block's

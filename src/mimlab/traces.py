@@ -38,13 +38,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph import (
-    DEFAULT_MATCHING_BUDGET,
     Graph,
     WidthVariant,
     _EdgeTable,
     _Work,
     is_independent_mask,
     mask_of,
+    max_induced_cut_matching,
     neighborhood_mask,
     vertices_of,
 )
@@ -87,7 +87,7 @@ def independent_set_masks(
 ) -> Iterator[int]:
     """Independent subsets of umask as bitmasks, by size then lexicographic
     on the ascending vertex tuple."""
-    work = _Work(budget or DEFAULT_ENUM_BUDGET, "independent set enumeration")
+    work = _Work(budget, "independent set enumeration", DEFAULT_ENUM_BUDGET)
     members = list(vertices_of(umask))
     top = len(members) if max_size is None else min(max_size, len(members))
     adj = g.adj
@@ -168,10 +168,14 @@ def trace_masks(
     the complement of umask.
 
     Starts from T(empty) = {0} and adds the vertices of umask in ascending
-    order with `_trace_step`.  `budget` (default 2^24) caps the family
-    entries processed over all steps.
+    order with `_trace_step`.  `budget` (None: DEFAULT_ENUM_BUDGET, 2^24)
+    caps the family entries processed over all steps.  A umask with a bit
+    outside g's vertices, or a negative one, raises ValueError.
     """
-    work = _Work(budget or DEFAULT_ENUM_BUDGET, "trace family transition")
+    work = _Work(budget, "trace family transition", DEFAULT_ENUM_BUDGET)
+    if umask >> g.n:
+        raise ValueError(f"mask {umask} is not a vertex set of a graph on "
+                         f"n = {g.n} vertices")
     adj = g.adj
     rest = g.full_mask()
     fam = {0}
@@ -415,11 +419,7 @@ def trace_count_bound_check(
     if not is_independent_mask(g, comp):
         raise ValueError("complement side is not independent")
     family = trace_masks(g, umask, budget=budget)
-    table = _EdgeTable(g, WidthVariant.LSIM)
-    r = table.max_size(
-        table.crossing(umask),
-        _Work(DEFAULT_MATCHING_BUDGET, "induced matching search"),
-    )
+    r, _ = max_induced_cut_matching(g, vertices_of(umask))
     small = {
         neighborhood_mask(g, s) & comp
         for s in independent_set_masks(g, umask, budget=budget, max_size=r)
@@ -452,7 +452,7 @@ def _trace_bound_report(
 def vc_dimension(ts: TraceSet, *, budget: int | None = None) -> int:
     """Largest k such that some k-subset of side_v is shattered by the
     trace family.  Exhaustive, with an early cap at log2(family size)."""
-    work = _Work(budget or DEFAULT_ENUM_BUDGET, "VC shattering search")
+    work = _Work(budget, "VC shattering search", DEFAULT_ENUM_BUDGET)
     ground = sorted(ts.side_v)
     pos = {v: i for i, v in enumerate(ground)}
     fam = [

@@ -70,10 +70,10 @@ def prefix_width(
 
     Depends only on the set w.  Equals the exact maximum induced
     (w, rest)-matching of the upper subgraph (LU), the cut graph (LMIM),
-    or g itself (LSIM).
+    or g itself (LSIM).  `budget` caps its search nodes; None: unbounded.
     """
     table = _EdgeTable(g, WidthVariant(variant))
-    work = _Work(budget, "prefix width search") if budget else None
+    work = _Work(budget, "prefix width search")
     return table.max_size(table.crossing(mask_of(w, g.n)), work)
 
 
@@ -168,16 +168,13 @@ def exact_width(
     The witness is reconstructed by always removing the smallest-index
     minimizing vertex, so it is canonical.  Memory grows with the sets
     the walk settles, not with 2^n, and there is no guard on n: `budget`
-    caps the number of sets tested (counted once per popcount layer,
-    default DEFAULT_EXACT_BUDGET) and raises BudgetExceededError past it;
-    a budget below 1 raises ValueError.
+    caps the number of sets tested (counted once per popcount layer) and
+    raises BudgetExceededError past it.  None means DEFAULT_EXACT_BUDGET
+    (2^22); any other value but an integer >= 1 raises ValueError.
     """
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1")
+    work = _Work(budget, "exact width search", DEFAULT_EXACT_BUDGET)
     variant = WidthVariant(variant)
     n = g.n
-    work = _Work(DEFAULT_EXACT_BUDGET if budget is None else budget,
-                 "exact width search")
     if n == 0:
         return WidthReport(variant, 0, (), ())
     full = (1 << n) - 1
@@ -253,15 +250,15 @@ def heuristic_width_upper(
     g: Graph,
     variant: WidthVariant | str,
     seed: int = 0,
-    budget: int = DEFAULT_HEURISTIC_BUDGET,
+    budget: int | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Upper-bound the width by local search over orderings.
 
     Hill climbing on adjacent transpositions with seeded random restarts;
     the identity ordering is always the first candidate, and `budget`
-    (at least 1) caps the number of ordering evaluations.  The result is
-    the exact width of the best ordering found, hence always >= the true
-    width.
+    caps the ordering evaluations (None: DEFAULT_HEURISTIC_BUDGET, 200;
+    anything but an integer >= 1 raises ValueError).  The result is the
+    exact width of the best ordering found, hence >= the true width.
 
     The climb keeps the current ordering's prefix ORs and widths (capped
     just above the best value when a restart scans them).  Swapping
@@ -272,8 +269,7 @@ def heuristic_width_upper(
     from the prefix before it.
     """
     variant = WidthVariant(variant)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = _Work.limit(budget, DEFAULT_HEURISTIC_BUDGET)
     n = g.n
     if n == 0:
         return 0, ()

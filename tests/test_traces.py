@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mimlab.errors import BudgetExceededError
 from mimlab.generators import (
     clique_corona,
+    clique_thread,
     fixtures,
     perfect_matching_graph,
     random_connected_graph,
@@ -142,6 +143,12 @@ class TestTraces:
         with pytest.raises(BudgetExceededError) as exc:
             trace_masks(g, umask, budget=1022)
         _assert_budget_error(exc.value, "trace family transition", 1022)
+
+    @pytest.mark.parametrize("umask", [1 << 40, -1, 1 << 9])
+    def test_mask_outside_graph_rejected(self, umask):
+        g = clique_thread(3)  # n = 9
+        with pytest.raises(ValueError, match=f"mask {umask} .* n = 9 "):
+            trace_masks(g, umask)
 
 
 class TestTraceBlock:
