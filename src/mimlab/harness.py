@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import corpus
 from .errors import BudgetExceededError
 from .generators import (
@@ -35,8 +37,7 @@ from .graph import (
 )
 from .obdd import obdd_bounds_report, subfunction_count
 from .traces import (
-    _Enablers,
-    _shrink_step,
+    _shrink_block,
     _trace_bound_report,
     independent_set_masks,
     trace_masks,
@@ -233,25 +234,52 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
                  evaluate)
 
 
-def _shrink_outputs(
-    rule: _Enablers, subsets: list[int]
-) -> Iterator[tuple[int, int]]:
-    """(S, `_shrink_mask`'s output for S) for each S in subsets, which
-    must list every independent subset of the cut's side U smallest first.
+# At most this many pairs (cut, set) go to one `_shrink_block` call, unless
+# its single graph has more.  One call per graph pays numpy's per-call cost
+# 1,252 times at n <= 7; an uncapped chunk grows the arrays with the corpus.
+_SHRINK_CHUNK_PAIRS = 1 << 12
 
-    Asking `rule.max_enabler` in that order fills its memo at |S| lookups
-    a set.  A non-enabling set costs one `_shrink_step`: the step returns
-    a strict subset of S, listed and shrunk before S, and `_shrink_mask`
-    continues from it, so the output of S is the output of that subset.
+
+def _shrink_verdicts(
+    graphs: Sequence[Graph], contexts: Sequence[list]
+) -> list[list[tuple[int | None, int, set[int]]]]:
+    """Per graph, per cut: the first set that fails the shrink
+    postconditions (None if none does), the number of sets and the traces
+    of the enabling sets of at most r vertices.
+
+    `contexts[i]` is `list(_independent_rest_cuts(graphs[i]))`; the graphs
+    share one size and go to `_shrink_block` as one chunk.  A set passes
+    when its output is a subset of it with the same trace, enables and has
+    at most r vertices; the output is a listed set of the same cut, so its
+    trace and verdict are read from the chunk's own arrays.
     """
-    out_of: dict[int, int] = {}
-    for smask in subsets:
-        if rule.max_enabler(smask) == smask:
-            out = smask
-        else:
-            out = out_of[_shrink_step(rule, smask, [])]
-        out_of[smask] = out
-        yield smask, out
+    n = graphs[0].n
+    pairs = _shrink_block(n, [g.adj for g in graphs],
+                          [[c[1] for c in cuts] for cuts in contexts])
+    r = np.array([c[4] for cuts in contexts for c in cuts])[pairs.cut]
+    ones = np.array([m.bit_count() for m in range(1 << n)])
+    at = pairs.lut[pairs.cut, pairs.out]
+    ok = ((pairs.out & ~pairs.sets) == 0) & (at >= 0)
+    ok &= pairs.enables[at] & (pairs.trace[at] == pairs.trace)
+    ok &= ones[pairs.out] <= r
+    total = sum(map(len, contexts))
+    first = np.full(total, -1, dtype=np.int64)
+    bad = np.flatnonzero(~ok)
+    failed, where = np.unique(pairs.cut[bad], return_index=True)
+    first[failed] = pairs.sets[bad[where]]
+    counts = np.bincount(pairs.cut, minlength=total).tolist()
+    small = pairs.enables & (ones[pairs.sets] <= r)
+    keys = np.unique(pairs.cut[small] << n | pairs.trace[small])
+    ends = np.searchsorted(keys >> n, np.arange(total), side="right").tolist()
+    enabled = (keys & graphs[0].full_mask()).tolist()
+    per_cut = [(None if s < 0 else s, k, set(enabled[lo:hi]))
+               for s, k, lo, hi in zip(first.tolist(), counts, [0] + ends,
+                                       ends)]
+    out, lo = [], 0
+    for cuts in contexts:
+        out.append(per_cut[lo:lo + len(cuts)])
+        lo += len(cuts)
+    return out
 
 
 def run_rest_cuts(
@@ -267,59 +295,75 @@ def run_rest_cuts(
     family `trace_masks(g, umask)`, the independent side of both checks.
     With r the largest induced cut matching, trace-bound is
     `trace_count_bound_check`'s report.  shrink checks that every
-    independent set shrinks (`_shrink_outputs`) to an enabling subset of
-    at most r vertices with the same trace, and, apart from the shrinker,
-    that the enabling sets of size <= r leave every trace (enabling by
-    `_Enablers`' private-neighbour rule).  Each check stops at its own
+    independent set shrinks to an enabling subset of at most r vertices
+    with the same trace, and, apart from the shrinker, that the enabling
+    sets of size <= r leave every trace.  Each check stops at its own
     first failure, and a graph's pass once every requested check has
     failed.  An unrequested check does none of its own work.
 
-    Neither shrink verdict evaluates the rule again: `_shrink_outputs`
-    asks `max_enabler` about every listed subset, and `enables` answers
-    a set that memo holds.  An output that passes the subset test is a
-    listed subset asked no later than its input, and the enabled-set
-    half runs only after every subset has been asked.
+    The shrink verdicts come from `_shrink_verdicts`, whose one
+    `_shrink_block` call covers a chunk of consecutive graphs of one size:
+    the first graph of a chunk pays for it, builds the cut contexts of the
+    others ahead of their turn, and takes graphs while the chunk holds at
+    most `_SHRINK_CHUNK_PAIRS` pairs (cut, set), but at least one graph.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
     checks = tuple(dict.fromkeys(checks))
+    corpus = full_corpus(max_n)
+    graphs = [g for _, g in corpus]
+    ahead: dict[int, list] = {}  # cut contexts, by graph index
+    verdicts: dict[int, list] = {}  # `_shrink_verdicts` rows, by graph index
 
-    def evaluate(g):
+    def shrink_verdicts(i: int, cuts: list) -> list:
+        if i not in verdicts:
+            chunk = [cuts]
+            pairs = sum(len(c[2]) for c in cuts)
+            j = i + 1
+            while j < len(graphs) and graphs[j].n == graphs[i].n:
+                ahead[j] = later = list(_independent_rest_cuts(graphs[j]))
+                pairs += sum(len(c[2]) for c in later)
+                if pairs > _SHRINK_CHUNK_PAIRS:
+                    break
+                chunk.append(later)
+                j += 1
+            for k, got in enumerate(_shrink_verdicts(graphs[i:j], chunk)):
+                verdicts[i + k] = got
+        return verdicts.pop(i)
+
+    def evaluate(g, i):
+        cuts = ahead.pop(i) if i in ahead else list(_independent_rest_cuts(g))
+        shrunk = shrink_verdicts(i, cuts) if "shrink" in checks else None
         live = set(checks)
         bad: dict[str, str] = {}  # check -> detail of its first failure
-        cuts = sets_checked = 0
-        for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
+        cuts_checked = sets_checked = 0
+        for k, (umask, comp, subsets, nbr, r) in enumerate(cuts):
             family = trace_masks(g, umask)
             if "trace-bound" in live:
                 small = {nbr[t] & comp for t in subsets if t.bit_count() <= r}
                 rep = _trace_bound_report(g.n, umask.bit_count(), family,
                                           r, small)
-                cuts += 1
+                cuts_checked += 1
                 if not rep.all_ok:
                     bad["trace-bound"] = f"violated at mask {umask}: {rep}"
             if "shrink" in live:
-                rule = _Enablers(g.adj, comp, nbr.__getitem__)
-                for smask, out in _shrink_outputs(rule, subsets):
-                    sets_checked += 1
-                    if (out & ~smask or nbr[out] & comp != nbr[smask] & comp
-                            or not rule.enables(out) or out.bit_count() > r):
-                        bad["shrink"] = f"failed at cut {umask} set {smask}"
-                        break
-                else:
-                    enabled = {nbr[t] & comp for t in subsets
-                               if t.bit_count() <= r and rule.enables(t)}
-                    if enabled != family:
-                        bad["shrink"] = (f"enabling sets of size <= {r} "
-                                         f"miss a trace at cut {umask}")
+                smask, count, enabled = shrunk[k]
+                sets_checked += count
+                if smask is not None:
+                    bad["shrink"] = f"failed at cut {umask} set {smask}"
+                elif enabled != family:
+                    bad["shrink"] = (f"enabling sets of size <= {r} "
+                                     f"miss a trace at cut {umask}")
             live -= bad.keys()
             if not live:
                 break
-        done = {"trace-bound": f"cuts checked={cuts}",
+        done = {"trace-bound": f"cuts checked={cuts_checked}",
                 "shrink": f"independent sets checked={sets_checked}"}
         return [dict(passed=check not in bad,
                      detail=bad.get(check, done[check])) for check in checks]
 
-    return _rows(checks, seed, full_corpus(max_n), evaluate)
+    cases = [(name, g, i) for i, (name, g) in enumerate(corpus)]
+    return _rows(checks, seed, cases, evaluate)
 
 
 def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:

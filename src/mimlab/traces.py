@@ -6,14 +6,18 @@ distinct residual constraints a prefix of variables can produce, and when
 V is independent every trace is already realized by a subset that
 "enables" an induced cut matching, hence by at most r vertices, r the
 largest such matching.  The mask kernel `_shrink_mask` finds that subset
-by repeated `_shrink_step`s and logs its moves, `shrink_to_enabler` wraps
-it for vertex sets, and `harness.run_rest_cuts` checks the statement
-(`shrink`, one step per set) and the bounds (`trace-bound`) per cut.
+by repeated `_shrink_step`s and logs its moves, and `shrink_to_enabler`
+wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
+(`trace-bound`) per cut and the statement (`shrink`) with `_shrink_block`,
+the same shrinker as array passes over every pair (cut, set) of a chunk of
+graphs.
 
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
 v in S has a private neighbour, one in V outside N(S - v).  `_Enablers`
-holds this rule and the memoised maximum enabling subset for one cut.
+holds this rule and the memoised maximum enabling subset for one cut; it
+serves `shrink_to_enabler` and is the slow oracle that `_shrink_block` is
+tested against.
 `enables_induced_matching`, whose V may be dependent, asks the LSIM
 edge table instead, like every other induced-matching question.
 
@@ -33,7 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,13 +85,23 @@ class ShrinkResult:
     steps: tuple[ShrinkStep, ...] = field(default=())
 
 
+def _check_mask(g: Graph, umask: int) -> None:
+    """Refuse a mask with a bit outside g's vertices; a negative mask has
+    infinitely many."""
+    if umask >> g.n:
+        raise ValueError(f"mask {umask} is not a vertex set of a graph on "
+                         f"n = {g.n} vertices")
+
+
 def independent_set_masks(
     g: Graph, umask: int, *, budget: int | None = None,
     max_size: int | None = None,
 ) -> Iterator[int]:
     """Independent subsets of umask as bitmasks, by size then lexicographic
-    on the ascending vertex tuple."""
+    on the ascending vertex tuple.  A umask with a bit outside g's
+    vertices, or a negative one, raises ValueError."""
     work = _Work(budget, "independent set enumeration", DEFAULT_ENUM_BUDGET)
+    _check_mask(g, umask)
     members = list(vertices_of(umask))
     top = len(members) if max_size is None else min(max_size, len(members))
     adj = g.adj
@@ -161,6 +175,103 @@ def _trace_block(
     return pairs
 
 
+class _ShrinkPairs(NamedTuple):
+    """`_shrink_block`'s arrays, one entry per (cut, set) pair in order:
+    by graph, then cut, then set, each in `independent_set_masks` order."""
+
+    cut: np.ndarray  # the pair's cut, numbered over the whole chunk
+    sets: np.ndarray  # S
+    out: np.ndarray  # `_shrink_mask`'s output for S
+    enables: np.ndarray  # whether S enables
+    trace: np.ndarray  # N(S) & comp, comp the cut's rest side
+    lut: np.ndarray  # [cut, mask] -> the pair's index, -1 off the list
+
+
+def _shrink_block(
+    n: int, adjs: Sequence[Sequence[int]], inds: Sequence[Sequence[int]]
+) -> _ShrinkPairs:
+    """The shrinker's output for every pair (cut, S) of a chunk of graphs
+    on n vertices, graph i with adjacency masks adjs[i] and independent
+    sets inds[i] in `independent_set_masks` order.  Each comp of inds[i]
+    is a cut's independent rest side, and its sets S are the members of
+    inds[i] disjoint from comp.
+
+    The array form of `_Enablers` and `_shrink_step`, which stay as
+    `shrink_to_enabler`'s rule and this kernel's slow oracle.  The lowest
+    member of S with no private neighbour (`_Enablers.lacking`) is one
+    vectorised test per vertex against N(S - v), read from a per-graph
+    table over all masks.  The other quantities each follow from smaller
+    sets of the same cut, so they are gathered one popcount layer at a
+    time through `lut`: the maximum enabler, as the largest key
+    |T| << n | T bit-reversed over the answers T for S - v (the largest
+    key is the lexicographically least maximum subset, `max_enabler`'s
+    tie rule); the fixpoint of eliminations; `_shrink_step`'s next set;
+    and the output, which is S when S enables and otherwise the next
+    set's.  Masks and keys are int32, enough up to n = 26; the tables over
+    all 2^n masks stop far earlier (the corpus ends at n = 8).
+    """
+    size = 1 << n
+    adj = np.array(adjs, dtype=np.int32).reshape(len(adjs), n)
+    nbr = np.zeros((len(adjs), size), dtype=np.int32)
+    for v in range(n):
+        b = 1 << v
+        nbr[:, b:2 * b] = nbr[:, :b] | adj[:, v:v + 1]
+    lens = np.array([len(ind) for ind in inds])
+    comps = np.fromiter(itertools.chain.from_iterable(inds), dtype=np.int32,
+                        count=int(lens.sum()))
+    graph_of = np.repeat(np.arange(len(inds)), lens)
+    starts = np.cumsum(lens) - lens
+    listed = np.full((len(inds), int(lens.max())), -1, dtype=np.int32)
+    listed[graph_of, np.arange(len(comps)) - starts[graph_of]] = comps
+    # Row k of cand lists the independent sets of cut k's graph; the
+    # cut's sets are those disjoint from its rest side comps[k].
+    cand = listed[graph_of]
+    cut, col = np.nonzero((cand >= 0) & (cand & comps[:, None] == 0))
+    sets = cand[cut, col]
+    lut = np.full((len(comps), size), -1, dtype=np.int32)
+    lut[cut, sets] = np.arange(len(sets))
+    comp = comps[cut]
+    graph = graph_of[cut]
+    flat = nbr.ravel()
+    base = graph * size
+    trace = flat[base + sets] & comp
+    lack = np.zeros_like(sets)
+    for v in reversed(range(n)):  # the lowest lacking member writes last
+        b = 1 << v
+        alone = adj[graph, v] & comp & ~flat[base + (sets ^ b)] == 0
+        lack[(sets & b != 0) & alone] = b
+    enables = lack == 0
+
+    bits = 1 << np.arange(n, dtype=np.int32)
+    ones = np.zeros(size, dtype=np.int32)  # popcount of each mask
+    rev = np.zeros(size, dtype=np.int32)
+    for v in range(n):
+        b = 1 << v
+        ones[b:2 * b] = ones[:b] + 1
+        rev[b:2 * b] = rev[:b] | 1 << (n - 1 - v)
+    best = np.zeros_like(sets)
+    key = np.zeros_like(sets)
+    elim = np.zeros_like(sets)
+    out = np.zeros_like(sets)
+    popcount = ones[sets]
+    order = np.argsort(popcount, kind="stable")
+    ends = np.searchsorted(popcount[order], np.arange(n + 1), side="right")
+    for lo, hi in zip(itertools.chain((0,), ends), ends):
+        at = order[lo:hi]
+        s, c, ok = sets[at], cut[at], enables[at]
+        below = lut[c[:, None], s[:, None] ^ bits]  # S - v, v in S
+        member = (s[:, None] & bits) != 0
+        pick = np.where(member, key[below], -1).argmax(axis=1)
+        best[at] = t = np.where(ok, s, best[below[np.arange(len(at)), pick]])
+        key[at] = ones[t] << n | rev[t]
+        elim[at] = np.where(ok, s, elim[lut[c, s ^ lack[at]]])
+        outside = s & ~t
+        grown = t | outside & -outside  # S0 + w, reduced by eliminations
+        step = elim[lut[c, grown]] | s & ~grown
+        out[at] = np.where(ok, s, out[lut[c, step]])
+    return _ShrinkPairs(cut, sets, out, enables, trace, lut)
+
+
 def trace_masks(
     g: Graph, umask: int, *, budget: int | None = None
 ) -> set[int]:
@@ -173,9 +284,7 @@ def trace_masks(
     outside g's vertices, or a negative one, raises ValueError.
     """
     work = _Work(budget, "trace family transition", DEFAULT_ENUM_BUDGET)
-    if umask >> g.n:
-        raise ValueError(f"mask {umask} is not a vertex set of a graph on "
-                         f"n = {g.n} vertices")
+    _check_mask(g, umask)
     adj = g.adj
     rest = g.full_mask()
     fam = {0}
@@ -225,7 +334,9 @@ def enables_induced_matching(g: Graph, u: Iterable[int], s: Iterable[int]) -> bo
 
 class _Enablers:
     """The enabling rule and the maximum enabler on one cut whose rest side
-    `comp` is independent, for independent sets S of the other side.
+    `comp` is independent, for independent sets S of the other side: the
+    scalar form of `_shrink_block`, kept for `shrink_to_enabler` and as the
+    oracle the array kernel is tested against.
 
     There S enables an induced cut matching exactly when every v in S has
     a private neighbour, one on comp outside N(S - v): private
@@ -328,8 +439,9 @@ def _shrink_mask(rule: _Enablers, smask: int) -> tuple[int, list]:
 
     Every step keeps the trace, so the output has the input's trace,
     enables a matching and has at most r vertices, r the largest induced
-    cut matching.  The `shrink` check tests this, and apart from the
-    kernel that the enabling sets of size <= r leave every trace.
+    cut matching.  The `shrink` check tests this on `_shrink_block`'s
+    outputs, and apart from the shrinker that the enabling sets of size
+    <= r leave every trace.
 
     Unchecked preconditions: the rest side of `rule` is independent and
     smask is an independent subset of the other side.  A move is

@@ -15,7 +15,6 @@ from mimlab.harness import (
     ExperimentSpec,
     ReportRow,
     _independent_rest_cuts,
-    _shrink_outputs,
     any_failures,
     any_skipped,
     connected_corpus,
@@ -37,8 +36,6 @@ from mimlab.harness import (
     verify,
 )
 from mimlab.traces import (
-    _Enablers,
-    _shrink_mask,
     _trace_bound_report,
     independent_set_masks,
     trace_count_bound_check,
@@ -204,19 +201,6 @@ class TestCutContext:
                 for s in subsets:
                     assert nbr[s] == neighborhood_mask(g, s)
 
-    def test_memoised_shrink_matches_kernel(self):
-        sets = 0
-        for _, g in full_corpus(5):
-            for umask, comp, subsets, nbr, _ in _independent_rest_cuts(g):
-                got = list(_shrink_outputs(
-                    _Enablers(g.adj, comp, nbr.__getitem__), subsets))
-                assert [s for s, _ in got] == subsets
-                kernel = _Enablers(g.adj, comp, nbr.__getitem__)
-                for s, out in got:
-                    assert out == _shrink_mask(kernel, s)[0]
-                sets += len(got)
-        assert sets > 1000
-
     def test_trace_bound_report_matches_public_check(self):
         for _, g in full_corpus(5):
             for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
@@ -273,7 +257,7 @@ class TestRestCutPass:
         assert calls == cuts
 
     @pytest.mark.parametrize("check,others", [
-        ("trace-bound", ("_shrink_outputs", "_Enablers")),
+        ("trace-bound", ("_shrink_block",)),
         ("shrink", ("_trace_bound_report",)),
     ])
     def test_single_check_skips_the_other_kernel(self, monkeypatch, check,
@@ -351,16 +335,19 @@ class TestRestCutPass:
         # The third of the 13 cuts of all5-0014 fails at its first set.
         name, g = full_corpus(5)[-20]
         umask, comp = list(_independent_rest_cuts(g))[2][:2]
+        real = harness._shrink_block
 
-        class Lying(_Enablers):
-            # no set of the chosen cut enables, as far as the suite asks
-            def enables(self, smask):
-                if self.adj == g.adj and self.comp == comp:
-                    return False
-                return super().enables(smask)
+        def lying(n, adjs, inds):
+            # no set of the chosen cut enables, as far as the suite reads
+            pairs = real(n, adjs, inds)
+            for i, (adj, ind) in enumerate(zip(adjs, inds)):
+                if adj == g.adj:
+                    cut = sum(map(len, inds[:i])) + ind.index(comp)
+                    pairs.enables[pairs.cut == cut] = False
+            return pairs
 
         clean_bound = run_trace_bound(5)
-        monkeypatch.setattr(harness, "_Enablers", Lying)
+        monkeypatch.setattr(harness, "_shrink_block", lying)
         alone = run_shrink(5)
         joint = run_rest_cuts(5)
         bad = [r for r in alone if not r.passed]
@@ -370,6 +357,41 @@ class TestRestCutPass:
         # trace-bound went on through all 13 cuts
         row = {r.instance: r for r in joint if r.check == "trace-bound"}
         assert row[name].passed and row[name].detail == "cuts checked=13"
+
+    def test_missed_trace_fails_shrink(self, monkeypatch):
+        import mimlab.harness as harness
+
+        # The tenth cut of all5-0014 gets a family with one trace that no
+        # independent set leaves: every set still shrinks correctly, so
+        # only the comparison of the enabling sets with the family fails.
+        name, g = full_corpus(5)[-20]
+        umask, comp, _, _, r = list(_independent_rest_cuts(g))[9]
+        real = harness.trace_masks
+        extra = next(t for t in range(comp + 1)
+                     if not t & ~comp and t not in real(g, umask))
+
+        def padded(h, mask, **kwargs):
+            fam = real(h, mask, **kwargs)
+            return fam | {extra} if h is g and mask == umask else fam
+
+        clean = {row.instance: row for row in run_shrink(5)}
+        monkeypatch.setattr(harness, "trace_masks", padded)
+        alone = run_shrink(5)
+        bad = [row for row in alone if not row.passed]
+        assert [(row.instance, row.detail) for row in bad] == [
+            (name, f"enabling sets of size <= {r} miss a trace at cut {umask}")
+        ]
+        assert (umask, extra, r) == (19, 8, 1)
+        assert clean[name].detail == "independent sets checked=99"
+        rest = [row for row in alone if row.passed]
+        assert rows_to_dicts(rest) == \
+            rows_to_dicts([clean[row.instance] for row in rest])
+        # with trace-bound failing at the same cut the graph's pass stops
+        joint = run_rest_cuts(5)
+        row = {(x.check, x.instance): x for x in joint}
+        assert row["trace-bound", name].detail.startswith(
+            f"violated at mask {umask}: ")
+        assert row["shrink", name].detail == bad[0].detail
 
 
 class TestSuitesSmall:

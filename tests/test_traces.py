@@ -1,4 +1,6 @@
+import bisect
 import functools
+import itertools
 import math
 
 import pytest
@@ -27,6 +29,8 @@ from mimlab.harness import _independent_rest_cuts, full_corpus
 from mimlab.traces import (
     TraceBoundReport,
     _Enablers,
+    _shrink_block,
+    _shrink_mask,
     _trace_block,
     enables_induced_matching,
     enum_independent_sets,
@@ -86,6 +90,17 @@ class TestEnumIndependentSets:
         g = Graph(20, [])
         with pytest.raises(BudgetExceededError):
             list(enum_independent_sets(g, range(20), budget=100))
+
+    @pytest.mark.parametrize("umask", [1 << 40, -1, 1 << 9])
+    def test_mask_outside_graph_rejected(self, umask):
+        g = clique_thread(3)  # n = 9
+        with pytest.raises(ValueError, match=f"mask {umask} .* n = 9 "):
+            list(independent_set_masks(g, umask))
+
+    @pytest.mark.parametrize("v", [40, -1, 9])
+    def test_vertex_outside_graph_rejected(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            list(enum_independent_sets(clique_thread(3), [0, v]))
 
     @pytest.mark.parametrize("g, nodes, count", [
         # one node per call of the size-by-size search
@@ -272,6 +287,84 @@ class TestEnablingRule:
             assert [rule.max_enabler(s) for s in subsets] == want
             assert [cached.max_enabler(s) for s in reversed(subsets)] == \
                 want[::-1]
+
+
+def _scalar_shrink_rows(g):
+    """(cut number, S, `_shrink_mask`'s output, enabling verdict) of every
+    pair of g, from a fresh `_Enablers` per cut."""
+    rows = []
+    for k, (_, comp, subsets, nbr, _) in enumerate(_independent_rest_cuts(g)):
+        rule = _Enablers(g.adj, comp, nbr.__getitem__)
+        rows += [(k, s, _shrink_mask(rule, s)[0], rule.enables(s))
+                 for s in subsets]
+    return rows
+
+
+def _block_rows(graphs):
+    """The same rows from one `_shrink_block` call over graphs of one size,
+    cut numbers restarting at each graph."""
+    inds = [[c[1] for c in _independent_rest_cuts(g)] for g in graphs]
+    pairs = _shrink_block(graphs[0].n, [g.adj for g in graphs], inds)
+    starts = list(itertools.accumulate(map(len, inds), initial=0))
+    rows = [[] for _ in graphs]
+    for c, s, out, ok in zip(pairs.cut.tolist(), pairs.sets.tolist(),
+                             pairs.out.tolist(), pairs.enables.tolist()):
+        i = bisect.bisect_right(starts, c) - 1
+        rows[i].append((c - starts[i], s, out, ok))
+    return rows
+
+
+# Two equal-size maximum enablers: at the cut with rest side {0, 1}, the
+# set {2, 4, 5, 6} enables neither itself nor a subset of three vertices,
+# while {2, 5} and {5, 6} both enable.  The least, {2, 5}, leads the
+# shrinker to {4}; taking {5, 6} would end at {5, 6}.
+TIE = Graph(7, [(0, 2), (0, 4), (0, 6), (1, 4), (1, 5), (2, 3)])
+
+
+class TestShrinkBlock:
+    # The array kernel of the shrink check against the scalar shrinker
+    # (`_Enablers`, `_shrink_mask`) on every pair (cut, S).
+    def test_matches_scalar_shrinker(self):
+        by_n: dict[int, list] = {}
+        for _, g in full_corpus(6):
+            by_n.setdefault(g.n, []).append(g)
+        chunks = [gs[k:k + 40] for gs in by_n.values()
+                  for k in range(0, len(gs), 40)]
+        chunks += [[random_connected_graph(n, seed) for seed in range(6)]
+                   for n in (7, 8)]
+        chunks.append([TIE])
+        pairs = 0
+        for chunk in chunks:
+            for g, got in zip(chunk, _block_rows(chunk)):
+                assert got == _scalar_shrink_rows(g)
+                pairs += len(got)
+        assert pairs == 38397
+
+    def test_tie_goes_to_the_lexicographically_least(self):
+        comp, s = 0b11, 0b1110100
+        cut = [c[1] for c in _independent_rest_cuts(TIE)].index(comp)
+        rule = _Enablers(TIE.adj, comp, functools.partial(neighborhood_mask,
+                                                          TIE))
+        enabling = [t for t in range(s + 1)
+                    if not t & ~s and rule.enables(t)]
+        best = max(t.bit_count() for t in enabling)
+        assert [t for t in enabling if t.bit_count() == best] == \
+            [0b0100100, 0b1100000]
+        assert rule.max_enabler(s) == 0b0100100
+        assert (cut, s, 0b10000, False) in _block_rows([TIE])[0]
+        assert (cut, s, 0b10000, False) in _scalar_shrink_rows(TIE)
+
+    def test_lookup_table_and_traces(self):
+        for g in (TIE, random_connected_graph(8, 1)):
+            cuts = list(_independent_rest_cuts(g))
+            pairs = _shrink_block(g.n, [g.adj], [[c[1] for c in cuts]])
+            for i, (c, s, t) in enumerate(zip(pairs.cut.tolist(),
+                                              pairs.sets.tolist(),
+                                              pairs.trace.tolist())):
+                _, comp, _, nbr, _ = cuts[c]
+                assert pairs.lut[c, s] == i
+                assert t == nbr[s] & comp
+            assert (pairs.lut >= 0).sum() == len(pairs.sets)
 
 
 class TestShrink:
