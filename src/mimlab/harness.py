@@ -8,6 +8,7 @@ same rows byte for byte (timing is excluded from exports by default).
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, fields
@@ -37,6 +38,7 @@ from .graph import (
 )
 from .obdd import obdd_bounds_report, subfunction_count
 from .traces import (
+    _cut_pairs,
     _shrink_block,
     _trace_bound_report,
     independent_set_masks,
@@ -175,33 +177,17 @@ def sandwich_instances(
     return out
 
 
-def _independent_rest_cuts(
-    g: Graph,
-) -> Iterator[tuple[int, int, list[int], dict[int, int], int]]:
-    """The cuts (U, rest) of g whose rest side is independent, with the
-    per-graph tables that `run_rest_cuts` builds once for both its checks.
-
-    One `_EdgeTable`, one list `ind` of the independent sets of g (in
-    `independent_set_masks` order) and their neighbourhood masks `nbr`
-    serve every cut.  Yields (umask, comp, subsets, nbr, r) with comp
-    running over `ind` and U = full ^ comp: `subsets` are the independent
-    subsets of U in enumeration order (a filter of `ind`, so equal to
-    `list(independent_set_masks(g, umask))`), and r is the largest
-    induced cut matching.
+def _independent_rest_cuts(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """The cuts (U, rest) of g whose rest side is independent, as
+    (umask, comp, r): comp runs over the independent sets of g in
+    `independent_set_masks` order, U = full ^ comp, and r is the largest
+    induced cut matching, from one `_EdgeTable` per graph.
     """
     full = g.full_mask()
     table = _EdgeTable(g, WidthVariant.LSIM)
-    ind = list(independent_set_masks(g, full))
-    # Sets come by size, so s minus its lowest vertex is already mapped;
-    # on an independent set the union of neighbourhoods misses the set.
-    nbr = {0: 0}
-    for s in ind[1:]:
-        b = s & -s
-        nbr[s] = nbr[s ^ b] | g.adj[b.bit_length() - 1]
-    for comp in ind:
+    for comp in independent_set_masks(g, full):
         umask = full ^ comp
-        subsets = [s for s in ind if not s & comp]
-        yield umask, comp, subsets, nbr, table.max_size(table.crossing(umask))
+        yield umask, comp, table.max_size(table.crossing(umask))
 
 
 # ---------------------------------------------------------------------------
@@ -234,52 +220,64 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
                  evaluate)
 
 
-# At most this many pairs (cut, set) go to one `_shrink_block` call, unless
-# its single graph has more.  One call per graph pays numpy's per-call cost
-# 1,252 times at n <= 7; an uncapped chunk grows the arrays with the corpus.
-_SHRINK_CHUNK_PAIRS = 1 << 12
+# Consecutive graphs of one size go to `_cut_pairs` as one chunk while the
+# squares of their cut counts sum to at most this, but at least one graph
+# goes: a graph with k cuts has at most k^2 pairs (cut, set) and k^2 cells
+# of the kernel's candidate matrix.  One call per graph pays numpy's
+# per-call cost 1,252 times at n <= 7 (72 chunks at this bound); the
+# arrays, and the peak memory, grow with the chunk.
+_CHUNK_CELLS = 3 << 12
 
 
-def _shrink_verdicts(
-    graphs: Sequence[Graph], contexts: Sequence[list]
-) -> list[list[tuple[int | None, int, set[int]]]]:
-    """Per graph, per cut: the first set that fails the shrink
-    postconditions (None if none does), the number of sets and the traces
-    of the enabling sets of at most r vertices.
+def _rest_cut_verdicts(
+    graphs: Sequence[Graph], contexts: Sequence[list], checks: Sequence[str]
+) -> Iterator[list[tuple]]:
+    """Per graph, per cut: ((umask, comp, r), small, failed, count,
+    enabled).
 
     `contexts[i]` is `list(_independent_rest_cuts(graphs[i]))`; the graphs
-    share one size and go to `_shrink_block` as one chunk.  A set passes
-    when its output is a subset of it with the same trace, enables and has
-    at most r vertices; the output is a listed set of the same cut, so its
-    trace and verdict are read from the chunk's own arrays.
+    share one size and go to `_cut_pairs` as one chunk.  For trace-bound,
+    small is the set of traces of the cut's independent sets of at most r
+    vertices.  For shrink, failed is the first set that fails the shrink
+    postconditions (-1 if none does), count the number of sets and
+    enabled the traces of the enabling sets of at most r vertices.  A set
+    passes when its output is a subset of it with the same trace, enables
+    and has at most r vertices; the output is a listed set of the same
+    cut, so its trace and verdict are read from the chunk's own arrays.
+    An unrequested check's entries are None, and its work is not done.
     """
     n = graphs[0].n
-    pairs = _shrink_block(n, [g.adj for g in graphs],
-                          [[c[1] for c in cuts] for cuts in contexts])
-    r = np.array([c[4] for cuts in contexts for c in cuts])[pairs.cut]
-    ones = np.array([m.bit_count() for m in range(1 << n)])
-    at = pairs.lut[pairs.cut, pairs.out]
-    ok = ((pairs.out & ~pairs.sets) == 0) & (at >= 0)
-    ok &= pairs.enables[at] & (pairs.trace[at] == pairs.trace)
-    ok &= ones[pairs.out] <= r
-    total = sum(map(len, contexts))
-    first = np.full(total, -1, dtype=np.int64)
-    bad = np.flatnonzero(~ok)
-    failed, where = np.unique(pairs.cut[bad], return_index=True)
-    first[failed] = pairs.sets[bad[where]]
-    counts = np.bincount(pairs.cut, minlength=total).tolist()
-    small = pairs.enables & (ones[pairs.sets] <= r)
-    keys = np.unique(pairs.cut[small] << n | pairs.trace[small])
-    ends = np.searchsorted(keys >> n, np.arange(total), side="right").tolist()
-    enabled = (keys & graphs[0].full_mask()).tolist()
-    per_cut = [(None if s < 0 else s, k, set(enabled[lo:hi]))
-               for s, k, lo, hi in zip(first.tolist(), counts, [0] + ends,
-                                       ends)]
-    out, lo = [], 0
-    for cuts in contexts:
-        out.append(per_cut[lo:lo + len(cuts)])
-        lo += len(cuts)
-    return out
+    pairs = _cut_pairs(n, [g.adj for g in graphs],
+                       [[c[1] for c in cuts] for cuts in contexts])
+    cuts = [c for got in contexts for c in got]
+    r = np.array([c[2] for c in cuts])[pairs.cut]
+    small = pairs.ones[pairs.sets] <= r
+
+    def traces_by_cut(keep: np.ndarray) -> Iterator[set[int]]:
+        keys = np.unique(pairs.cut[keep] << n | pairs.trace[keep])
+        ends = np.searchsorted(keys >> n, np.arange(len(cuts)),
+                               side="right").tolist()
+        found = (keys & graphs[0].full_mask()).tolist()
+        return (set(found[lo:hi]) for lo, hi in zip([0] + ends, ends))
+
+    bound = failed = counts = enabled = [None] * len(cuts)
+    if "trace-bound" in checks:
+        bound = traces_by_cut(small)
+    if "shrink" in checks:
+        out, enables = _shrink_block(pairs)
+        at = pairs.lut[pairs.cut, out]
+        ok = ((out & ~pairs.sets) == 0) & (at >= 0)
+        ok &= enables[at] & (pairs.trace[at] == pairs.trace)
+        ok &= pairs.ones[out] <= r
+        first = np.full(len(cuts), -1, dtype=np.int64)
+        bad = np.flatnonzero(~ok)
+        cut, where = np.unique(pairs.cut[bad], return_index=True)
+        first[cut] = pairs.sets[bad[where]]
+        failed = first.tolist()
+        counts = np.bincount(pairs.cut, minlength=len(cuts)).tolist()
+        enabled = traces_by_cut(small & enables)
+    per_cut = zip(cuts, bound, failed, counts, enabled)
+    return (list(itertools.islice(per_cut, len(got))) for got in contexts)
 
 
 def run_rest_cuts(
@@ -301,55 +299,46 @@ def run_rest_cuts(
     first failure, and a graph's pass once every requested check has
     failed.  An unrequested check does none of its own work.
 
-    The shrink verdicts come from `_shrink_verdicts`, whose one
-    `_shrink_block` call covers a chunk of consecutive graphs of one size:
-    the first graph of a chunk pays for it, builds the cut contexts of the
-    others ahead of their turn, and takes graphs while the chunk holds at
-    most `_SHRINK_CHUNK_PAIRS` pairs (cut, set), but at least one graph.
+    Both checks read their per-cut verdicts from `_rest_cut_verdicts`,
+    whose one `_cut_pairs` call covers a chunk of consecutive graphs of
+    one size: it takes graphs while the squares of their cut counts sum
+    to at most `_CHUNK_CELLS`, but at least one graph.  The first graph
+    of a chunk pays for it and for the next chunk's first cut context.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
     checks = tuple(dict.fromkeys(checks))
     corpus = full_corpus(max_n)
     graphs = [g for _, g in corpus]
-    ahead: dict[int, list] = {}  # cut contexts, by graph index
-    verdicts: dict[int, list] = {}  # `_shrink_verdicts` rows, by graph index
 
-    def shrink_verdicts(i: int, cuts: list) -> list:
-        if i not in verdicts:
-            chunk = [cuts]
-            pairs = sum(len(c[2]) for c in cuts)
-            j = i + 1
-            while j < len(graphs) and graphs[j].n == graphs[i].n:
-                ahead[j] = later = list(_independent_rest_cuts(graphs[j]))
-                pairs += sum(len(c[2]) for c in later)
-                if pairs > _SHRINK_CHUNK_PAIRS:
-                    break
-                chunk.append(later)
-                j += 1
-            for k, got in enumerate(_shrink_verdicts(graphs[i:j], chunk)):
-                verdicts[i + k] = got
-        return verdicts.pop(i)
+    def chunked() -> Iterator[list[tuple]]:
+        start, chunk, cells = 0, [], 0
+        for i, g in enumerate(graphs):
+            cuts = list(_independent_rest_cuts(g))
+            cells += len(cuts) ** 2
+            if chunk and (g.n != graphs[start].n or cells > _CHUNK_CELLS):
+                yield from _rest_cut_verdicts(graphs[start:i], chunk, checks)
+                start, chunk, cells = i, [], len(cuts) ** 2
+            chunk.append(cuts)
+        yield from _rest_cut_verdicts(graphs[start:], chunk, checks)
 
-    def evaluate(g, i):
-        cuts = ahead.pop(i) if i in ahead else list(_independent_rest_cuts(g))
-        shrunk = shrink_verdicts(i, cuts) if "shrink" in checks else None
+    verdicts = chunked()  # `_rows` evaluates the graphs in corpus order
+
+    def evaluate(g):
         live = set(checks)
         bad: dict[str, str] = {}  # check -> detail of its first failure
         cuts_checked = sets_checked = 0
-        for k, (umask, comp, subsets, nbr, r) in enumerate(cuts):
+        for (umask, _, r), small, smask, count, enabled in next(verdicts):
             family = trace_masks(g, umask)
             if "trace-bound" in live:
-                small = {nbr[t] & comp for t in subsets if t.bit_count() <= r}
                 rep = _trace_bound_report(g.n, umask.bit_count(), family,
                                           r, small)
                 cuts_checked += 1
                 if not rep.all_ok:
                     bad["trace-bound"] = f"violated at mask {umask}: {rep}"
             if "shrink" in live:
-                smask, count, enabled = shrunk[k]
                 sets_checked += count
-                if smask is not None:
+                if smask >= 0:
                     bad["shrink"] = f"failed at cut {umask} set {smask}"
                 elif enabled != family:
                     bad["shrink"] = (f"enabling sets of size <= {r} "
@@ -362,8 +351,7 @@ def run_rest_cuts(
         return [dict(passed=check not in bad,
                      detail=bad.get(check, done[check])) for check in checks]
 
-    cases = [(name, g, i) for i, (name, g) in enumerate(corpus)]
-    return _rows(checks, seed, cases, evaluate)
+    return _rows(checks, seed, corpus, evaluate)
 
 
 def run_trace_bound(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:

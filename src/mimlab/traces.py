@@ -8,9 +8,10 @@ V is independent every trace is already realized by a subset that
 largest such matching.  The mask kernel `_shrink_mask` finds that subset
 by repeated `_shrink_step`s and logs its moves, and `shrink_to_enabler`
 wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
-(`trace-bound`) per cut and the statement (`shrink`) with `_shrink_block`,
-the same shrinker as array passes over every pair (cut, set) of a chunk of
-graphs.
+(`trace-bound`) and the statement (`shrink`) on the arrays of
+`_cut_pairs`, every pair (cut, set) of a chunk of graphs with its trace:
+trace-bound reads the traces of the small sets, and shrink runs
+`_shrink_block`, the same shrinker as array passes over the pairs.
 
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
@@ -175,47 +176,36 @@ def _trace_block(
     return pairs
 
 
-class _ShrinkPairs(NamedTuple):
-    """`_shrink_block`'s arrays, one entry per (cut, set) pair in order:
-    by graph, then cut, then set, each in `independent_set_masks` order."""
+class _CutPairs(NamedTuple):
+    """`_cut_pairs`'s arrays, one entry per pair (cut, set) in order: by
+    graph, then cut, then set, each in `independent_set_masks` order."""
 
     cut: np.ndarray  # the pair's cut, numbered over the whole chunk
     sets: np.ndarray  # S
-    out: np.ndarray  # `_shrink_mask`'s output for S
-    enables: np.ndarray  # whether S enables
     trace: np.ndarray  # N(S) & comp, comp the cut's rest side
     lut: np.ndarray  # [cut, mask] -> the pair's index, -1 off the list
+    ones: np.ndarray  # [mask] -> its popcount, over all 2^n masks
 
 
-def _shrink_block(
+def _cut_pairs(
     n: int, adjs: Sequence[Sequence[int]], inds: Sequence[Sequence[int]]
-) -> _ShrinkPairs:
-    """The shrinker's output for every pair (cut, S) of a chunk of graphs
-    on n vertices, graph i with adjacency masks adjs[i] and independent
-    sets inds[i] in `independent_set_masks` order.  Each comp of inds[i]
-    is a cut's independent rest side, and its sets S are the members of
-    inds[i] disjoint from comp.
-
-    The array form of `_Enablers` and `_shrink_step`, which stay as
-    `shrink_to_enabler`'s rule and this kernel's slow oracle.  The lowest
-    member of S with no private neighbour (`_Enablers.lacking`) is one
-    vectorised test per vertex against N(S - v), read from a per-graph
-    table over all masks.  The other quantities each follow from smaller
-    sets of the same cut, so they are gathered one popcount layer at a
-    time through `lut`: the maximum enabler, as the largest key
-    |T| << n | T bit-reversed over the answers T for S - v (the largest
-    key is the lexicographically least maximum subset, `max_enabler`'s
-    tie rule); the fixpoint of eliminations; `_shrink_step`'s next set;
-    and the output, which is S when S enables and otherwise the next
-    set's.  Masks and keys are int32, enough up to n = 26; the tables over
-    all 2^n masks stop far earlier (the corpus ends at n = 8).
+) -> _CutPairs:
+    """Every pair (cut, S) of a chunk of graphs on n vertices, with its
+    trace; graph i has adjacency masks adjs[i] and independent sets
+    inds[i] in `independent_set_masks` order.  Each comp of inds[i] is a
+    cut's independent rest side, and its sets S are the members of inds[i]
+    disjoint from comp: the independent subsets of the other side.  Masks
+    (and `_shrink_block`'s keys) are int32, enough up to n = 26; the tables
+    over all 2^n masks stop far earlier (the corpus ends at n = 8).
     """
     size = 1 << n
     adj = np.array(adjs, dtype=np.int32).reshape(len(adjs), n)
     nbr = np.zeros((len(adjs), size), dtype=np.int32)
+    ones = np.zeros(size, dtype=np.int32)
     for v in range(n):
         b = 1 << v
         nbr[:, b:2 * b] = nbr[:, :b] | adj[:, v:v + 1]
+        ones[b:2 * b] = ones[:b] + 1
     lens = np.array([len(ind) for ind in inds])
     comps = np.fromiter(itertools.chain.from_iterable(inds), dtype=np.int32,
                         count=int(lens.sum()))
@@ -228,26 +218,45 @@ def _shrink_block(
     cand = listed[graph_of]
     cut, col = np.nonzero((cand >= 0) & (cand & comps[:, None] == 0))
     sets = cand[cut, col]
-    lut = np.full((len(comps), size), -1, dtype=np.int32)
+    # the narrowest signed type that holds every pair index
+    lut = np.full((len(comps), size), -1,
+                  dtype=np.min_scalar_type(-len(sets)))
     lut[cut, sets] = np.arange(len(sets))
-    comp = comps[cut]
-    graph = graph_of[cut]
-    flat = nbr.ravel()
-    base = graph * size
-    trace = flat[base + sets] & comp
+    trace = nbr[graph_of[cut], sets] & comps[cut]
+    return _CutPairs(cut, sets, trace, lut, ones)
+
+
+def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
+    """The shrinker's output and enabling verdict for every pair (cut, S)
+    of `pairs`, as two arrays.
+
+    The array form of `_Enablers` and `_shrink_step`, which stay as
+    `shrink_to_enabler`'s rule and this kernel's slow oracle.  Every
+    quantity follows from smaller sets of the same cut, read through
+    `lut`.  A member v of S has a private neighbour exactly when the trace
+    of {v} is not inside that of S - v, one test per vertex, so this gives
+    the lowest lacking member (`_Enablers.lacking`).  The rest is gathered
+    one popcount layer at a time: the maximum enabler, as the largest key
+    |T| << n | T bit-reversed over the answers T for S - v (the largest
+    key is the lexicographically least maximum subset, `max_enabler`'s
+    tie rule); the fixpoint of eliminations; `_shrink_step`'s next set;
+    and the output, which is S when S enables and otherwise the next
+    set's.
+    """
+    cut, sets, trace, lut, ones = pairs
+    n = len(ones).bit_length() - 1
     lack = np.zeros_like(sets)
     for v in reversed(range(n)):  # the lowest lacking member writes last
         b = 1 << v
-        alone = adj[graph, v] & comp & ~flat[base + (sets ^ b)] == 0
+        # for v outside S a lookup may give -1, but the mask drops it
+        alone = trace[lut[cut, b]] & ~trace[lut[cut, sets ^ b]] == 0
         lack[(sets & b != 0) & alone] = b
     enables = lack == 0
 
     bits = 1 << np.arange(n, dtype=np.int32)
-    ones = np.zeros(size, dtype=np.int32)  # popcount of each mask
-    rev = np.zeros(size, dtype=np.int32)
+    rev = np.zeros_like(ones)  # each mask bit-reversed
     for v in range(n):
         b = 1 << v
-        ones[b:2 * b] = ones[:b] + 1
         rev[b:2 * b] = rev[:b] | 1 << (n - 1 - v)
     best = np.zeros_like(sets)
     key = np.zeros_like(sets)
@@ -256,7 +265,10 @@ def _shrink_block(
     popcount = ones[sets]
     order = np.argsort(popcount, kind="stable")
     ends = np.searchsorted(popcount[order], np.arange(n + 1), side="right")
-    for lo, hi in zip(itertools.chain((0,), ends), ends):
+    # A set's values read only its own and smaller sets', so a layer may go
+    # in slices: 2^10 sets at most bound the (sets, n) arrays' memory.
+    bounds = np.union1d(ends, range(0, len(sets), 1 << 10)).tolist()
+    for lo, hi in itertools.pairwise(bounds):
         at = order[lo:hi]
         s, c, ok = sets[at], cut[at], enables[at]
         below = lut[c[:, None], s[:, None] ^ bits]  # S - v, v in S
@@ -269,7 +281,7 @@ def _shrink_block(
         grown = t | outside & -outside  # S0 + w, reduced by eliminations
         step = elim[lut[c, grown]] | s & ~grown
         out[at] = np.where(ok, s, out[lut[c, step]])
-    return _ShrinkPairs(cut, sets, out, enables, trace, lut)
+    return out, enables
 
 
 def trace_masks(
@@ -342,8 +354,8 @@ class _Enablers:
     a private neighbour, one on comp outside N(S - v): private
     neighbourhoods are pairwise disjoint, so the partners are distinct, and
     the matching is induced because both sides are independent.  `nbr(t)`
-    is the neighbourhood mask of the independent set t (the suite's
-    per-graph table or a cached `neighborhood_mask`); the maximum
+    is the neighbourhood mask of the independent set t (in
+    `shrink_to_enabler`, a cached `neighborhood_mask`); the maximum
     enablers are memoised, so one instance serves one cut.
     """
 
@@ -368,11 +380,8 @@ class _Enablers:
         return 0
 
     def enables(self, smask: int) -> bool:
-        """Whether smask enables.  A set `max_enabler` has been asked
-        about is answered from its memo, which records the set itself
-        exactly when no member lacks a private neighbour."""
-        out = self.best.get(smask)
-        return not self.lacking(smask) if out is None else out == smask
+        """Whether smask enables."""
+        return not self.lacking(smask)
 
     def max_enabler(self, smask: int) -> int:
         """The lexicographically least maximum-size enabling subset of
@@ -524,7 +533,8 @@ def trace_count_bound_check(
     enumerated directly, so the last verdict also compares `trace_masks`
     with an independent enumeration.  The report itself comes from
     `_trace_bound_report`, which `harness.run_rest_cuts` calls for the
-    `trace-bound` check with its per-graph tables.
+    `trace-bound` check with the small-set traces read from the arrays of
+    `_cut_pairs`.
     """
     umask = mask_of(u, g.n)
     comp = g.full_mask() & ~umask

@@ -36,6 +36,7 @@ from mimlab.harness import (
     verify,
 )
 from mimlab.traces import (
+    _cut_pairs,
     _trace_bound_report,
     independent_set_masks,
     trace_count_bound_check,
@@ -183,9 +184,20 @@ class TestExport:
         assert "wall_ms" in p.read_text().splitlines()[0]
 
 
+def _cuts_with_pairs(g):
+    """(umask, comp, r, subsets, traces) per cut of g: the cut context and
+    the cut's pairs (S, trace) from `_cut_pairs` over g alone."""
+    cuts = list(_independent_rest_cuts(g))
+    pairs = _cut_pairs(g.n, [g.adj], [[c[1] for c in cuts]])
+    for k, (umask, comp, r) in enumerate(cuts):
+        at = pairs.cut == k
+        yield (umask, comp, r, pairs.sets[at].tolist(),
+               pairs.trace[at].tolist())
+
+
 class TestCutContext:
-    # The per-graph context of the trace-bound and shrink suites against
-    # the per-cut computations it replaces, on every cut of n <= 5.
+    # The per-graph cut context and the pair arrays of the trace-bound and
+    # shrink suites against per-cut computations, on every cut of n <= 5.
     def test_matches_per_cut_computation(self):
         for _, g in full_corpus(5):
             full = g.full_mask()
@@ -193,19 +205,19 @@ class TestCutContext:
             assert [c[0] for c in cuts] == [
                 full ^ comp for comp in independent_set_masks(g, full)
             ]
-            for umask, comp, subsets, nbr, r in cuts:
+            for umask, comp, r, subsets, trace in _cuts_with_pairs(g):
                 assert comp == full ^ umask
                 assert subsets == list(independent_set_masks(g, umask))
                 u = vertices_of(umask)
                 assert r == max_induced_cut_matching(g, u)[0]
-                for s in subsets:
-                    assert nbr[s] == neighborhood_mask(g, s)
+                for s, t in zip(subsets, trace):
+                    assert t == neighborhood_mask(g, s) & comp
 
     def test_trace_bound_report_matches_public_check(self):
         for _, g in full_corpus(5):
-            for umask, comp, subsets, nbr, r in _independent_rest_cuts(g):
-                small = {nbr[t] & comp for t in subsets
-                         if t.bit_count() <= r}
+            for umask, comp, r, subsets, trace in _cuts_with_pairs(g):
+                small = {t for s, t in zip(subsets, trace)
+                         if s.bit_count() <= r}
                 rep = _trace_bound_report(g.n, umask.bit_count(),
                                           trace_masks(g, umask), r, small)
                 assert rep == trace_count_bound_check(g, vertices_of(umask))
@@ -226,6 +238,30 @@ class TestRestCutPass:
             "c64d370d100fddd2db180ae08942936d1358e779861f22d3cf458f2b894c04e5"
         assert _digest(run_shrink(6)) == \
             "94e74cb588cbf0cbfb6064b1af992d29ff9dc089c280911db15b4af2d581459e"
+
+    @pytest.mark.parametrize("whole_sizes", [False, True])
+    def test_rows_pinned_at_any_chunk_bound(self, monkeypatch, whole_sizes):
+        import mimlab.harness as harness
+
+        # One graph per chunk, then each size's whole corpus as one chunk.
+        graphs: dict[int, list[int]] = {}  # n -> cut count of each graph
+        for _, g in full_corpus(6):
+            cuts = len(list(_independent_rest_cuts(g)))
+            graphs.setdefault(g.n, []).append(cuts)
+        cap = max(sum(k * k for k in ks) for ks in graphs.values())
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", cap if whole_sizes else 1)
+        chunks = []
+        real = harness._cut_pairs
+
+        def counted(n, adjs, inds):
+            chunks.append(len(adjs))
+            return real(n, adjs, inds)
+
+        monkeypatch.setattr(harness, "_cut_pairs", counted)
+        self.test_rows_pinned()
+        sizes = [len(ks) for ks in graphs.values()]
+        per_pass = sizes if whole_sizes else [1] * sum(sizes)
+        assert chunks == per_pass * 2
 
     def test_joint_verify_equals_suites_alone(self):
         rows = verify(ExperimentSpec(checks=("trace-bound", "shrink"),
@@ -335,18 +371,24 @@ class TestRestCutPass:
         # The third of the 13 cuts of all5-0014 fails at its first set.
         name, g = full_corpus(5)[-20]
         umask, comp = list(_independent_rest_cuts(g))[2][:2]
-        real = harness._shrink_block
+        real_pairs, real = harness._cut_pairs, harness._shrink_block
+        chosen = []  # the chosen cut in the latest chunk, if g is in it
 
-        def lying(n, adjs, inds):
+        def listing(n, adjs, inds):
+            chosen[:] = [sum(map(len, inds[:i])) + ind.index(comp)
+                         for i, (adj, ind) in enumerate(zip(adjs, inds))
+                         if adj == g.adj]
+            return real_pairs(n, adjs, inds)
+
+        def lying(pairs):
             # no set of the chosen cut enables, as far as the suite reads
-            pairs = real(n, adjs, inds)
-            for i, (adj, ind) in enumerate(zip(adjs, inds)):
-                if adj == g.adj:
-                    cut = sum(map(len, inds[:i])) + ind.index(comp)
-                    pairs.enables[pairs.cut == cut] = False
-            return pairs
+            out, enables = real(pairs)
+            for cut in chosen:
+                enables[pairs.cut == cut] = False
+            return out, enables
 
         clean_bound = run_trace_bound(5)
+        monkeypatch.setattr(harness, "_cut_pairs", listing)
         monkeypatch.setattr(harness, "_shrink_block", lying)
         alone = run_shrink(5)
         joint = run_rest_cuts(5)
@@ -365,7 +407,7 @@ class TestRestCutPass:
         # independent set leaves: every set still shrinks correctly, so
         # only the comparison of the enabling sets with the family fails.
         name, g = full_corpus(5)[-20]
-        umask, comp, _, _, r = list(_independent_rest_cuts(g))[9]
+        umask, comp, r = list(_independent_rest_cuts(g))[9]
         real = harness.trace_masks
         extra = next(t for t in range(comp + 1)
                      if not t & ~comp and t not in real(g, umask))

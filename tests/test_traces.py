@@ -29,6 +29,7 @@ from mimlab.harness import _independent_rest_cuts, full_corpus
 from mimlab.traces import (
     TraceBoundReport,
     _Enablers,
+    _cut_pairs,
     _shrink_block,
     _shrink_mask,
     _trace_block,
@@ -247,13 +248,14 @@ class TestEnables:
 
 
 def _rest_cut_rules(max_n: int):
-    """(g, umask, subsets, rule over the suite's `nbr` table, rule over a
+    """(g, umask, subsets, rule over `neighborhood_mask`, rule over a
     cached `neighborhood_mask`) for every independent-rest cut."""
     for _, g in full_corpus(max_n):
-        cached = functools.cache(functools.partial(neighborhood_mask, g))
-        for umask, comp, subsets, nbr, _ in _independent_rest_cuts(g):
-            yield (g, umask, subsets,
-                   _Enablers(g.adj, comp, nbr.__getitem__),
+        nbr = functools.partial(neighborhood_mask, g)
+        cached = functools.cache(nbr)
+        for umask, comp, _ in _independent_rest_cuts(g):
+            yield (g, umask, list(independent_set_masks(g, umask)),
+                   _Enablers(g.adj, comp, nbr),
                    _Enablers(g.adj, comp, cached))
 
 
@@ -293,10 +295,11 @@ def _scalar_shrink_rows(g):
     """(cut number, S, `_shrink_mask`'s output, enabling verdict) of every
     pair of g, from a fresh `_Enablers` per cut."""
     rows = []
-    for k, (_, comp, subsets, nbr, _) in enumerate(_independent_rest_cuts(g)):
-        rule = _Enablers(g.adj, comp, nbr.__getitem__)
+    nbr = functools.cache(functools.partial(neighborhood_mask, g))
+    for k, (umask, comp, _) in enumerate(_independent_rest_cuts(g)):
+        rule = _Enablers(g.adj, comp, nbr)
         rows += [(k, s, _shrink_mask(rule, s)[0], rule.enables(s))
-                 for s in subsets]
+                 for s in independent_set_masks(g, umask)]
     return rows
 
 
@@ -304,11 +307,12 @@ def _block_rows(graphs):
     """The same rows from one `_shrink_block` call over graphs of one size,
     cut numbers restarting at each graph."""
     inds = [[c[1] for c in _independent_rest_cuts(g)] for g in graphs]
-    pairs = _shrink_block(graphs[0].n, [g.adj for g in graphs], inds)
+    pairs = _cut_pairs(graphs[0].n, [g.adj for g in graphs], inds)
+    shrunk, enables = _shrink_block(pairs)
     starts = list(itertools.accumulate(map(len, inds), initial=0))
     rows = [[] for _ in graphs]
     for c, s, out, ok in zip(pairs.cut.tolist(), pairs.sets.tolist(),
-                             pairs.out.tolist(), pairs.enables.tolist()):
+                             shrunk.tolist(), enables.tolist()):
         i = bisect.bisect_right(starts, c) - 1
         rows[i].append((c - starts[i], s, out, ok))
     return rows
@@ -357,13 +361,13 @@ class TestShrinkBlock:
     def test_lookup_table_and_traces(self):
         for g in (TIE, random_connected_graph(8, 1)):
             cuts = list(_independent_rest_cuts(g))
-            pairs = _shrink_block(g.n, [g.adj], [[c[1] for c in cuts]])
+            pairs = _cut_pairs(g.n, [g.adj], [[c[1] for c in cuts]])
             for i, (c, s, t) in enumerate(zip(pairs.cut.tolist(),
                                               pairs.sets.tolist(),
                                               pairs.trace.tolist())):
-                _, comp, _, nbr, _ = cuts[c]
+                _, comp, _ = cuts[c]
                 assert pairs.lut[c, s] == i
-                assert t == nbr[s] & comp
+                assert t == neighborhood_mask(g, s) & comp
             assert (pairs.lut >= 0).sum() == len(pairs.sets)
 
 
