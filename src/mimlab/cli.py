@@ -23,8 +23,11 @@ from . import generators
 from .errors import BudgetExceededError
 from .graph import (
     format_edge_list,
+    is_independent_mask,
+    mask_of,
     max_induced_cut_matching,
     read_edge_list,
+    vertices_of,
 )
 from .harness import (
     CHECK_NAMES,
@@ -45,7 +48,7 @@ from .obdd import (
     obdd_to_dot,
     write_dimacs,
 )
-from .traces import trace_count_bound_check, traces
+from .traces import _cut_bound_report, trace_masks
 from .width import (
     DEFAULT_HEURISTIC_BUDGET,
     WidthVariant,
@@ -176,20 +179,22 @@ def _cmd_traces(args) -> int:
     g = read_edge_list(args.input)
     side = _parse_vertices(args.side, g.n)
     budget = _budget(args)
-    ts = traces(g, side, budget=budget)
+    umask = mask_of(side, g.n)
+    family = trace_masks(g, umask, budget=budget)
     r, witness = max_induced_cut_matching(g, side)
     bound = None
     bound_err = None
-    try:
-        bound = trace_count_bound_check(g, side, budget=budget)
-    except ValueError as exc:
-        bound_err = str(exc)
-    members = sorted(sorted(v + 1 for v in tr) for tr in ts.members)
+    if is_independent_mask(g, g.full_mask() & ~umask):
+        bound = _cut_bound_report(g, umask, family, r, budget=budget)
+    else:
+        bound_err = "complement side is not independent"
+    members = sorted([v + 1 for v in vertices_of(t)] for t in family)
+    labels = [v + 1 for v in vertices_of(umask)]
     if args.json:
         payload = {
-            "side": sorted(v + 1 for v in ts.side_u),
+            "side": labels,
             "traces": members,
-            "trace_count": len(ts),
+            "trace_count": len(family),
             "matching_size": r,
             "matching_witness": [[a + 1, b + 1] for a, b in witness],
         }
@@ -206,8 +211,8 @@ def _cmd_traces(args) -> int:
             payload["bound_check_error"] = bound_err
         print(json.dumps(payload, indent=2))
     else:
-        print(f"side: {','.join(str(v + 1) for v in sorted(ts.side_u))}")
-        print(f"trace family ({len(ts)} members):")
+        print(f"side: {','.join(map(str, labels))}")
+        print(f"trace family ({len(family)} members):")
         for tr in members:
             print("  {" + ",".join(str(v) for v in tr) + "}")
         print(f"matching size: {r}")

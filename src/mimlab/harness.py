@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,13 +33,17 @@ from .generators import (
 from .graph import (
     Graph,
     _EdgeTable,
+    _Work,
     mask_of,
     max_induced_cut_matching,
     vertices_of,
 )
 from .obdd import obdd_bounds_report, subfunction_count
 from .traces import (
+    DEFAULT_ENUM_BUDGET,
+    TraceBoundReport,
     _cut_pairs,
+    _prefix_traces,
     _shrink_block,
     _trace_bound_report,
     independent_set_masks,
@@ -195,15 +200,49 @@ def _independent_rest_cuts(g: Graph) -> Iterator[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
+def _tick_walk(entries: int) -> None:
+    """Tick one graph's walk entries, sum_W |T(W)|, against a budget of
+    DEFAULT_ENUM_BUDGET; `_rows` turns the error into that graph's
+    skipped rows."""
+    _Work(None, "trace family transition", DEFAULT_ENUM_BUDGET).tick(entries)
+
+
+# subfunction-traces walks at most this many consecutive graphs of one size
+# in one `_prefix_traces` call: 64 graphs at n = 7 take about 0.025 s,
+# where one `trace_masks` call per prefix set took 0.2 s for all 1,044.
+_WALK_CHUNK = 64
+
+
 def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     """Residual-function counts agree with trace counts on every prefix
-    set of every connected graph up to max_n."""
+    set of every connected graph up to max_n.
+
+    The trace counts |T(W)| of every W come from one `_prefix_traces` walk
+    per chunk of at most `_WALK_CHUNK` consecutive graphs of one size,
+    counted by `np.bincount`; the first graph of a chunk pays for the
+    walk.  `subfunction_count` stays the per-prefix semantic oracle, and
+    the first mismatch, lowest mask first, fails the graph.
+    """
+    corpus = connected_corpus(max_n)
+
+    def walks() -> Iterator[list[int]]:
+        graphs = (g for _, g in corpus)
+        for n, same in itertools.groupby(graphs, key=lambda g: g.n):
+            same = list(same)
+            for lo in range(0, len(same), _WALK_CHUNK):
+                adjs = [g.adj for g in same[lo:lo + _WALK_CHUNK]]
+                keys = _prefix_traces(n, adjs)
+                counts = np.bincount(keys >> n, minlength=len(adjs) << n)
+                yield from counts.reshape(len(adjs), 1 << n).tolist()
+
+    counts = walks()  # `_rows` evaluates the graphs in corpus order
 
     def evaluate(g):
+        tcounts = next(counts)
+        _tick_walk(sum(tcounts))
         bad = None
         checked = 0
-        for umask in range(1 << g.n):
-            tcount = len(trace_masks(g, umask))
+        for umask, tcount in enumerate(tcounts):
             scount = subfunction_count(g, vertices_of(umask))
             checked += 1
             if tcount != scount:
@@ -216,8 +255,7 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
             else f"mismatch at mask {bad[0]}: traces={bad[1]} residuals={bad[2]}",
         )]
 
-    return _rows(("subfunction-traces",), seed, connected_corpus(max_n),
-                 evaluate)
+    return _rows(("subfunction-traces",), seed, corpus, evaluate)
 
 
 # Consecutive graphs of one size go to `_cut_pairs` as one chunk while the
@@ -229,55 +267,123 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
 _CHUNK_CELLS = 3 << 12
 
 
+def _trace_bound_fails(
+    n: int, side: np.ndarray, r: np.ndarray, count: np.ndarray,
+    small_differs: np.ndarray,
+) -> np.ndarray:
+    """Per cut, whether trace-bound fails there: a side of `side` vertices
+    with largest induced cut matching r has `count` traces, more than
+    sum_{i<=r} C(|W|, i) or n^(r+1) (both from tables over (|W|, r)), or
+    its small-set traces differ from its family (`small_differs`)."""
+    binom = np.cumsum([[math.comb(k, i) for i in range(n + 1)]
+                       for k in range(n + 1)], axis=1)
+    power = n ** np.arange(1, n + 2)
+    return (count > binom[side, r]) | (count > power[r]) | small_differs
+
+
+def _cut_families(
+    n: int, adjs: Sequence[Sequence[int]], graph_of: np.ndarray,
+    umask: np.ndarray,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The families T(W) of a chunk's cuts, cut k of graph graph_of[k]
+    with side umask[k], from one `_prefix_traces` walk: each graph's walk
+    entries, sum_W |T(W)|, the sorted keys cut << n | t, t in T(W), and
+    each cut's |T(W)|.  The walk's pairs whose prefix set is no cut are
+    dropped here, so its arrays are freed before the shrinker runs."""
+    walk = _prefix_traces(n, adjs)
+    entries = np.bincount(walk >> 2 * n, minlength=len(adjs)).tolist()
+    cut_of = np.full(len(adjs) << n, -1, dtype=np.int32)  # (graph, W)
+    cut_of[graph_of << n | umask] = np.arange(len(umask))
+    at = cut_of[walk >> n]
+    keep = at >= 0
+    family = np.sort(at[keep] << n | walk[keep] & (1 << n) - 1)
+    return entries, family, np.bincount(at[keep], minlength=len(umask))
+
+
 def _rest_cut_verdicts(
     graphs: Sequence[Graph], contexts: Sequence[list], checks: Sequence[str]
-) -> Iterator[list[tuple]]:
-    """Per graph, per cut: ((umask, comp, r), small, failed, count,
-    enabled).
+) -> Iterator[tuple[int, tuple[dict, ...]]]:
+    """Per graph: its walk's entries, sum_W |T(W)|, and the values of its
+    rows, one dict per check in `checks`.
 
     `contexts[i]` is `list(_independent_rest_cuts(graphs[i]))`; the graphs
-    share one size and go to `_cut_pairs` as one chunk.  For trace-bound,
-    small is the set of traces of the cut's independent sets of at most r
-    vertices.  For shrink, failed is the first set that fails the shrink
-    postconditions (-1 if none does), count the number of sets and
-    enabled the traces of the enabling sets of at most r vertices.  A set
+    share one size n and go to `_cut_pairs` and `_cut_families` as one
+    chunk, whose cuts are numbered in order.  The walk gives each cut's
+    family T(W) as the sorted keys cut << n | t; the pairs (cut, S) give
+    the same keys a second way, from N(S) & comp.  trace-bound fails at a
+    cut when `_trace_bound_fails` says so; its row then shows the
+    `_trace_bound_report` built from those arrays.  For shrink a set
     passes when its output is a subset of it with the same trace, enables
     and has at most r vertices; the output is a listed set of the same
     cut, so its trace and verdict are read from the chunk's own arrays.
-    An unrequested check's entries are None, and its work is not done.
+    It also fails at a cut whose enabling sets of at most r vertices leave
+    other traces than the family.  A row names the first cut that fails
+    its check; an unrequested check's work is not done.
     """
     n = graphs[0].n
-    pairs = _cut_pairs(n, [g.adj for g in graphs],
-                       [[c[1] for c in cuts] for cuts in contexts])
+    full = (1 << n) - 1
+    adjs = [g.adj for g in graphs]
+    pairs = _cut_pairs(n, adjs, [[c[1] for c in got] for got in contexts])
     cuts = [c for got in contexts for c in got]
-    r = np.array([c[2] for c in cuts])[pairs.cut]
-    small = pairs.ones[pairs.sets] <= r
+    umask = np.array([c[0] for c in cuts])
+    r = np.array([c[2] for c in cuts])
+    graph_of = np.repeat(np.arange(len(graphs)), list(map(len, contexts)))
+    entries, family, count = _cut_families(n, adjs, graph_of, umask)
+    keys = pairs.cut << n | pairs.trace
+    small = pairs.ones[pairs.sets] <= r[pairs.cut]
 
-    def traces_by_cut(keep: np.ndarray) -> Iterator[set[int]]:
-        keys = np.unique(pairs.cut[keep] << n | pairs.trace[keep])
-        ends = np.searchsorted(keys >> n, np.arange(len(cuts)),
-                               side="right").tolist()
-        found = (keys & graphs[0].full_mask()).tolist()
-        return (set(found[lo:hi]) for lo, hi in zip([0] + ends, ends))
+    def differs(chosen: np.ndarray) -> np.ndarray:
+        """Per cut: whether its chosen pairs' traces differ from T(W)."""
+        out = np.zeros(len(cuts), dtype=bool)
+        out[np.setxor1d(family, keys[chosen]) >> n] = True
+        return out
 
-    bound = failed = counts = enabled = [None] * len(cuts)
+    def first(fails: np.ndarray) -> list[int]:
+        """Per graph: its first failing cut, -1 if none fails."""
+        out = np.full(len(graphs), -1)
+        bad = np.flatnonzero(fails)
+        graph, where = np.unique(graph_of[bad], return_index=True)
+        out[graph] = bad[where]
+        return out.tolist()
+
+    def report(k: int) -> TraceBoundReport:
+        """trace-bound's report of cut k, from the arrays its verdict read."""
+        lo, hi = np.searchsorted(family, [k << n, k + 1 << n])
+        return _trace_bound_report(
+            n, cuts[k][0].bit_count(), set((family[lo:hi] & full).tolist()),
+            cuts[k][2], set(pairs.trace[small & (pairs.cut == k)].tolist()))
+
+    values = {}
     if "trace-bound" in checks:
-        bound = traces_by_cut(small)
+        fails = _trace_bound_fails(n, pairs.ones[umask], r, count,
+                                   differs(small))
+        values["trace-bound"] = [
+            dict(passed=True, detail=f"cuts checked={len(got)}") if k < 0
+            else dict(passed=False,
+                      detail=f"violated at mask {cuts[k][0]}: {report(k)}")
+            for k, got in zip(first(fails), contexts)]
     if "shrink" in checks:
         out, enables = _shrink_block(pairs)
         at = pairs.lut[pairs.cut, out]
         ok = ((out & ~pairs.sets) == 0) & (at >= 0)
         ok &= enables[at] & (pairs.trace[at] == pairs.trace)
-        ok &= pairs.ones[out] <= r
-        first = np.full(len(cuts), -1, dtype=np.int64)
+        ok &= pairs.ones[out] <= r[pairs.cut]
+        failed = np.full(len(cuts), -1)
         bad = np.flatnonzero(~ok)
         cut, where = np.unique(pairs.cut[bad], return_index=True)
-        first[cut] = pairs.sets[bad[where]]
-        failed = first.tolist()
-        counts = np.bincount(pairs.cut, minlength=len(cuts)).tolist()
-        enabled = traces_by_cut(small & enables)
-    per_cut = zip(cuts, bound, failed, counts, enabled)
-    return (list(itertools.islice(per_cut, len(got))) for got in contexts)
+        failed[cut] = pairs.sets[bad[where]]
+        fails = (failed >= 0) | differs(small & enables)
+        sets = np.bincount(graph_of[pairs.cut], minlength=len(graphs))
+        values["shrink"] = [
+            dict(passed=True, detail=f"independent sets checked={m}") if k < 0
+            else dict(passed=False,
+                      detail=f"failed at cut {cuts[k][0]} set {failed[k]}")
+            if failed[k] >= 0
+            else dict(passed=False,
+                      detail=f"enabling sets of size <= {cuts[k][2]} "
+                             f"miss a trace at cut {cuts[k][0]}")
+            for k, m in zip(first(fails), sets.tolist())]
+    return zip(entries, zip(*(values[check] for check in checks)))
 
 
 def run_rest_cuts(
@@ -289,21 +395,25 @@ def run_rest_cuts(
     """The `trace-bound` and `shrink` checks in one pass over every cut
     with independent rest side; returns the rows of `checks`, by check.
 
-    Per graph one cut context (`_independent_rest_cuts`), per cut one
-    family `trace_masks(g, umask)`, the independent side of both checks.
-    With r the largest induced cut matching, trace-bound is
-    `trace_count_bound_check`'s report.  shrink checks that every
-    independent set shrinks to an enabling subset of at most r vertices
-    with the same trace, and, apart from the shrinker, that the enabling
-    sets of size <= r leave every trace.  Each check stops at its own
-    first failure, and a graph's pass once every requested check has
-    failed.  An unrequested check does none of its own work.
+    Per graph one cut context (`_independent_rest_cuts`).  The independent
+    side of both checks is each cut's family T(W), from one
+    `_prefix_traces` walk per chunk of graphs.  With r the largest induced
+    cut matching, trace-bound checks |T(W)| <= sum_{i<=r} C(|W|, i) and
+    <= n^(r+1), and that the independent sets of at most r vertices leave
+    every trace; a failing row shows `trace_count_bound_check`'s report
+    for the first failing cut.  shrink checks that every independent set
+    shrinks to an enabling subset of at most r vertices with the same
+    trace, and, apart from the shrinker, that the enabling sets of size
+    <= r leave every trace.  Each row names its check's first failing
+    cut.  An unrequested check does none of its own work.  Each graph
+    ticks its walk's entries against one budget (`_tick_walk`).
 
-    Both checks read their per-cut verdicts from `_rest_cut_verdicts`,
-    whose one `_cut_pairs` call covers a chunk of consecutive graphs of
+    Both checks read their verdicts from `_rest_cut_verdicts`, whose one
+    `_cut_pairs` call and one walk cover a chunk of consecutive graphs of
     one size: it takes graphs while the squares of their cut counts sum
     to at most `_CHUNK_CELLS`, but at least one graph.  The first graph
-    of a chunk pays for it and for the next chunk's first cut context.
+    of a chunk pays for the pair arrays, the walk and both verdicts, and
+    for the next chunk's first cut context.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
@@ -311,7 +421,7 @@ def run_rest_cuts(
     corpus = full_corpus(max_n)
     graphs = [g for _, g in corpus]
 
-    def chunked() -> Iterator[list[tuple]]:
+    def chunked() -> Iterator[tuple[int, tuple[dict, ...]]]:
         start, chunk, cells = 0, [], 0
         for i, g in enumerate(graphs):
             cuts = list(_independent_rest_cuts(g))
@@ -325,31 +435,9 @@ def run_rest_cuts(
     verdicts = chunked()  # `_rows` evaluates the graphs in corpus order
 
     def evaluate(g):
-        live = set(checks)
-        bad: dict[str, str] = {}  # check -> detail of its first failure
-        cuts_checked = sets_checked = 0
-        for (umask, _, r), small, smask, count, enabled in next(verdicts):
-            family = trace_masks(g, umask)
-            if "trace-bound" in live:
-                rep = _trace_bound_report(g.n, umask.bit_count(), family,
-                                          r, small)
-                cuts_checked += 1
-                if not rep.all_ok:
-                    bad["trace-bound"] = f"violated at mask {umask}: {rep}"
-            if "shrink" in live:
-                sets_checked += count
-                if smask >= 0:
-                    bad["shrink"] = f"failed at cut {umask} set {smask}"
-                elif enabled != family:
-                    bad["shrink"] = (f"enabling sets of size <= {r} "
-                                     f"miss a trace at cut {umask}")
-            live -= bad.keys()
-            if not live:
-                break
-        done = {"trace-bound": f"cuts checked={cuts_checked}",
-                "shrink": f"independent sets checked={sets_checked}"}
-        return [dict(passed=check not in bad,
-                     detail=bad.get(check, done[check])) for check in checks]
+        entries, values = next(verdicts)
+        _tick_walk(entries)
+        return values
 
     return _rows(checks, seed, corpus, evaluate)
 

@@ -470,8 +470,6 @@ def min_obdd_size_exact(
     layers = _block_steps(j, n)
     vertices = np.arange(n, dtype=np.int32)[:, None]
     lows = np.arange(span, dtype=np.uint64)
-    shift = np.uint64(n)
-    trace_bits = np.uint64(full)
 
     # keys[W]: the keys of the best quasi and reduced orders of W.
     keys = np.full((size, 2), np.iinfo(np.int32).max, dtype=np.int32)
@@ -488,14 +486,14 @@ def min_obdd_size_exact(
                                    full ^ block)
         pairs = _trace_block(bases[p], adj, block, j, n)
         work.tick(len(pairs))
-        lowset = pairs >> shift
-        count = np.bincount(lowset.astype(np.intp), minlength=span)
+        lowset = pairs >> n
+        count = np.bincount(lowset, minlength=span)
         # nd[W, v] = ND_W(v): one gather of iso[V ^ t] over the block's
         # traces, V = full - block - x, unpacked to one column per vertex
         # and summed per set.
-        outside = np.uint64(full ^ block)
-        comps = outside ^ lows
-        ignored = iso[(pairs & trace_bits) ^ lowset ^ outside]
+        outside = full ^ block
+        comps = np.uint64(outside) ^ lows
+        ignored = iso[(pairs & full) ^ lowset ^ outside]
         ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
                                 count=n, bitorder="little")
         nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,

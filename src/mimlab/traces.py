@@ -11,7 +11,8 @@ wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
 (`trace-bound`) and the statement (`shrink`) on the arrays of
 `_cut_pairs`, every pair (cut, set) of a chunk of graphs with its trace:
 trace-bound reads the traces of the small sets, and shrink runs
-`_shrink_block`, the same shrinker as array passes over the pairs.
+`_shrink_block`, the same shrinker as array passes over the pairs.  Both
+compare against each cut's family from `_prefix_traces`.
 
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
@@ -25,11 +26,15 @@ edge table instead, like every other induced-matching question.
 `trace_masks` never enumerates independent sets: it adds the vertices of U
 one at a time and derives each family from the previous one with
 `_trace_step`, the forced-set transition.  Its work budget counts the
-family entries processed.  `obdd.min_obdd_size_exact` needs the families
-of every prefix set: it derives one base family per block of 2^8 prefix
-sets with `_trace_step`, and the block's other families from the base
-with `_trace_block`, the same transition applied to the whole block at
-once in numpy.
+family entries processed.  `_trace_block` is the same transition applied
+to many prefix sets at once in numpy, for one graph or a chunk of graphs
+of one size.  `obdd.min_obdd_size_exact` needs the families of every
+prefix set of one graph: it derives one base family per block of 2^8
+prefix sets with `_trace_step`, and the block's other families from the
+base with `_trace_block`.  The corpus passes (`harness.run_rest_cuts`,
+`harness.run_subfunction_traces`) walk every prefix set of a chunk of
+graphs with one `_trace_block` call from the empty set
+(`_prefix_traces`).
 """
 
 from __future__ import annotations
@@ -145,28 +150,40 @@ def _trace_step(fam: set[int], adj_v: int, bv: int, rest: int) -> set[int]:
 
 
 def _trace_block(
-    base: set[int], adj: Sequence[int], high: int, j: int, n: int
+    base: Iterable[int], adj: Sequence, high: int, j: int, n: int
 ) -> np.ndarray:
-    """T(H + x) for every x inside the low vertices 0 .. j - 1, from
-    `base` = T(H), H = `high` a set of vertices j and up, as one uint64
-    array of the pairs x << n | t, t in T(H + x), sorted by x.
+    """T(H + x) for every x inside the low vertices 0 .. j - 1, from the
+    families T(H), H = `high` a set of vertices j and up, for one graph on
+    n vertices or a chunk of them, as one int32 array of the keys
+    g << 2n | x << n | t, t in T_g(H + x).
+
+    `adj` is one graph's adjacency masks (then g = 0), or one row of them
+    per graph g of a chunk.  `base` holds the keys g << 2n | t, t in
+    T_g(H): for one graph, the family itself.  The keys fit int32 while
+    2^(n + j) and the chunk's g << 2n stay below 2^31: up to n = 20 with
+    j = 8 (the min-size DP), and for thousands of graphs at n = 8.
 
     This is `_trace_step`'s forced-set rule applied to many prefix sets at
     once.  The low vertices u are added in ascending order; a pair (x, t),
     x a set of the lower ones, gives (x + u, t - u) always and, when u is
     not in t, (x + u, (t | (N(u) - H - x)) - u).  The new pairs are sorted
     and kept where they differ from their left neighbour, then appended
-    after the old pairs, whose x all lack u, so the array stays sorted by x.
+    after the old pairs, whose x all lack u, so each graph's keys stay
+    sorted by x (for one graph, the whole array).  One graph's N(u) - H is
+    one number; in a chunk each pair reads its graph's.
     """
-    shift = np.uint64(n)
-    pairs = np.fromiter(base, dtype=np.uint64, count=len(base))
+    pairs = np.fromiter(base, dtype=np.int32)
+    free = np.asarray(adj, dtype=np.int32) & ~(
+        high | 1 << np.arange(n, dtype=np.int32))
     for u in range(j):
-        bu = np.uint64(1 << u)
-        grown = np.uint64(1 << u + n)
-        free = np.uint64(adj[u] & ~high & ~(1 << u))
+        bu = 1 << u
+        grown = 1 << u + n
         avoid = (pairs & ~bu) | grown
         take = pairs[(pairs & bu) == 0]
-        take |= (free & ~(take >> shift)) | grown
+        own = free[..., u]
+        if own.ndim:
+            own = own[take >> 2 * n]
+        take |= (own & ~(take >> n)) | grown
         new = np.concatenate((avoid, take))
         new.sort()
         fresh = np.empty(len(new), dtype=bool)
@@ -174,6 +191,14 @@ def _trace_block(
         np.not_equal(new[1:], new[:-1], out=fresh[1:])
         pairs = np.concatenate((pairs, new[fresh]))
     return pairs
+
+
+def _prefix_traces(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The families of every prefix set W of a chunk of graphs on n
+    vertices, graph i with adjacency masks adjs[i], as the keys
+    i << 2n | W << n | t, t in T_i(W): one `_trace_block` walk from
+    T_i(empty) = {0}.  A graph's entries total sum_W |T_i(W)|."""
+    return _trace_block(np.arange(len(adjs)) << 2 * n, adjs, 0, n, n)
 
 
 class _CutPairs(NamedTuple):
@@ -529,19 +554,30 @@ def trace_count_bound_check(
 
     With r the largest induced cut matching, checks that the trace count
     is at most sum_{i<=r} C(|u|, i), at most n^(r+1), and that independent
-    subsets of size <= r already generate every trace.  Those subsets are
-    enumerated directly, so the last verdict also compares `trace_masks`
-    with an independent enumeration.  The report itself comes from
-    `_trace_bound_report`, which `harness.run_rest_cuts` calls for the
-    `trace-bound` check with the small-set traces read from the arrays of
-    `_cut_pairs`.
+    subsets of size <= r already generate every trace.  The family is
+    `trace_masks(g, u)`, and `_cut_bound_report` enumerates those subsets
+    directly, so the last verdict also compares `trace_masks` with an
+    independent enumeration.  `harness.run_rest_cuts` checks the same
+    bounds as array comparisons over a chunk of graphs, and shows this
+    report for a cut that fails them.
     """
     umask = mask_of(u, g.n)
-    comp = g.full_mask() & ~umask
-    if not is_independent_mask(g, comp):
+    if not is_independent_mask(g, g.full_mask() & ~umask):
         raise ValueError("complement side is not independent")
     family = trace_masks(g, umask, budget=budget)
     r, _ = max_induced_cut_matching(g, vertices_of(umask))
+    return _cut_bound_report(g, umask, family, r, budget=budget)
+
+
+def _cut_bound_report(
+    g: Graph, umask: int, family: set[int], r: int, *,
+    budget: int | None = None,
+) -> TraceBoundReport:
+    """`_trace_bound_report` for the cut (umask, rest) of g, whose rest
+    side is independent (unchecked), from its trace family and r; the
+    traces of its independent sets of at most r vertices come from
+    `independent_set_masks`, under `budget`."""
+    comp = g.full_mask() & ~umask
     small = {
         neighborhood_mask(g, s) & comp
         for s in independent_set_masks(g, umask, budget=budget, max_size=r)

@@ -187,6 +187,38 @@ class TestTraces:
         assert payload["matching_size"] == 1
         assert payload["bound_check"]["within_binomial"]
 
+    @pytest.mark.parametrize("side, applies", [("1,2,3", True),
+                                               ("1,2", False)])
+    def test_one_family_and_one_matching_search(self, tmp_path, capsys,
+                                                monkeypatch, side, applies):
+        import importlib
+
+        import mimlab.cli as cli
+        from mimlab.generators import skew
+
+        # the package's `traces` function hides the module's name
+        traces_module = importlib.import_module("mimlab.traces")
+
+        path = tmp_path / "skew.edges"
+        write_edge_list(skew(3), path)
+        calls = {"trace_masks": 0, "max_induced_cut_matching": 0}
+        for name in calls:
+            real = getattr(cli, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (cli, traces_module):
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = run_cli(
+            capsys, "traces", "--input", str(path), "--side", side
+        )
+        assert code == 0
+        assert calls == {"trace_masks": 1, "max_induced_cut_matching": 1}
+        assert ("bound check: count=4 binomial=4 power=36 ok=True" in out) \
+            == applies
+
     def test_budget_exit_3(self, tmp_path, capsys):
         path = tmp_path / "c4.edges"
         write_edge_list(fixtures()["c4"], path)

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mimlab.errors import BudgetExceededError
@@ -15,6 +17,7 @@ from mimlab.harness import (
     ExperimentSpec,
     ReportRow,
     _independent_rest_cuts,
+    _trace_bound_fails,
     any_failures,
     any_skipped,
     connected_corpus,
@@ -35,6 +38,7 @@ from mimlab.harness import (
     sandwich_instances,
     verify,
 )
+from mimlab.obdd import subfunction_count
 from mimlab.traces import (
     _cut_pairs,
     _trace_bound_report,
@@ -275,26 +279,37 @@ class TestRestCutPass:
         with pytest.raises(ValueError, match="'vc'"):
             run_rest_cuts(3, checks=("shrink", "vc"))
 
-    def test_one_family_per_cut(self, monkeypatch):
+    def test_one_walk_per_chunk(self, monkeypatch):
         import mimlab.harness as harness
 
-        calls = []
-        real = harness.trace_masks
+        # Each chunk of graphs gets one `_cut_pairs` call and one walk over
+        # exactly its graphs, and no cut or prefix set a `trace_masks` call.
+        def boom(*args, **kwargs):
+            raise AssertionError("a per-cut trace family was built")
 
-        def counted(g, umask, **kwargs):
-            calls.append(umask)
-            return real(g, umask, **kwargs)
+        chunks, walks = [], []
+        real_pairs, real_walk = harness._cut_pairs, harness._prefix_traces
 
-        monkeypatch.setattr(harness, "trace_masks", counted)
+        def listing(n, adjs, inds):
+            chunks.append(list(adjs))
+            return real_pairs(n, adjs, inds)
+
+        def walking(n, adjs):
+            walks.append(list(adjs))
+            return real_walk(n, adjs)
+
+        monkeypatch.setattr(harness, "trace_masks", boom)
+        monkeypatch.setattr(harness, "_cut_pairs", listing)
+        monkeypatch.setattr(harness, "_prefix_traces", walking)
         verify(ExperimentSpec(checks=("trace-bound", "shrink"),
                               params={"pair_max_n": 5}))
-        cuts = [c[0] for _, g in full_corpus(5)
-                for c in _independent_rest_cuts(g)]
-        assert calls == cuts
+        assert walks == chunks
+        assert [adj for chunk in walks for adj in chunk] == \
+            [g.adj for _, g in full_corpus(5)]
 
     @pytest.mark.parametrize("check,others", [
         ("trace-bound", ("_shrink_block",)),
-        ("shrink", ("_trace_bound_report",)),
+        ("shrink", ("_trace_bound_fails", "_trace_bound_report")),
     ])
     def test_single_check_skips_the_other_kernel(self, monkeypatch, check,
                                                  others):
@@ -329,32 +344,61 @@ class TestRestCutPass:
                           "checks": ("shrink", "trace-bound")}]
         assert len({(r.check, r.instance) for r in rows}) == len(rows)
 
+    def test_bound_verdicts_match_the_report(self):
+        # The array verdict against `_trace_bound_report` at every side
+        # size k and matching size r up to n = 8, with trace counts on
+        # both sides of each bound and the small-set traces equal to the
+        # family or not.
+        for n in range(1, 9):
+            cases = []
+            for k in range(n + 1):
+                for r in range(k + 1):
+                    rep = _trace_bound_report(n, k, set(), r, set())
+                    for t in {rep.binomial_bound, rep.binomial_bound + 1,
+                              rep.power_bound, rep.power_bound + 1}:
+                        if t <= 1 << n:
+                            cases += [(k, r, t, False), (k, r, t, True)]
+            side, r, count, differs = map(np.array, zip(*cases))
+            fails = _trace_bound_fails(n, side, r, count, differs)
+            family = [set(range(t)) for _, _, t, _ in cases]
+            assert fails.tolist() == [
+                not _trace_bound_report(n, k, fam, q,
+                                        fam - {0} if d else fam).all_ok
+                for (k, q, _, d), fam in zip(cases, family)]
+
     def test_trace_bound_failure_leaves_shrink_running(self, monkeypatch):
         import mimlab.harness as harness
 
-        # The first of the 13 cuts of all5-0014 fails.  The check reaches
-        # its cuts in the same order whether it runs alone or with shrink,
-        # and every earlier graph passes, so that cut is report number k.
+        # The first and the fifth of the 13 cuts of all5-0014 fail,
+        # wherever its chunk puts them, and the row names the first, whose
+        # report claims a broken power bound.
         corpus = full_corpus(5)
-        k = 1 + sum(len(list(_independent_rest_cuts(h)))
-                    for _, h in corpus[:-20])
+        g = corpus[-20][1]
+        cuts = list(_independent_rest_cuts(g))
+        umask = cuts[0][0]
+        real_pairs, real = harness._cut_pairs, harness._trace_bound_fails
+        chosen = []  # the chosen cuts in the latest chunk, if g is in it
 
-        def failing_at(k):
-            seen = [0]
+        def listing(n, adjs, inds):
+            chosen[:] = [sum(map(len, inds[:i])) + ind.index(cuts[k][1])
+                         for i, (adj, ind) in enumerate(zip(adjs, inds))
+                         if adj == g.adj for k in (4, 0)]
+            return real_pairs(n, adjs, inds)
 
-            def report(*args):
-                rep = _trace_bound_report(*args)
-                seen[0] += 1
-                return replace(rep, within_power=False) if seen[0] == k \
-                    else rep
-            return report
+        def failing(*args):
+            fails = real(*args)
+            fails[chosen] = True
+            return fails
+
+        def report(*args):
+            return replace(_trace_bound_report(*args), within_power=False)
 
         clean_shrink = run_shrink(5)
-        monkeypatch.setattr(harness, "_trace_bound_report", failing_at(k))
+        monkeypatch.setattr(harness, "_cut_pairs", listing)
+        monkeypatch.setattr(harness, "_trace_bound_fails", failing)
+        monkeypatch.setattr(harness, "_trace_bound_report", report)
         alone = run_trace_bound(5)
-        monkeypatch.setattr(harness, "_trace_bound_report", failing_at(k))
         joint = run_rest_cuts(5)
-        umask = next(_independent_rest_cuts(corpus[-20][1]))[0]
         bad = [r for r in alone if not r.passed]
         assert [r.instance for r in bad] == ["all5-0014"]
         assert bad[0].detail.startswith(f"violated at mask {umask}: ")
@@ -408,16 +452,18 @@ class TestRestCutPass:
         # only the comparison of the enabling sets with the family fails.
         name, g = full_corpus(5)[-20]
         umask, comp, r = list(_independent_rest_cuts(g))[9]
-        real = harness.trace_masks
+        real = harness._prefix_traces
         extra = next(t for t in range(comp + 1)
-                     if not t & ~comp and t not in real(g, umask))
+                     if not t & ~comp and t not in trace_masks(g, umask))
 
-        def padded(h, mask, **kwargs):
-            fam = real(h, mask, **kwargs)
-            return fam | {extra} if h is g and mask == umask else fam
+        def padded(n, adjs):
+            keys = real(n, adjs)
+            add = [i << 2 * n | umask << n | extra
+                   for i, adj in enumerate(adjs) if adj is g.adj]
+            return np.concatenate((keys, np.array(add, dtype=keys.dtype)))
 
         clean = {row.instance: row for row in run_shrink(5)}
-        monkeypatch.setattr(harness, "trace_masks", padded)
+        monkeypatch.setattr(harness, "_prefix_traces", padded)
         alone = run_shrink(5)
         bad = [row for row in alone if not row.passed]
         assert [(row.instance, row.detail) for row in bad] == [
@@ -434,6 +480,72 @@ class TestRestCutPass:
         assert row["trace-bound", name].detail.startswith(
             f"violated at mask {umask}: ")
         assert row["shrink", name].detail == bad[0].detail
+
+
+class TestSubfunctionTraces:
+    def test_walk_chunks_cover_the_corpus(self, monkeypatch):
+        import mimlab.harness as harness
+
+        # One walk per chunk of at most `_WALK_CHUNK` graphs of one size, in
+        # corpus order, and no `trace_masks` call per prefix set.
+        def boom(*args, **kwargs):
+            raise AssertionError("a per-prefix trace family was built")
+
+        walks = []
+        real = harness._prefix_traces
+
+        def walking(n, adjs):
+            walks.append((n, list(adjs)))
+            return real(n, adjs)
+
+        monkeypatch.setattr(harness, "trace_masks", boom)
+        monkeypatch.setattr(harness, "_prefix_traces", walking)
+        rows = run_subfunction_traces(6)
+        assert rows and not any_failures(rows)
+        assert [adj for _, adjs in walks for adj in adjs] == \
+            [g.adj for _, g in connected_corpus(6)]
+        assert all(len(adj) == n for n, adjs in walks for adj in adjs)
+        # conn2 .. conn6 have 1, 2, 6, 21 and 112 graphs
+        assert harness._WALK_CHUNK == 64
+        assert [len(adjs) for _, adjs in walks] == [1, 2, 6, 21, 64, 48]
+
+    def test_mismatch_names_the_lowest_mask(self, monkeypatch):
+        import mimlab.harness as harness
+
+        # One trace too many at two prefix sets of one graph: its row names
+        # the lower one, and every other row, the graph's obdd-sandwich row
+        # included, stays as it was.
+        name, g = connected_corpus(5)[-7]
+        spec = ExperimentSpec(
+            checks=("subfunction-traces", "obdd-sandwich"),
+            params={"corpus_max_n": 5, "random_count": 0})
+        clean = rows_to_dicts(verify(spec))
+        real = harness._prefix_traces
+
+        def spare(w):  # a trace that no independent subset of w leaves
+            return next(t for t in range(1 << g.n) if t not in trace_masks(g, w))
+
+        def injecting(*masks):
+            def walk(n, adjs):
+                keys = real(n, adjs)
+                add = [i << 2 * n | w << n | spare(w)
+                       for i, adj in enumerate(adjs) if adj is g.adj
+                       for w in masks]
+                return np.concatenate((keys, np.array(add, dtype=keys.dtype)))
+            return walk
+
+        for masks, low in (((22,), 22), ((22, 5), 5)):
+            monkeypatch.setattr(harness, "_prefix_traces", injecting(*masks))
+            rows = rows_to_dicts(verify(spec))
+            t = len(trace_masks(g, low))
+            assert t == subfunction_count(g, vertices_of(low))
+            bad = [d for d in rows if d["passed"] is False]
+            assert [(d["check"], d["instance"], d["detail"]) for d in bad] == [
+                ("subfunction-traces", name,
+                 f"mismatch at mask {low}: traces={t + 1} residuals={t}")]
+            assert [d for d in rows if d not in bad] == \
+                [d for d in clean if d["check"] != "subfunction-traces"
+                 or d["instance"] != name]
 
 
 class TestSuitesSmall:
@@ -505,19 +617,23 @@ class TestBudgetDiscipline:
         import mimlab.harness as harness
         from mimlab.cli import main
 
-        name, target = full_corpus(4)[-1]
-        real = harness.trace_masks
+        corpus = full_corpus(4)
+        name, target = corpus[-1]
+        ticks = itertools.count(1)
+        real = harness._tick_walk
 
-        def exhausted(g, umask, **kwargs):
-            if g.adj == target.adj:
+        def exhausted(entries):
+            # one tick per graph of each pass, in corpus order: the target
+            # is the last graph
+            if next(ticks) % len(corpus) == 0:
                 raise BudgetExceededError("forced", 1)
-            return real(g, umask, **kwargs)
+            real(entries)
 
         spec = ExperimentSpec(checks=("trace-bound", "shrink", "vc"),
                               params={"pair_max_n": 4, "vc_skew_qs": (1,),
                                       "vc_matching_ks": (1,)})
         clean = rows_to_dicts(verify(spec))
-        monkeypatch.setattr(harness, "trace_masks", exhausted)
+        monkeypatch.setattr(harness, "_tick_walk", exhausted)
         rows = verify(spec)
         skipped = [r for r in rows if r.skipped]
         assert [(r.check, r.instance) for r in skipped] == \
@@ -530,6 +646,36 @@ class TestBudgetDiscipline:
             [d for d in clean if d["instance"] != name]
         assert main(["verify", "--checks", "trace-bound,shrink",
                      "--pair-n", "4", "--strict"]) == 3
+
+
+    @pytest.mark.parametrize("suite, corpus", [
+        (run_subfunction_traces, connected_corpus),
+        (run_rest_cuts, full_corpus),
+    ])
+    def test_walk_budget_skips_exactly_the_graphs_over_it(
+        self, monkeypatch, suite, corpus
+    ):
+        import mimlab.harness as harness
+
+        # Each graph ticks its walk's entries, sum_W |T(W)|, once: the
+        # largest total passes as the budget, and one less skips exactly
+        # the graphs that reach it.
+        entries = {name: sum(len(trace_masks(g, w)) for w in range(1 << g.n))
+                   for name, g in corpus(4)}
+        top = max(entries.values())
+        over = {name for name, e in entries.items() if e == top}
+        monkeypatch.setattr(harness, "DEFAULT_ENUM_BUDGET", top)
+        clean = suite(4)
+        assert not any_skipped(clean)
+        monkeypatch.setattr(harness, "DEFAULT_ENUM_BUDGET", top - 1)
+        rows = suite(4)
+        skipped = [r for r in rows if r.skipped]
+        assert {r.instance for r in skipped} == over
+        assert len(skipped) == len(over) * len({r.check for r in rows})
+        assert {r.detail for r in skipped} == \
+            {f"trace family transition: work budget of {top - 1} exceeded"}
+        assert [d for d in rows_to_dicts(rows) if d["instance"] not in over] \
+            == [d for d in rows_to_dicts(clean) if d["instance"] not in over]
 
 
 class TestInstances:

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from mimlab.traces import (
     _cut_pairs,
     _shrink_block,
     _shrink_mask,
+    _prefix_traces,
     _trace_block,
     enables_induced_matching,
     enum_independent_sets,
@@ -190,6 +192,40 @@ class TestTraceBlock:
             assert sorted(fams) == list(range(1 << j))
             for x, fam in fams.items():
                 assert fam == trace_masks(g, high | x), (high, x)
+
+
+@functools.cache
+def _prefix_families(g: Graph) -> tuple[set[int], ...]:
+    return tuple(trace_masks(g, w) for w in range(1 << g.n))
+
+
+class TestPrefixTraces:
+    # The corpus passes' walk: every prefix set of every graph of
+    # full_corpus(6), in chunks of one graph, of 7 graphs and of a whole
+    # size.
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_chunk_families_equal_trace_masks(self, size):
+        by_n: dict[int, list[Graph]] = {}
+        for _, g in full_corpus(6):
+            by_n.setdefault(g.n, []).append(g)
+        for n, graphs in by_n.items():
+            step = size or len(graphs)
+            for lo in range(0, len(graphs), step):
+                chunk = graphs[lo:lo + step]
+                keys = _prefix_traces(n, [g.adj for g in chunk])
+                assert keys.dtype == np.int32
+                listed = keys.tolist()
+                assert len(set(listed)) == len(listed)
+                fams: dict[int, set[int]] = {}
+                for q in listed:
+                    fams.setdefault(q >> n, set()).add(q & (1 << n) - 1)
+                assert sorted(fams) == list(range(len(chunk) << n))
+                for i, g in enumerate(chunk):
+                    assert [fams[i << n | w] for w in range(1 << n)] == \
+                        list(_prefix_families(g))
+                # the entry total each graph ticks against its budget
+                assert np.bincount(keys >> 2 * n).tolist() == [
+                    sum(map(len, _prefix_families(g))) for g in chunk]
 
 
 class TestEnables:
