@@ -5,10 +5,11 @@ Subcommands: gen, width, traces, obdd, verify, export.  Exit codes:
 (under `verify --strict`, a skipped row also exits 3).  `--budget`, a
 positive integer (anything else exits 2), is read only by `traces`
 (trace-family entries, default 2^24), exact `width` (prefix sets tested,
-2^22), `obdd --minimize dp` (trace-family entries, unbounded) and `width
---heuristic` (orderings evaluated, 200); for the first three a missing
-`--budget` falls back to MIMLAB_BUDGET, checked the same way, and then
-to the engine's default.
+2^22), `obdd --minimize dp` (trace-family entries, unbounded), `verify`
+(every work counter of every suite, in place of each engine's default)
+and `width --heuristic` (orderings evaluated, 200); for the first four a
+missing `--budget` falls back to MIMLAB_BUDGET, checked the same way, and
+then to the engine's default.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import typing
 from . import generators
 from .errors import BudgetExceededError
 from .graph import (
+    _budget_scope,
     format_edge_list,
     is_independent_mask,
     mask_of,
@@ -281,10 +283,12 @@ def _cmd_verify(args) -> int:
             seed=args.seed,
             params=params,
         )
+        budget = _budget(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = verify(spec)
+    with _budget_scope(budget):
+        rows = verify(spec)
     if not rows:
         print("error: the checks and parameters select no instance",
               file=sys.stderr)
@@ -362,9 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
              "process (default: MIMLAB_BUDGET, else 2^24), prefix sets "
              "exact `width` may test (default: MIMLAB_BUDGET, else 2^22), "
              "trace-family entries `obdd --minimize dp` may process "
-             "(default: MIMLAB_BUDGET, else unbounded) and number of "
-             "orderings evaluated by `width --heuristic` (default "
-             f"{DEFAULT_HEURISTIC_BUDGET}); the other subcommands ignore it",
+             "(default: MIMLAB_BUDGET, else unbounded), work of each engine "
+             "`verify` runs (default: MIMLAB_BUDGET, else each engine's "
+             "default) and number of orderings evaluated by `width "
+             f"--heuristic` (default {DEFAULT_HEURISTIC_BUDGET}); the other "
+             "subcommands ignore it",
     )
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output when supported")

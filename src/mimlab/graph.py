@@ -8,6 +8,8 @@ All functions here are pure; a Graph never changes after construction.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 import math
 import operator
@@ -254,15 +256,37 @@ class WidthVariant(enum.Enum):
     LSIM = "lsim"
 
 
+# The budget an engine called with budget None gets inside `_budget_scope`,
+# in place of its default.
+_SCOPED_BUDGET: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "scoped budget", default=None)
+
+
+@contextlib.contextmanager
+def _budget_scope(budget: int | None) -> Iterator[None]:
+    """Within the block, every work counter built with a budget of None
+    takes `budget` instead of its engine's default: `mimlab verify
+    --budget` caps each engine its suites call.  None changes nothing."""
+    _Work.limit(budget, math.inf)
+    token = _SCOPED_BUDGET.set(budget)
+    try:
+        yield
+    finally:
+        _SCOPED_BUDGET.reset(token)
+
+
 class _Work:
     """A work counter.  Every exact engine builds its budget with it, by
     one rule: a budget of None means the engine's default (unbounded when
-    it has none), and anything but an integer >= 1 raises ValueError."""
+    it has none) or, inside `_budget_scope`, the scope's budget, and
+    anything but an integer >= 1 raises ValueError."""
 
     __slots__ = ("nodes", "budget", "what")
 
     def __init__(self, budget: int | None, what: str, default=math.inf):
         self.nodes = 0
+        if budget is None:
+            budget = _SCOPED_BUDGET.get()
         self.budget = self.limit(budget, default)
         self.what = what
 

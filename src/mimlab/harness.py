@@ -36,9 +36,8 @@ from .graph import (
     _Work,
     mask_of,
     max_induced_cut_matching,
-    vertices_of,
 )
-from .obdd import obdd_bounds_report, subfunction_count
+from .obdd import _residual_walk, obdd_bounds_report
 from .traces import (
     DEFAULT_ENUM_BUDGET,
     TraceBoundReport,
@@ -202,7 +201,8 @@ def _independent_rest_cuts(g: Graph) -> Iterator[tuple[int, int, int]]:
 
 def _tick_walk(entries: int) -> None:
     """Tick one graph's walk entries, sum_W |T(W)|, against a budget of
-    DEFAULT_ENUM_BUDGET; `_rows` turns the error into that graph's
+    DEFAULT_ENUM_BUDGET, or the budget of an enclosing
+    `graph._budget_scope`; `_rows` turns the error into that graph's
     skipped rows."""
     _Work(None, "trace family transition", DEFAULT_ENUM_BUDGET).tick(entries)
 
@@ -220,8 +220,11 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     The trace counts |T(W)| of every W come from one `_prefix_traces` walk
     per chunk of at most `_WALK_CHUNK` consecutive graphs of one size,
     counted by `np.bincount`; the first graph of a chunk pays for the
-    walk.  `subfunction_count` stays the per-prefix semantic oracle, and
-    the first mismatch, lowest mask first, fails the graph.
+    walk.  The residual counts |R(W)| of every W come from one Shannon
+    cofactor walk per graph (`obdd._residual_walk`), which reasons only
+    about the CNF's truth tables and shares no code with the trace
+    kernels.  The counts are compared in mask order, and the first
+    mismatch, lowest mask first, fails the graph.
     """
     corpus = connected_corpus(max_n)
 
@@ -240,14 +243,10 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     def evaluate(g):
         tcounts = next(counts)
         _tick_walk(sum(tcounts))
-        bad = None
-        checked = 0
-        for umask, tcount in enumerate(tcounts):
-            scount = subfunction_count(g, vertices_of(umask))
-            checked += 1
-            if tcount != scount:
-                bad = (umask, tcount, scount)
-                break
+        bad = next(((umask, tcount, scount) for umask, (tcount, scount)
+                    in enumerate(zip(tcounts, _residual_walk(g)))
+                    if tcount != scount), None)
+        checked = len(tcounts) if bad is None else bad[0] + 1
         return [dict(
             passed=bad is None,
             detail=f"prefix sets checked={checked}"
@@ -406,7 +405,8 @@ def run_rest_cuts(
     trace, and, apart from the shrinker, that the enabling sets of size
     <= r leave every trace.  Each row names its check's first failing
     cut.  An unrequested check does none of its own work.  Each graph
-    ticks its walk's entries against one budget (`_tick_walk`).
+    ticks its walk's entries against one budget (`_tick_walk`); a graph
+    whose cut enumeration or walk exceeds its budget gets skipped rows.
 
     Both checks read their verdicts from `_rest_cut_verdicts`, whose one
     `_cut_pairs` call and one walk cover a chunk of consecutive graphs of
@@ -421,21 +421,35 @@ def run_rest_cuts(
     corpus = full_corpus(max_n)
     graphs = [g for _, g in corpus]
 
-    def chunked() -> Iterator[tuple[int, tuple[dict, ...]]]:
-        start, chunk, cells = 0, [], 0
-        for i, g in enumerate(graphs):
-            cuts = list(_independent_rest_cuts(g))
+    def chunked() -> Iterator:
+        # A graph whose cut enumeration exceeds its budget closes the
+        # chunk before it and stands for its own error.
+        chunk, contexts, cells = [], [], 0
+        for g in graphs:
+            error = None
+            try:
+                cuts = list(_independent_rest_cuts(g))
+            except BudgetExceededError as exc:
+                cuts, error = [], exc
             cells += len(cuts) ** 2
-            if chunk and (g.n != graphs[start].n or cells > _CHUNK_CELLS):
-                yield from _rest_cut_verdicts(graphs[start:i], chunk, checks)
-                start, chunk, cells = i, [], len(cuts) ** 2
-            chunk.append(cuts)
-        yield from _rest_cut_verdicts(graphs[start:], chunk, checks)
+            if chunk and (error or g.n != chunk[0].n or cells > _CHUNK_CELLS):
+                yield from _rest_cut_verdicts(chunk, contexts, checks)
+                chunk, contexts, cells = [], [], len(cuts) ** 2
+            if error:
+                yield error
+            else:
+                chunk.append(g)
+                contexts.append(cuts)
+        if chunk:
+            yield from _rest_cut_verdicts(chunk, contexts, checks)
 
     verdicts = chunked()  # `_rows` evaluates the graphs in corpus order
 
     def evaluate(g):
-        entries, values = next(verdicts)
+        got = next(verdicts)
+        if isinstance(got, BudgetExceededError):
+            raise got
+        entries, values = got
         _tick_walk(entries)
         return values
 

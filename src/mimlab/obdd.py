@@ -95,14 +95,30 @@ def _projection_columns(k: int) -> tuple[int, list[int]]:
 
     Bit j of a table is its value on the assignment that sets variable i
     to bit i of j.  Returns the all-ones table and one column per
-    variable: column i has bit j set exactly when bit i of j is set.
+    variable: column i has bit j set exactly when bit i of j is set, that
+    is, 2^i zeros then 2^i ones, repeated.  Each column doubles that block
+    up to 2^k bits, a linear number of bit operations per doubling.
     """
-    ones = (1 << (1 << k)) - 1
-    return ones, [ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(k)]
+    size = 1 << k
+    cols = []
+    for i in range(k):
+        col = ((1 << (1 << i)) - 1) << (1 << i)
+        width = 2 << i
+        while width < size:
+            col |= col << width
+            width <<= 1
+        cols.append(col)
+    return (1 << size) - 1, cols
 
 
 def _cnf_table(clauses, val: list[int], ones: int) -> int:
-    """AND over the clauses of (a or b), each side a truth table."""
+    """AND over the clauses of (a or b), each side a truth table.
+
+    The CNF's own table, built from clauses and projection columns alone:
+    the cofactor engine below starts from it once per graph, and
+    `exhaustive_equiv_check` once per block of assignments.  Nothing here
+    or in the engine reads `traces`, so both stay independent of the trace
+    kernels."""
     table = ones
     for a, b in clauses:
         table &= val[a] | val[b]
@@ -111,41 +127,102 @@ def _cnf_table(clauses, val: list[int], ones: int) -> int:
     return table
 
 
+# ---------------------------------------------------------------------------
+# Residual functions by Shannon cofactoring.  The semantic side of the
+# trace-counting statement: it reasons only about truth tables, shares no
+# code with `traces`, and so stays an independent check of the trace
+# kernels.  R(W) is the set of distinct residual functions left after the
+# variables of W are assigned, less the zero function (the assignments that
+# falsify a clause); the residuals of W + v are the v = 0 and v = 1
+# cofactors of the members of R(W), deduplicated.
+# ---------------------------------------------------------------------------
+
+
+def _residual_table(g: Graph, layout: Sequence[int]) -> tuple[int, list[int]]:
+    """The CNF's truth table with vertex layout[i] as table variable i
+    (bit j of the table sets layout[i] to bit i of j), and the vertices'
+    projection columns in that layout."""
+    _refuse_above(g.n, TRUTH_TABLE_LIMIT, "semantic subfunction count")
+    cnf = cnf_of_graph(g)
+    ones, cols = _projection_columns(g.n)
+    val = [0] * g.n
+    for v, col in zip(layout, cols):
+        val[v] = col
+    return _cnf_table(cnf.clauses, val, ones), val
+
+
+def _residual_chain(g: Graph, order: Sequence[int]) -> list[int]:
+    """|R(W)| for each prefix W = order[:i] of a sequence of distinct
+    vertices, i = 0 .. len(order).
+
+    The prefix variables are projected out as they are assigned: the
+    table puts the vertices outside `order` in ascending order at the low
+    variables and order[0] at the top, so the cofactors of the top
+    variable are the table's two halves.  After all of `order` each
+    residual is one 2^k-bit table over the k remaining vertices, in the
+    bit layout of `subfunction_count`, and the tables of one step hold at
+    most 2^n bits together.
+    """
+    placed = set(order)
+    rest = [v for v in range(g.n) if v not in placed]
+    table, _ = _residual_table(g, rest + list(reversed(order)))
+    tables = {table}
+    counts = [len(tables)]
+    half = 1 << g.n
+    for _ in order:
+        half >>= 1
+        low = (1 << half) - 1
+        tables = {c for t in tables for c in (t & low, t >> half) if c}
+        counts.append(len(tables))
+    return counts
+
+
+def _residual_walk(g: Graph) -> list[int]:
+    """|R(W)| for every prefix set W, indexed by mask, in one walk.
+
+    R(W) follows from R(W - v), v the lowest vertex of W, an earlier
+    mask.  Every table keeps all n variables in ascending order: the
+    v = 0 cofactor of t is its half where bit v of the index is 0, copied
+    over the half where it is 1, and the v = 1 cofactor the other way
+    round.  Only one graph's families are kept.
+    """
+    table, cols = _residual_table(g, range(g.n))
+    ones = (1 << (1 << g.n)) - 1
+    families = [{table}]
+    for w in range(1, 1 << g.n):
+        b = w & -w
+        v = b.bit_length() - 1
+        hi, lo = cols[v], ones ^ cols[v]
+        shift = 1 << v
+        spread = (1 << shift) + 1  # t * spread is t | t << shift on lo
+        families.append({
+            c
+            for t in families[w ^ b]
+            for c in ((t & lo) * spread, ((t & hi) >> shift) * spread)
+            if c
+        })
+    return [len(f) for f in families]
+
+
 def subfunction_count(g: Graph, prefix) -> int:
     """Number of distinct residual functions after assigning the prefix.
 
-    Semantic oracle: enumerates the prefix assignments, builds each
-    residual's full truth table over the remaining variables, and counts
-    distinct tables.  Deliberately independent of any trace or
+    Semantic oracle: cofactors the CNF's truth table along the prefix
+    variables (`_residual_chain`) and counts the distinct tables over the
+    remaining variables.  Deliberately independent of any trace or
     forced-set reasoning.
 
-    A table is one int holding the residual's value on all 2^k
-    assignments of the k remaining variables (bit j sets the i-th of them,
-    in ascending order, to bit i of j).  Each remaining variable is its
-    projection column, a prefix variable all-ones or 0, and the residual
-    is the AND of (a or b) over the clauses: every clause evaluated on
-    every assignment, 2^k at a time.  A prefix assignment extends to a
-    model exactly when no clause is already falsified (setting the rest
-    true then satisfies a monotone CNF), so the tables that are 0 are the
-    non-extendable ones and are skipped.
+    A table is one int holding the function's value on every assignment
+    (bit j sets the i-th variable to bit i of j); it is the AND of (a or
+    b) over the clauses, each clause evaluated on all 2^n assignments at
+    once.  The prefix variables take the top bits, so each residual is
+    one 2^k-bit chunk, k the number of remaining variables.  A prefix
+    assignment extends to a model exactly when no clause is already
+    falsified (setting the rest true then satisfies a monotone CNF), so
+    the tables that are 0 are the non-extendable ones and are dropped.
     """
-    _refuse_above(g.n, TRUTH_TABLE_LIMIT, "semantic subfunction count")
-    cnf = cnf_of_graph(g)
     umask = mask_of(prefix, g.n)
-    comp_bits = [v for v in range(g.n) if not umask >> v & 1]
-    u_bits = [v for v in range(g.n) if umask >> v & 1]
-    ones, cols = _projection_columns(len(comp_bits))
-    val = [0] * g.n
-    for v, col in zip(comp_bits, cols):
-        val[v] = col
-    tables = set()
-    for pick in range(1 << len(u_bits)):
-        for i, v in enumerate(u_bits):
-            val[v] = ones if pick >> i & 1 else 0
-        table = _cnf_table(cnf.clauses, val, ones)
-        if table:
-            tables.add(table)
-    return len(tables)
+    return _residual_chain(g, [v for v in range(g.n) if umask >> v & 1])[-1]
 
 
 class Obdd:
@@ -652,8 +729,9 @@ def obdd_bounds_report(g: Graph) -> ObddBoundsReport:
             for t, r in zip(trace_counts, width_report.per_prefix)
         ),
         level_contract_ok=all(
-            live <= subfunction_count(g, witness[:i])
-            for i, live in enumerate(z.level_live_counts)
+            live <= residuals
+            for live, residuals in zip(z.level_live_counts,
+                                       _residual_chain(g, witness))
         ),
         equivalence_ok=all(exhaustive_equiv_check(d, g) for d in diagrams),
         counting_ok=all(count_accepting(d) == expected for d in diagrams),

@@ -5,7 +5,11 @@ import pytest
 
 from mimlab.errors import BudgetExceededError
 from mimlab.generators import fixtures, perfect_matching_graph
-from mimlab.graph import DEFAULT_MATCHING_BUDGET, max_induced_cut_matching
+from mimlab.graph import (
+    DEFAULT_MATCHING_BUDGET,
+    _budget_scope,
+    max_induced_cut_matching,
+)
 from mimlab.obdd import min_obdd_size_exact
 from mimlab.traces import (
     DEFAULT_ENUM_BUDGET,
@@ -80,6 +84,53 @@ class TestBudgetRule:
     def test_none_is_the_default(self, name):
         run, default = BY_ENGINE[name]
         assert run(None) == run(default)
+
+
+
+# The engines that tick a work counter.  heuristic_width_upper's cap counts
+# orderings and is no counter, and method "enum" has an n guard instead,
+# so a scope leaves both alone.
+COUNTED = [name for name in BY_ENGINE
+           if name not in ("heuristic_width_upper", "min_obdd_size_exact/enum")]
+
+
+class TestBudgetScope:
+    """`graph._budget_scope`, through which `mimlab verify --budget`
+    reaches every engine its suites call."""
+
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_scope_replaces_the_default(self, name):
+        run, _ = BY_ENGINE[name]
+        expected = run(None)
+        with _budget_scope(1):
+            with pytest.raises(BudgetExceededError, match="budget of 1 "):
+                run(None)
+        assert run(None) == expected  # the scope ends with the block
+
+    def test_explicit_budget_wins(self):
+        expected = trace_masks(PM3, 0b111)
+        with _budget_scope(1):
+            assert trace_masks(PM3, 0b111,
+                               budget=DEFAULT_ENUM_BUDGET) == expected
+
+    @pytest.mark.parametrize("name", list(BY_ENGINE))
+    def test_none_scope_changes_nothing(self, name):
+        run, default = BY_ENGINE[name]
+        with _budget_scope(None):
+            assert run(None) == run(default)
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5])
+    def test_invalid_scope_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            with _budget_scope(budget):
+                pass
+
+    def test_scope_ends_on_error(self):
+        run, _ = BY_ENGINE["trace_masks"]
+        with pytest.raises(BudgetExceededError):
+            with _budget_scope(1):
+                run(None)
+        run(None)
 
 
 class TestMatchingBudgetThresholds:

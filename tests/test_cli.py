@@ -416,6 +416,49 @@ class TestVerify:
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == \
             "07dad0f0e61f57c60e49a542bfe0666ee92e86f2194887d2509262c027b1ad0a"
 
+    @pytest.mark.parametrize("checks", [
+        ["corona"],
+        ["subfunction-traces", "--corpus-n", "3"],
+        ["trace-bound,shrink", "--pair-n", "3"],
+    ])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_budget_skips_rows_and_strict_exits_3(self, capsys, monkeypatch,
+                                                  checks, source):
+        # --budget, else MIMLAB_BUDGET, reaches every engine of the suites:
+        # a budget of 1 skips every row, which --strict turns into exit 3.
+        if source == "env":
+            monkeypatch.setenv("MIMLAB_BUDGET", "1")
+            budget = []
+        else:
+            budget = ["--budget", "1"]
+        argv = ["verify", "--checks", *checks, *budget]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = int(out.split("rows=")[1].split()[0])
+        assert rows and f"failed=0 skipped={rows}" in out
+        assert "budget of 1 exceeded" in out
+        code, _, _ = run_cli(capsys, *argv, "--strict")
+        assert code == 3
+
+    def test_budget_keeps_every_row_it_does_not_skip(self, tmp_path, capsys):
+        # A budget that the rest-cut pass's cut enumeration or walk exceeds
+        # on some graphs only: every other row is the unbudgeted one.
+        paths = [tmp_path / "free.json", tmp_path / "budget.json"]
+        for path, budget in zip(paths, ([], ["--budget", "20"])):
+            run_cli(capsys, "verify", "--checks", "trace-bound,shrink",
+                    "--pair-n", "4", "--json-out", str(path), *budget)
+        free, capped = (json.loads(p.read_text()) for p in paths)
+        skipped = [d for d in capped if d["skipped"]]
+        details = {d["detail"] for d in skipped}
+        assert details == {
+            "independent set enumeration: work budget of 20 exceeded",
+            "trace family transition: work budget of 20 exceeded"}
+        assert len(skipped) < len(capped) == len(free)
+        kept = {(d["check"], d["instance"]) for d in capped
+                if not d["skipped"]}
+        assert [d for d in capped if not d["skipped"]] == \
+            [d for d in free if (d["check"], d["instance"]) in kept]
+
     def test_no_instance_exit_2(self, capsys):
         # the connected corpus starts at n = 2
         code, out, err = run_cli(capsys, "verify", "--checks",

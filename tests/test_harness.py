@@ -648,6 +648,32 @@ class TestBudgetDiscipline:
                      "--pair-n", "4", "--strict"]) == 3
 
 
+    @pytest.mark.parametrize("at", [1, 9, -2])
+    def test_cut_enumeration_budget_skips_one_graph_of_a_chunk(
+        self, monkeypatch, at
+    ):
+        import mimlab.harness as harness
+
+        # The cut contexts are built ahead of the chunk's verdicts; a graph
+        # whose enumeration exceeds its budget, first, inside or last in a
+        # chunk, gets skipped rows and every other row stays.
+        corpus = full_corpus(4)
+        name, target = corpus[at]
+        real = harness._independent_rest_cuts
+
+        def exhausted(g):
+            if g is target:
+                raise BudgetExceededError("forced", 1)
+            return real(g)
+
+        clean = rows_to_dicts(run_rest_cuts(4))
+        monkeypatch.setattr(harness, "_independent_rest_cuts", exhausted)
+        rows = rows_to_dicts(run_rest_cuts(4))
+        assert [(d["check"], d["instance"]) for d in rows if d["skipped"]] \
+            == [("trace-bound", name), ("shrink", name)]
+        assert [d for d in rows if d["instance"] != name] == \
+            [d for d in clean if d["instance"] != name]
+
     @pytest.mark.parametrize("suite, corpus", [
         (run_subfunction_traces, connected_corpus),
         (run_rest_cuts, full_corpus),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -123,6 +124,90 @@ class TestSubfunctionCount:
                     (g.edges(), witness[:i])
                 checked += 1
         assert checked > 1000
+
+
+def _seeded_prefix_cases():
+    """One random connected graph per n = 9..12, with three seeded prefix
+    sets each (sizes spread over 0..n)."""
+    rng = random.Random(29)
+    for n in range(9, 13):
+        g = random_connected_graph(n, 100 + n, p=0.3)
+        for _ in range(3):
+            size = rng.randint(0, n)
+            yield g, sorted(rng.sample(range(n), size))
+
+
+class TestResidualEngine:
+    """The cofactor engine behind every residual count: the all-W walk
+    (`_residual_walk`) and the projected chain (`_residual_chain`), held
+    against `naive_subfunction_count`, which evaluates one assignment at
+    a time."""
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_projection_columns_equal_the_division_formula(self, k):
+        ones, cols = obdd._projection_columns(k)
+        assert ones == (1 << (1 << k)) - 1
+        assert cols == [ones // ((1 << (1 << i)) + 1) << (1 << i)
+                        for i in range(k)]
+
+    def test_walk_matches_naive_on_every_corpus_prefix(self):
+        checked = 0
+        for _, g in connected_corpus(5):
+            walk = obdd._residual_walk(g)
+            assert len(walk) == 1 << g.n
+            for umask, count in enumerate(walk):
+                u = [v for v in range(g.n) if umask >> v & 1]
+                assert count == naive_subfunction_count(g, u), \
+                    (g.edges(), u)
+                checked += 1
+        assert checked == 788
+
+    def test_walk_matches_subfunction_count_on_every_corpus_prefix(self):
+        checked = 0
+        for _, g in connected_corpus(6):
+            for umask, count in enumerate(obdd._residual_walk(g)):
+                u = [v for v in range(g.n) if umask >> v & 1]
+                assert count == subfunction_count(g, u), (g.edges(), u)
+                checked += 1
+        assert checked == 7956
+
+    @pytest.mark.parametrize("g, prefix", list(_seeded_prefix_cases()),
+                             ids=lambda x: getattr(x, "n", None) or str(x))
+    def test_both_forms_match_naive_on_random_graphs(self, g, prefix):
+        expected = naive_subfunction_count(g, prefix)
+        assert subfunction_count(g, prefix) == expected
+        umask = sum(1 << v for v in prefix)
+        assert obdd._residual_walk(g)[umask] == expected
+
+    def test_chain_counts_every_prefix_of_its_order(self):
+        # the level contract reads one chain along the witness
+        rng = random.Random(7)
+        for _, g in connected_corpus(5):
+            order = rng.sample(range(g.n), g.n)
+            assert obdd._residual_chain(g, order) == [
+                naive_subfunction_count(g, order[:i])
+                for i in range(g.n + 1)]
+
+    def test_level_contract_reads_one_chain(self, monkeypatch):
+        calls = []
+        real = obdd._residual_chain
+
+        def counting(g, order):
+            calls.append(tuple(order))
+            return real(g, order)
+
+        monkeypatch.setattr(obdd, "_residual_chain", counting)
+        g = two_rows()
+        report = obdd_bounds_report(g)
+        assert report.level_contract_ok
+        assert calls == [exact_width(g, WidthVariant.LU).witness]
+
+    def test_guard(self):
+        g = perfect_matching_graph(11)
+        with pytest.raises(BudgetExceededError):
+            obdd._residual_walk(g)
+        with pytest.raises(BudgetExceededError):
+            obdd._residual_chain(g, [0])
 
 
 class TestBuildAndEval:
