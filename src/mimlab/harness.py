@@ -32,7 +32,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    _EdgeTable,
     _Work,
     mask_of,
     max_induced_cut_matching,
@@ -41,11 +40,13 @@ from .obdd import _residual_walk, obdd_bounds_report
 from .traces import (
     DEFAULT_ENUM_BUDGET,
     TraceBoundReport,
+    _cut_contexts,
     _cut_pairs,
+    _CutContexts,
+    _enum_work,
     _prefix_traces,
     _shrink_block,
     _trace_bound_report,
-    independent_set_masks,
     trace_masks,
     traces,
     vc_dimension,
@@ -181,19 +182,6 @@ def sandwich_instances(
     return out
 
 
-def _independent_rest_cuts(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """The cuts (U, rest) of g whose rest side is independent, as
-    (umask, comp, r): comp runs over the independent sets of g in
-    `independent_set_masks` order, U = full ^ comp, and r is the largest
-    induced cut matching, from one `_EdgeTable` per graph.
-    """
-    full = g.full_mask()
-    table = _EdgeTable(g, WidthVariant.LSIM)
-    for comp in independent_set_masks(g, full):
-        umask = full ^ comp
-        yield umask, comp, table.max_size(table.crossing(umask))
-
-
 # ---------------------------------------------------------------------------
 # Suites.
 # ---------------------------------------------------------------------------
@@ -257,13 +245,62 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     return _rows(("subfunction-traces",), seed, corpus, evaluate)
 
 
+# `_cut_contexts` takes at most this many consecutive graphs of one size
+# per call: its tables hold 2^n entries per graph, and a slice keeps them
+# small (about 0.03 s for the 1,252 graphs of n <= 7 in slices of 32).
+_CONTEXT_SLICE = 32
+
 # Consecutive graphs of one size go to `_cut_pairs` as one chunk while the
 # squares of their cut counts sum to at most this, but at least one graph
 # goes: a graph with k cuts has at most k^2 pairs (cut, set) and k^2 cells
 # of the kernel's candidate matrix.  One call per graph pays numpy's
 # per-call cost 1,252 times at n <= 7 (72 chunks at this bound); the
-# arrays, and the peak memory, grow with the chunk.
+# arrays, and the peak memory, grow with the chunk.  A chunk may span
+# several slices of `_CONTEXT_SLICE` graphs.
 _CHUNK_CELLS = 3 << 12
+
+
+def _tick_cuts(nodes: int) -> None:
+    """Tick one graph's cut enumeration, the nodes `_cut_contexts` counts
+    for it, against `independent_set_masks`' budget (`traces._enum_work`),
+    or the budget of an enclosing `graph._budget_scope`; the rest-cut pass
+    turns the error into that graph's skipped rows."""
+    _enum_work(None).tick(nodes)
+
+
+def _independent_rest_cuts(g: Graph) -> list[tuple[int, int, int]]:
+    """The cuts (U, rest) of g whose rest side is independent, as
+    (umask, comp, r): the one-graph case of `_cut_contexts`, ticked by
+    `_tick_cuts`."""
+    contexts = _cut_contexts(g.n, [g.adj])
+    _tick_cuts(int(contexts.ticks[0]))
+    full = g.full_mask()
+    return [(full ^ comp, comp, r) for comp, r
+            in zip(contexts.comp.tolist(), contexts.r.tolist())]
+
+
+def _graph_contexts(
+    graphs: Sequence[Graph],
+) -> Iterator[tuple[Graph, _CutContexts | BudgetExceededError]]:
+    """Per graph in order, its cut contexts as a one-graph `_CutContexts`
+    of views, or the BudgetExceededError its enumeration's ticks raise
+    (`_tick_cuts`), from one `_cut_contexts` call per slice of at most
+    `_CONTEXT_SLICE` consecutive graphs of one size."""
+    for n, same in itertools.groupby(graphs, key=lambda g: g.n):
+        same = list(same)
+        for start in range(0, len(same), _CONTEXT_SLICE):
+            part = same[start:start + _CONTEXT_SLICE]
+            got = _cut_contexts(n, [g.adj for g in part])
+            ends = np.cumsum(got.lens).tolist()
+            for i, (g, ticks, lo, hi) in enumerate(zip(
+                    part, got.ticks.tolist(), [0] + ends[:-1], ends)):
+                try:
+                    _tick_cuts(ticks)
+                except BudgetExceededError as exc:
+                    yield g, exc
+                    continue
+                yield g, _CutContexts(got.lens[i:i + 1], got.ticks[i:i + 1],
+                                      got.comp[lo:hi], got.r[lo:hi])
 
 
 def _trace_bound_fails(
@@ -300,40 +337,39 @@ def _cut_families(
 
 
 def _rest_cut_verdicts(
-    graphs: Sequence[Graph], contexts: Sequence[list], checks: Sequence[str]
+    graphs: Sequence[Graph], contexts: _CutContexts, checks: Sequence[str]
 ) -> Iterator[tuple[int, tuple[dict, ...]]]:
     """Per graph: its walk's entries, sum_W |T(W)|, and the values of its
     rows, one dict per check in `checks`.
 
-    `contexts[i]` is `list(_independent_rest_cuts(graphs[i]))`; the graphs
-    share one size n and go to `_cut_pairs` and `_cut_families` as one
-    chunk, whose cuts are numbered in order.  The walk gives each cut's
-    family T(W) as the sorted keys cut << n | t; the pairs (cut, S) give
-    the same keys a second way, from N(S) & comp.  trace-bound fails at a
-    cut when `_trace_bound_fails` says so; its row then shows the
-    `_trace_bound_report` built from those arrays.  For shrink a set
-    passes when its output is a subset of it with the same trace, enables
-    and has at most r vertices; the output is a listed set of the same
-    cut, so its trace and verdict are read from the chunk's own arrays.
-    It also fails at a cut whose enabling sets of at most r vertices leave
-    other traces than the family.  A row names the first cut that fails
-    its check; an unrequested check's work is not done.
+    `contexts` holds the graphs' cuts (`_cut_contexts`), numbered in order
+    over the chunk: rest side comp, side U = full ^ comp and r.  The
+    graphs share one size n and go to `_cut_pairs` and `_cut_families` as
+    one chunk.  The walk gives each cut's family T(W) as the sorted keys
+    cut << n | t; the pairs (cut, S) give the same keys a second way, from
+    N(S) & comp.  trace-bound fails at a cut when `_trace_bound_fails`
+    says so; its row then shows the `_trace_bound_report` built from those
+    arrays.  For shrink a set passes when its output is a subset of it
+    with the same trace, enables and has at most r vertices; the output is
+    a listed set of the same cut, so its trace and verdict are read from
+    the chunk's own arrays.  It also fails at a cut whose enabling sets of
+    at most r vertices leave other traces than the family.  A row names
+    the first cut that fails its check; an unrequested check's work is not
+    done.
     """
     n = graphs[0].n
     full = (1 << n) - 1
     adjs = [g.adj for g in graphs]
-    pairs = _cut_pairs(n, adjs, [[c[1] for c in got] for got in contexts])
-    cuts = [c for got in contexts for c in got]
-    umask = np.array([c[0] for c in cuts])
-    r = np.array([c[2] for c in cuts])
-    graph_of = np.repeat(np.arange(len(graphs)), list(map(len, contexts)))
+    pairs = _cut_pairs(n, adjs, contexts)
+    umask, r = full ^ contexts.comp, contexts.r
+    graph_of = np.repeat(np.arange(len(graphs)), contexts.lens)
     entries, family, count = _cut_families(n, adjs, graph_of, umask)
     keys = pairs.cut << n | pairs.trace
     small = pairs.ones[pairs.sets] <= r[pairs.cut]
 
     def differs(chosen: np.ndarray) -> np.ndarray:
         """Per cut: whether its chosen pairs' traces differ from T(W)."""
-        out = np.zeros(len(cuts), dtype=bool)
+        out = np.zeros(len(umask), dtype=bool)
         out[np.setxor1d(family, keys[chosen]) >> n] = True
         return out
 
@@ -349,25 +385,25 @@ def _rest_cut_verdicts(
         """trace-bound's report of cut k, from the arrays its verdict read."""
         lo, hi = np.searchsorted(family, [k << n, k + 1 << n])
         return _trace_bound_report(
-            n, cuts[k][0].bit_count(), set((family[lo:hi] & full).tolist()),
-            cuts[k][2], set(pairs.trace[small & (pairs.cut == k)].tolist()))
+            n, int(pairs.ones[umask[k]]), set((family[lo:hi] & full).tolist()),
+            int(r[k]), set(pairs.trace[small & (pairs.cut == k)].tolist()))
 
     values = {}
     if "trace-bound" in checks:
         fails = _trace_bound_fails(n, pairs.ones[umask], r, count,
                                    differs(small))
         values["trace-bound"] = [
-            dict(passed=True, detail=f"cuts checked={len(got)}") if k < 0
+            dict(passed=True, detail=f"cuts checked={cuts}") if k < 0
             else dict(passed=False,
-                      detail=f"violated at mask {cuts[k][0]}: {report(k)}")
-            for k, got in zip(first(fails), contexts)]
+                      detail=f"violated at mask {umask[k]}: {report(k)}")
+            for k, cuts in zip(first(fails), contexts.lens.tolist())]
     if "shrink" in checks:
         out, enables = _shrink_block(pairs)
         at = pairs.lut[pairs.cut, out]
         ok = ((out & ~pairs.sets) == 0) & (at >= 0)
         ok &= enables[at] & (pairs.trace[at] == pairs.trace)
         ok &= pairs.ones[out] <= r[pairs.cut]
-        failed = np.full(len(cuts), -1)
+        failed = np.full(len(umask), -1)
         bad = np.flatnonzero(~ok)
         cut, where = np.unique(pairs.cut[bad], return_index=True)
         failed[cut] = pairs.sets[bad[where]]
@@ -376,11 +412,11 @@ def _rest_cut_verdicts(
         values["shrink"] = [
             dict(passed=True, detail=f"independent sets checked={m}") if k < 0
             else dict(passed=False,
-                      detail=f"failed at cut {cuts[k][0]} set {failed[k]}")
+                      detail=f"failed at cut {umask[k]} set {failed[k]}")
             if failed[k] >= 0
             else dict(passed=False,
-                      detail=f"enabling sets of size <= {cuts[k][2]} "
-                             f"miss a trace at cut {cuts[k][0]}")
+                      detail=f"enabling sets of size <= {r[k]} "
+                             f"miss a trace at cut {umask[k]}")
             for k, m in zip(first(fails), sets.tolist())]
     return zip(entries, zip(*(values[check] for check in checks)))
 
@@ -394,54 +430,58 @@ def run_rest_cuts(
     """The `trace-bound` and `shrink` checks in one pass over every cut
     with independent rest side; returns the rows of `checks`, by check.
 
-    Per graph one cut context (`_independent_rest_cuts`).  The independent
-    side of both checks is each cut's family T(W), from one
-    `_prefix_traces` walk per chunk of graphs.  With r the largest induced
-    cut matching, trace-bound checks |T(W)| <= sum_{i<=r} C(|W|, i) and
-    <= n^(r+1), and that the independent sets of at most r vertices leave
-    every trace; a failing row shows `trace_count_bound_check`'s report
-    for the first failing cut.  shrink checks that every independent set
-    shrinks to an enabling subset of at most r vertices with the same
-    trace, and, apart from the shrinker, that the enabling sets of size
-    <= r leave every trace.  Each row names its check's first failing
-    cut.  An unrequested check does none of its own work.  Each graph
-    ticks its walk's entries against one budget (`_tick_walk`); a graph
-    whose cut enumeration or walk exceeds its budget gets skipped rows.
+    The cuts and their r come from one `_cut_contexts` call per slice of
+    graphs (`_graph_contexts`).  The independent side of both checks is
+    each cut's family T(W), from one `_prefix_traces` walk per chunk of
+    graphs.  With r the largest induced cut matching, trace-bound checks
+    |T(W)| <= sum_{i<=r} C(|W|, i) and <= n^(r+1), and that the
+    independent sets of at most r vertices leave every trace; a failing
+    row shows `trace_count_bound_check`'s report for the first failing
+    cut.  shrink checks that every independent set shrinks to an enabling
+    subset of at most r vertices with the same trace, and, apart from the
+    shrinker, that the enabling sets of size <= r leave every trace.  Each
+    row names its check's first failing cut.  An unrequested check does
+    none of its own work.  Each graph ticks its cut enumeration, counted
+    in closed form (`_tick_cuts`), and its walk's entries (`_tick_walk`)
+    against their budgets; a graph over either gets skipped rows.
 
     Both checks read their verdicts from `_rest_cut_verdicts`, whose one
     `_cut_pairs` call and one walk cover a chunk of consecutive graphs of
     one size: it takes graphs while the squares of their cut counts sum
-    to at most `_CHUNK_CELLS`, but at least one graph.  The first graph
-    of a chunk pays for the pair arrays, the walk and both verdicts, and
-    for the next chunk's first cut context.
+    to at most `_CHUNK_CELLS`, but at least one graph, and reads the
+    chunk's cut contexts as one `_CutContexts`, concatenated from the
+    graphs' views.  The first graph of a chunk pays for the pair arrays,
+    the walk and both verdicts, and the first graph of a slice for its
+    cut contexts.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
     checks = tuple(dict.fromkeys(checks))
     corpus = full_corpus(max_n)
-    graphs = [g for _, g in corpus]
 
     def chunked() -> Iterator:
         # A graph whose cut enumeration exceeds its budget closes the
         # chunk before it and stands for its own error.
         chunk, contexts, cells = [], [], 0
-        for g in graphs:
-            error = None
-            try:
-                cuts = list(_independent_rest_cuts(g))
-            except BudgetExceededError as exc:
-                cuts, error = [], exc
-            cells += len(cuts) ** 2
+
+        def flush():
+            merged = _CutContexts(*map(np.concatenate, zip(*contexts)))
+            return _rest_cut_verdicts(chunk, merged, checks)
+
+        for g, got in _graph_contexts([g for _, g in corpus]):
+            error = got if isinstance(got, BudgetExceededError) else None
+            cuts = 0 if error else len(got.comp)
+            cells += cuts ** 2
             if chunk and (error or g.n != chunk[0].n or cells > _CHUNK_CELLS):
-                yield from _rest_cut_verdicts(chunk, contexts, checks)
-                chunk, contexts, cells = [], [], len(cuts) ** 2
+                yield from flush()
+                chunk, contexts, cells = [], [], cuts ** 2
             if error:
                 yield error
             else:
                 chunk.append(g)
-                contexts.append(cuts)
+                contexts.append(got)
         if chunk:
-            yield from _rest_cut_verdicts(chunk, contexts, checks)
+            yield from flush()
 
     verdicts = chunked()  # `_rows` evaluates the graphs in corpus order
 

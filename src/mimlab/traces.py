@@ -12,7 +12,11 @@ wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
 `_cut_pairs`, every pair (cut, set) of a chunk of graphs with its trace:
 trace-bound reads the traces of the small sets, and shrink runs
 `_shrink_block`, the same shrinker as array passes over the pairs.  Both
-compare against each cut's family from `_prefix_traces`.
+compare against each cut's family from `_prefix_traces`.  The cuts
+themselves, every independent rest side with its largest induced cut
+matching r and the enumeration's work, come from 2^n tables per graph
+(`_cut_contexts`); `independent_set_masks` and the matching search stay
+as their oracles.
 
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
@@ -99,6 +103,13 @@ def _check_mask(g: Graph, umask: int) -> None:
                          f"n = {g.n} vertices")
 
 
+def _enum_work(budget: int | None) -> _Work:
+    """The work counter of the independent set enumeration: one tick per
+    node of `independent_set_masks`' search, DEFAULT_ENUM_BUDGET by
+    default.  `_cut_contexts` counts the same nodes in closed form."""
+    return _Work(budget, "independent set enumeration", DEFAULT_ENUM_BUDGET)
+
+
 def independent_set_masks(
     g: Graph, umask: int, *, budget: int | None = None,
     max_size: int | None = None,
@@ -106,7 +117,7 @@ def independent_set_masks(
     """Independent subsets of umask as bitmasks, by size then lexicographic
     on the ascending vertex tuple.  A umask with a bit outside g's
     vertices, or a negative one, raises ValueError."""
-    work = _Work(budget, "independent set enumeration", DEFAULT_ENUM_BUDGET)
+    work = _enum_work(budget)
     _check_mask(g, umask)
     members = list(vertices_of(umask))
     top = len(members) if max_size is None else min(max_size, len(members))
@@ -201,6 +212,85 @@ def _prefix_traces(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
     return _trace_block(np.arange(len(adjs)) << 2 * n, adjs, 0, n, n)
 
 
+def _mask_tables(
+    n: int, adjs: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables over all 2^n masks S for a run of graphs on n vertices,
+    graph i with adjacency masks adjs[i], from one doubling pass over the
+    vertices: nbr[i, S], the neighbourhood of S in graph i; ones[S], the
+    popcount of S; rev[S], S bit-reversed.  All int32: masks fit up to
+    n = 26, and the tables stop far earlier (the corpus ends at n = 8)."""
+    size = 1 << n
+    adj = np.array(adjs, dtype=np.int32).reshape(len(adjs), n)
+    nbr = np.zeros((len(adjs), size), dtype=np.int32)
+    ones = np.zeros(size, dtype=np.int32)
+    rev = np.zeros(size, dtype=np.int32)
+    for v in range(n):
+        b = 1 << v
+        nbr[:, b:2 * b] = nbr[:, :b] | adj[:, v:v + 1]
+        ones[b:2 * b] = ones[:b] + 1
+        rev[b:2 * b] = rev[:b] | 1 << (n - 1 - v)
+    return nbr, ones, rev
+
+
+class _CutContexts(NamedTuple):
+    """The cut contexts of a run of graphs of one size: per graph, and per
+    cut (U, rest) with independent rest side, by graph, then rest side in
+    `independent_set_masks` order."""
+
+    lens: np.ndarray  # [graph] -> its cut count, its independent sets
+    ticks: np.ndarray  # [graph] -> `independent_set_masks(g, full)`'s nodes
+    comp: np.ndarray  # [cut] -> its rest side
+    r: np.ndarray  # [cut] -> its largest induced cut matching
+
+
+def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
+    """The cut contexts of graphs on n vertices, graph i with adjacency
+    masks adjs[i], from 2^n tables, with no enumeration and no matching
+    search.  The tables hold a row of 2^n entries per graph, so callers
+    pass a few dozen graphs at a time.
+
+    The rest sides are the masks S with N(S) & S empty, in
+    `independent_set_masks` order: by popcount, then lexicographic on the
+    ascending vertex tuple, which is the bit-reversed mask descending.
+    That enumeration visits, over all of g, n + 1 nodes for the empty set
+    and n - top(S) for every other independent S, top(S) its highest
+    vertex: n + 1 - bit_length(S) for every S.  An induced cut matching is
+    a vertex set X on which every member has exactly one neighbour in X,
+    with X & U independent (X & rest is, being inside the rest side), so
+    r(U) is the largest |X| / 2 over those X; a graph has few such X, so
+    each cut tests its graph's list of them.  `independent_set_masks`,
+    `max_induced_cut_matching` and `_EdgeTable` are the oracles.
+    """
+    size = 1 << n
+    graphs = len(adjs)
+    nbr, ones, rev = _mask_tables(n, adjs)
+    masks = np.arange(size, dtype=np.int32)
+    indep = nbr & masks == 0
+    bit_length = np.repeat(np.arange(n + 1), np.r_[1, 1 << np.arange(n)])
+    ticks = (indep * (n + 1 - bit_length)).sum(axis=1)
+    # The keys are distinct, so any sort gives this order; the stable one
+    # is the kernel `_shrink_block` already loads.
+    order = np.argsort(ones << n | (size - 1 - rev), kind="stable")
+    graph_of, at = np.nonzero(indep[:, order])
+    comp = order[at].astype(np.int32)
+    lens = np.bincount(graph_of, minlength=graphs)
+
+    matching = np.ones((graphs, size), dtype=bool)
+    for v in range(n):
+        x = nbr[:, 1 << v, None] & masks  # v's neighbours in X
+        matching &= (masks >> v & 1 == 0) | (x != 0) & (x & x - 1 == 0)
+    has, xs = np.nonzero(matching)  # the empty X is one of every graph's
+    count = np.bincount(has, minlength=graphs)
+    listed = np.zeros((graphs, int(count.max())), dtype=np.int32)
+    listed[has, np.arange(len(xs)) - (np.cumsum(count) - count)[has]] = xs
+    x = listed[graph_of]  # cut k's candidates, padded with the empty X
+    umask = (size - 1 ^ comp)[:, None]
+    fit = indep[graph_of[:, None], x & umask]
+    r = np.where(fit, ones[x], 0).max(axis=1) >> 1
+    return _CutContexts(lens, ticks, comp, r)
+
+
 class _CutPairs(NamedTuple):
     """`_cut_pairs`'s arrays, one entry per pair (cut, set) in order: by
     graph, then cut, then set, each in `independent_set_masks` order."""
@@ -210,33 +300,24 @@ class _CutPairs(NamedTuple):
     trace: np.ndarray  # N(S) & comp, comp the cut's rest side
     lut: np.ndarray  # [cut, mask] -> the pair's index, -1 off the list
     ones: np.ndarray  # [mask] -> its popcount, over all 2^n masks
+    rev: np.ndarray  # [mask] -> it bit-reversed, over all 2^n masks
 
 
 def _cut_pairs(
-    n: int, adjs: Sequence[Sequence[int]], inds: Sequence[Sequence[int]]
+    n: int, adjs: Sequence[Sequence[int]], contexts: _CutContexts
 ) -> _CutPairs:
     """Every pair (cut, S) of a chunk of graphs on n vertices, with its
-    trace; graph i has adjacency masks adjs[i] and independent sets
-    inds[i] in `independent_set_masks` order.  Each comp of inds[i] is a
-    cut's independent rest side, and its sets S are the members of inds[i]
-    disjoint from comp: the independent subsets of the other side.  Masks
-    (and `_shrink_block`'s keys) are int32, enough up to n = 26; the tables
-    over all 2^n masks stop far earlier (the corpus ends at n = 8).
+    trace; graph i has adjacency masks adjs[i], and `contexts` lists every
+    graph's cuts (`_cut_contexts`), whose rest sides are all the graph's
+    independent sets in order.  A cut's sets S are those of its graph's
+    independent sets that avoid its rest side: the independent subsets of
+    the other side.  Masks (and `_shrink_block`'s keys) are int32.
     """
-    size = 1 << n
-    adj = np.array(adjs, dtype=np.int32).reshape(len(adjs), n)
-    nbr = np.zeros((len(adjs), size), dtype=np.int32)
-    ones = np.zeros(size, dtype=np.int32)
-    for v in range(n):
-        b = 1 << v
-        nbr[:, b:2 * b] = nbr[:, :b] | adj[:, v:v + 1]
-        ones[b:2 * b] = ones[:b] + 1
-    lens = np.array([len(ind) for ind in inds])
-    comps = np.fromiter(itertools.chain.from_iterable(inds), dtype=np.int32,
-                        count=int(lens.sum()))
-    graph_of = np.repeat(np.arange(len(inds)), lens)
+    nbr, ones, rev = _mask_tables(n, adjs)
+    lens, comps = contexts.lens, contexts.comp
+    graph_of = np.repeat(np.arange(len(lens)), lens)
     starts = np.cumsum(lens) - lens
-    listed = np.full((len(inds), int(lens.max())), -1, dtype=np.int32)
+    listed = np.full((len(lens), int(lens.max())), -1, dtype=np.int32)
     listed[graph_of, np.arange(len(comps)) - starts[graph_of]] = comps
     # Row k of cand lists the independent sets of cut k's graph; the
     # cut's sets are those disjoint from its rest side comps[k].
@@ -244,11 +325,11 @@ def _cut_pairs(
     cut, col = np.nonzero((cand >= 0) & (cand & comps[:, None] == 0))
     sets = cand[cut, col]
     # the narrowest signed type that holds every pair index
-    lut = np.full((len(comps), size), -1,
+    lut = np.full((len(comps), 1 << n), -1,
                   dtype=np.min_scalar_type(-len(sets)))
     lut[cut, sets] = np.arange(len(sets))
     trace = nbr[graph_of[cut], sets] & comps[cut]
-    return _CutPairs(cut, sets, trace, lut, ones)
+    return _CutPairs(cut, sets, trace, lut, ones, rev)
 
 
 def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +349,7 @@ def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
     and the output, which is S when S enables and otherwise the next
     set's.
     """
-    cut, sets, trace, lut, ones = pairs
+    cut, sets, trace, lut, ones, rev = pairs
     n = len(ones).bit_length() - 1
     lack = np.zeros_like(sets)
     for v in reversed(range(n)):  # the lowest lacking member writes last
@@ -279,10 +360,6 @@ def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
     enables = lack == 0
 
     bits = 1 << np.arange(n, dtype=np.int32)
-    rev = np.zeros_like(ones)  # each mask bit-reversed
-    for v in range(n):
-        b = 1 << v
-        rev[b:2 * b] = rev[:b] | 1 << (n - 1 - v)
     best = np.zeros_like(sets)
     key = np.zeros_like(sets)
     elim = np.zeros_like(sets)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mimlab.errors import BudgetExceededError
+from mimlab.generators import random_connected_graph
 from mimlab.graph import (
+    _budget_scope,
     max_induced_cut_matching,
     neighborhood_mask,
     vertices_of,
@@ -40,6 +42,7 @@ from mimlab.harness import (
 )
 from mimlab.obdd import subfunction_count
 from mimlab.traces import (
+    _cut_contexts,
     _cut_pairs,
     _trace_bound_report,
     independent_set_masks,
@@ -192,11 +195,21 @@ def _cuts_with_pairs(g):
     """(umask, comp, r, subsets, traces) per cut of g: the cut context and
     the cut's pairs (S, trace) from `_cut_pairs` over g alone."""
     cuts = list(_independent_rest_cuts(g))
-    pairs = _cut_pairs(g.n, [g.adj], [[c[1] for c in cuts]])
+    pairs = _cut_pairs(g.n, [g.adj], _cut_contexts(g.n, [g.adj]))
     for k, (umask, comp, r) in enumerate(cuts):
         at = pairs.cut == k
         yield (umask, comp, r, pairs.sets[at].tolist(),
                pairs.trace[at].tolist())
+
+
+def _per_graph(contexts):
+    """Per graph of a `_cut_contexts` result: its first cut's number, its
+    rest sides, its r values and its ticks."""
+    ends = np.cumsum(contexts.lens).tolist()
+    return [(lo, contexts.comp[lo:hi].tolist(), contexts.r[lo:hi].tolist(),
+             ticks)
+            for lo, hi, ticks in zip([0] + ends[:-1], ends,
+                                     contexts.ticks.tolist())]
 
 
 class TestCutContext:
@@ -216,6 +229,44 @@ class TestCutContext:
                 assert r == max_induced_cut_matching(g, u)[0]
                 for s, t in zip(subsets, trace):
                     assert t == neighborhood_mask(g, s) & comp
+
+    def test_builder_matches_the_oracles(self):
+        # Every graph of n <= 7 and seeded connected graphs of n = 8, each
+        # size's graphs in one call and one at a time: the rest sides in
+        # `independent_set_masks` order, r by the matching search.
+        by_n: dict[int, list] = {}
+        for _, g in full_corpus(7):
+            by_n.setdefault(g.n, []).append(g)
+        by_n[8] = [random_connected_graph(8, seed) for seed in range(12)]
+        cuts = 0
+        for n, graphs in by_n.items():
+            got = _per_graph(_cut_contexts(n, [g.adj for g in graphs]))
+            for g, (_, comps, rs, ticks) in zip(graphs, got, strict=True):
+                assert _per_graph(_cut_contexts(n, [g.adj])) == \
+                    [(0, comps, rs, ticks)]
+                full = g.full_mask()
+                assert comps == list(independent_set_masks(g, full))
+                assert rs == [max_induced_cut_matching(
+                    g, vertices_of(full ^ comp))[0] for comp in comps]
+                cuts += len(comps)
+        assert cuts == 29018 + 381
+
+    def test_ticks_are_the_enumeration_nodes(self):
+        # The closed-form count is the budget `independent_set_masks` needs
+        # over the whole graph: that budget passes and one less raises.
+        for _, g in full_corpus(6):
+            full = g.full_mask()
+            nodes = int(_cut_contexts(g.n, [g.adj]).ticks[0])
+            want = list(independent_set_masks(g, full))
+            assert list(independent_set_masks(g, full, budget=nodes)) == want
+            with pytest.raises(BudgetExceededError, match=f"of {nodes - 1} "):
+                list(independent_set_masks(g, full, budget=nodes - 1))
+            with _budget_scope(nodes):
+                assert [c[1] for c in _independent_rest_cuts(g)] == want
+            with _budget_scope(nodes - 1), \
+                    pytest.raises(BudgetExceededError,
+                                  match="^independent set enumeration: "):
+                _independent_rest_cuts(g)
 
     def test_trace_bound_report_matches_public_check(self):
         for _, g in full_corpus(5):
@@ -257,9 +308,9 @@ class TestRestCutPass:
         chunks = []
         real = harness._cut_pairs
 
-        def counted(n, adjs, inds):
+        def counted(n, adjs, contexts):
             chunks.append(len(adjs))
-            return real(n, adjs, inds)
+            return real(n, adjs, contexts)
 
         monkeypatch.setattr(harness, "_cut_pairs", counted)
         self.test_rows_pinned()
@@ -290,9 +341,9 @@ class TestRestCutPass:
         chunks, walks = [], []
         real_pairs, real_walk = harness._cut_pairs, harness._prefix_traces
 
-        def listing(n, adjs, inds):
+        def listing(n, adjs, contexts):
             chunks.append(list(adjs))
-            return real_pairs(n, adjs, inds)
+            return real_pairs(n, adjs, contexts)
 
         def walking(n, adjs):
             walks.append(list(adjs))
@@ -379,11 +430,12 @@ class TestRestCutPass:
         real_pairs, real = harness._cut_pairs, harness._trace_bound_fails
         chosen = []  # the chosen cuts in the latest chunk, if g is in it
 
-        def listing(n, adjs, inds):
-            chosen[:] = [sum(map(len, inds[:i])) + ind.index(cuts[k][1])
-                         for i, (adj, ind) in enumerate(zip(adjs, inds))
+        def listing(n, adjs, contexts):
+            chosen[:] = [lo + comps.index(cuts[k][1])
+                         for adj, (lo, comps, _, _)
+                         in zip(adjs, _per_graph(contexts))
                          if adj == g.adj for k in (4, 0)]
-            return real_pairs(n, adjs, inds)
+            return real_pairs(n, adjs, contexts)
 
         def failing(*args):
             fails = real(*args)
@@ -418,11 +470,10 @@ class TestRestCutPass:
         real_pairs, real = harness._cut_pairs, harness._shrink_block
         chosen = []  # the chosen cut in the latest chunk, if g is in it
 
-        def listing(n, adjs, inds):
-            chosen[:] = [sum(map(len, inds[:i])) + ind.index(comp)
-                         for i, (adj, ind) in enumerate(zip(adjs, inds))
-                         if adj == g.adj]
-            return real_pairs(n, adjs, inds)
+        def listing(n, adjs, contexts):
+            chosen[:] = [lo + comps.index(comp) for adj, (lo, comps, _, _)
+                         in zip(adjs, _per_graph(contexts)) if adj == g.adj]
+            return real_pairs(n, adjs, contexts)
 
         def lying(pairs):
             # no set of the chosen cut enables, as far as the suite reads
@@ -654,25 +705,49 @@ class TestBudgetDiscipline:
     ):
         import mimlab.harness as harness
 
-        # The cut contexts are built ahead of the chunk's verdicts; a graph
-        # whose enumeration exceeds its budget, first, inside or last in a
-        # chunk, gets skipped rows and every other row stays.
+        # The cut contexts are built ahead of the chunk's verdicts, and each
+        # graph ticks its enumeration once, in corpus order; a graph whose
+        # enumeration exceeds its budget, first, inside or last in a chunk,
+        # gets skipped rows and every other row stays.
         corpus = full_corpus(4)
-        name, target = corpus[at]
-        real = harness._independent_rest_cuts
+        name, _ = corpus[at]
+        calls = itertools.count()
+        real = harness._tick_cuts
 
-        def exhausted(g):
-            if g is target:
+        def exhausted(nodes):
+            if next(calls) == at % len(corpus):
                 raise BudgetExceededError("forced", 1)
-            return real(g)
+            real(nodes)
 
         clean = rows_to_dicts(run_rest_cuts(4))
-        monkeypatch.setattr(harness, "_independent_rest_cuts", exhausted)
+        monkeypatch.setattr(harness, "_tick_cuts", exhausted)
         rows = rows_to_dicts(run_rest_cuts(4))
         assert [(d["check"], d["instance"]) for d in rows if d["skipped"]] \
             == [("trace-bound", name), ("shrink", name)]
         assert [d for d in rows if d["instance"] != name] == \
             [d for d in clean if d["instance"] != name]
+
+    def test_scoped_budget_skips_what_the_enumeration_refuses(self):
+        # Under a budget scope a graph is skipped by the first budget it
+        # exceeds: its cut enumeration, as `independent_set_masks` over
+        # the whole graph counts it, then its walk's entries.
+        budget = 20
+        want = {}
+        for name, g in full_corpus(4):
+            try:
+                list(independent_set_masks(g, g.full_mask(), budget=budget))
+            except BudgetExceededError as exc:
+                want[name] = str(exc)
+                continue
+            if sum(len(trace_masks(g, w)) for w in range(1 << g.n)) > budget:
+                want[name] = (f"trace family transition: work budget of "
+                              f"{budget} exceeded")
+        with _budget_scope(budget):
+            rows = run_rest_cuts(4)
+        assert {r.instance: r.detail for r in rows if r.skipped} == want
+        assert len(want) < len(full_corpus(4))
+        assert {d.split(":")[0] for d in want.values()} == \
+            {"independent set enumeration", "trace family transition"}
 
     @pytest.mark.parametrize("suite, corpus", [
         (run_subfunction_traces, connected_corpus),

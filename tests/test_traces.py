@@ -30,6 +30,7 @@ from mimlab.harness import _independent_rest_cuts, full_corpus
 from mimlab.traces import (
     TraceBoundReport,
     _Enablers,
+    _cut_contexts,
     _cut_pairs,
     _shrink_block,
     _shrink_mask,
@@ -342,10 +343,10 @@ def _scalar_shrink_rows(g):
 def _block_rows(graphs):
     """The same rows from one `_shrink_block` call over graphs of one size,
     cut numbers restarting at each graph."""
-    inds = [[c[1] for c in _independent_rest_cuts(g)] for g in graphs]
-    pairs = _cut_pairs(graphs[0].n, [g.adj for g in graphs], inds)
+    contexts = _cut_contexts(graphs[0].n, [g.adj for g in graphs])
+    pairs = _cut_pairs(graphs[0].n, [g.adj for g in graphs], contexts)
     shrunk, enables = _shrink_block(pairs)
-    starts = list(itertools.accumulate(map(len, inds), initial=0))
+    starts = list(itertools.accumulate(contexts.lens.tolist(), initial=0))
     rows = [[] for _ in graphs]
     for c, s, out, ok in zip(pairs.cut.tolist(), pairs.sets.tolist(),
                              shrunk.tolist(), enables.tolist()):
@@ -397,7 +398,7 @@ class TestShrinkBlock:
     def test_lookup_table_and_traces(self):
         for g in (TIE, random_connected_graph(8, 1)):
             cuts = list(_independent_rest_cuts(g))
-            pairs = _cut_pairs(g.n, [g.adj], [[c[1] for c in cuts]])
+            pairs = _cut_pairs(g.n, [g.adj], _cut_contexts(g.n, [g.adj]))
             for i, (c, s, t) in enumerate(zip(pairs.cut.tolist(),
                                               pairs.sets.tolist(),
                                               pairs.trace.tolist())):
