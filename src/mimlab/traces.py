@@ -212,6 +212,17 @@ def _prefix_traces(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
     return _trace_block(np.arange(len(adjs)) << 2 * n, adjs, 0, n, n)
 
 
+def _padded(
+    rows: np.ndarray, values: np.ndarray, count: np.ndarray, fill: int
+) -> np.ndarray:
+    """`values`, grouped by their ascending `rows` (count[i] of row i), as
+    one int32 table of len(count) rows padded with `fill`."""
+    out = np.full((len(count), int(count.max())), fill, dtype=np.int32)
+    col = np.arange(len(values)) - (np.cumsum(count) - count)[rows]
+    out[rows, col] = values
+    return out
+
+
 def _mask_tables(
     n: int, adjs: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,9 +292,7 @@ def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
         x = nbr[:, 1 << v, None] & masks  # v's neighbours in X
         matching &= (masks >> v & 1 == 0) | (x != 0) & (x & x - 1 == 0)
     has, xs = np.nonzero(matching)  # the empty X is one of every graph's
-    count = np.bincount(has, minlength=graphs)
-    listed = np.zeros((graphs, int(count.max())), dtype=np.int32)
-    listed[has, np.arange(len(xs)) - (np.cumsum(count) - count)[has]] = xs
+    listed = _padded(has, xs, np.bincount(has, minlength=graphs), 0)
     x = listed[graph_of]  # cut k's candidates, padded with the empty X
     umask = (size - 1 ^ comp)[:, None]
     fit = indep[graph_of[:, None], x & umask]
@@ -316,9 +325,7 @@ def _cut_pairs(
     nbr, ones, rev = _mask_tables(n, adjs)
     lens, comps = contexts.lens, contexts.comp
     graph_of = np.repeat(np.arange(len(lens)), lens)
-    starts = np.cumsum(lens) - lens
-    listed = np.full((len(lens), int(lens.max())), -1, dtype=np.int32)
-    listed[graph_of, np.arange(len(comps)) - starts[graph_of]] = comps
+    listed = _padded(graph_of, comps, lens, -1)
     # Row k of cand lists the independent sets of cut k's graph; the
     # cut's sets are those disjoint from its rest side comps[k].
     cand = listed[graph_of]
