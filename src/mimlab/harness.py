@@ -195,10 +195,24 @@ def _tick_walk(entries: int) -> None:
     _Work(None, "trace family transition", DEFAULT_ENUM_BUDGET).tick(entries)
 
 
-# subfunction-traces walks at most this many consecutive graphs of one size
-# in one `_prefix_traces` call: 64 graphs at n = 7 take about 0.025 s,
-# where one `trace_masks` call per prefix set took 0.2 s for all 1,044.
-_WALK_CHUNK = 64
+# The corpus passes take each size's graphs in chunks of consecutive graphs
+# (`_chunks`), so that a chunk's 2^n tables (the walk of `_prefix_traces`,
+# `_cut_contexts` and `_cut_pairs`) hold at most this many (graph, mask)
+# rows: 32 graphs at n = 6, 16 at n = 7 and 8 at n = 8.  A larger bound
+# trades memory for per-call cost: at 1 << 13 `run_rest_cuts(7)` took
+# 0.29 s against 0.33 s, but its tracemalloc peak rose from 2.0 to 5.8 MB
+# (2-core Xeon VM).
+_CHUNK_ROWS = 1 << 11
+
+
+def _chunks(graphs: Iterable[Graph]) -> Iterator[tuple[int, list[Graph]]]:
+    """(n, chunk) in order: the graphs as runs of consecutive graphs on n
+    vertices, at most max(1, _CHUNK_ROWS >> n) graphs each."""
+    for n, same in itertools.groupby(graphs, key=lambda g: g.n):
+        same = list(same)
+        step = max(1, _CHUNK_ROWS >> n)
+        for lo in range(0, len(same), step):
+            yield n, same[lo:lo + step]
 
 
 def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
@@ -206,25 +220,21 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     set of every connected graph up to max_n.
 
     The trace counts |T(W)| of every W come from one `_prefix_traces` walk
-    per chunk of at most `_WALK_CHUNK` consecutive graphs of one size,
-    counted by `np.bincount`; the first graph of a chunk pays for the
-    walk.  The residual counts |R(W)| of every W come from one Shannon
-    cofactor walk per graph (`obdd._residual_walk`), which reasons only
-    about the CNF's truth tables and shares no code with the trace
-    kernels.  The counts are compared in mask order, and the first
-    mismatch, lowest mask first, fails the graph.
+    per chunk of graphs (`_chunks`), counted by `np.bincount`; the first
+    graph of a chunk pays for the walk.  The residual counts |R(W)| of
+    every W come from one Shannon cofactor walk per graph
+    (`obdd._residual_walk`), which reasons only about the CNF's truth
+    tables and shares no code with the trace kernels.  The counts are
+    compared in mask order, and the first mismatch, lowest mask first,
+    fails the graph.
     """
     corpus = connected_corpus(max_n)
 
     def walks() -> Iterator[list[int]]:
-        graphs = (g for _, g in corpus)
-        for n, same in itertools.groupby(graphs, key=lambda g: g.n):
-            same = list(same)
-            for lo in range(0, len(same), _WALK_CHUNK):
-                adjs = [g.adj for g in same[lo:lo + _WALK_CHUNK]]
-                keys = _prefix_traces(n, adjs)
-                counts = np.bincount(keys >> n, minlength=len(adjs) << n)
-                yield from counts.reshape(len(adjs), 1 << n).tolist()
+        for n, chunk in _chunks(g for _, g in corpus):
+            keys = _prefix_traces(n, [g.adj for g in chunk])
+            counts = np.bincount(keys >> n, minlength=len(chunk) << n)
+            yield from counts.reshape(len(chunk), 1 << n).tolist()
 
     counts = walks()  # `_rows` evaluates the graphs in corpus order
 
@@ -245,21 +255,6 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
     return _rows(("subfunction-traces",), seed, corpus, evaluate)
 
 
-# `_cut_contexts` takes at most this many consecutive graphs of one size
-# per call: its tables hold 2^n entries per graph, and a slice keeps them
-# small (about 0.03 s for the 1,252 graphs of n <= 7 in slices of 32).
-_CONTEXT_SLICE = 32
-
-# Consecutive graphs of one size go to `_cut_pairs` as one chunk while the
-# squares of their cut counts sum to at most this, but at least one graph
-# goes: a graph with k cuts has at most k^2 pairs (cut, set) and k^2 cells
-# of the kernel's candidate matrix.  One call per graph pays numpy's
-# per-call cost 1,252 times at n <= 7 (72 chunks at this bound); the
-# arrays, and the peak memory, grow with the chunk.  A chunk may span
-# several slices of `_CONTEXT_SLICE` graphs.
-_CHUNK_CELLS = 3 << 12
-
-
 def _tick_cuts(nodes: int) -> None:
     """Tick one graph's cut enumeration, the nodes `_cut_contexts` counts
     for it, against `independent_set_masks`' budget (`traces._enum_work`),
@@ -277,30 +272,6 @@ def _independent_rest_cuts(g: Graph) -> list[tuple[int, int, int]]:
     full = g.full_mask()
     return [(full ^ comp, comp, r) for comp, r
             in zip(contexts.comp.tolist(), contexts.r.tolist())]
-
-
-def _graph_contexts(
-    graphs: Sequence[Graph],
-) -> Iterator[tuple[Graph, _CutContexts | BudgetExceededError]]:
-    """Per graph in order, its cut contexts as a one-graph `_CutContexts`
-    of views, or the BudgetExceededError its enumeration's ticks raise
-    (`_tick_cuts`), from one `_cut_contexts` call per slice of at most
-    `_CONTEXT_SLICE` consecutive graphs of one size."""
-    for n, same in itertools.groupby(graphs, key=lambda g: g.n):
-        same = list(same)
-        for start in range(0, len(same), _CONTEXT_SLICE):
-            part = same[start:start + _CONTEXT_SLICE]
-            got = _cut_contexts(n, [g.adj for g in part])
-            ends = np.cumsum(got.lens).tolist()
-            for i, (g, ticks, lo, hi) in enumerate(zip(
-                    part, got.ticks.tolist(), [0] + ends[:-1], ends)):
-                try:
-                    _tick_cuts(ticks)
-                except BudgetExceededError as exc:
-                    yield g, exc
-                    continue
-                yield g, _CutContexts(got.lens[i:i + 1], got.ticks[i:i + 1],
-                                      got.comp[lo:hi], got.r[lo:hi])
 
 
 def _trace_bound_fails(
@@ -370,7 +341,8 @@ def _rest_cut_verdicts(
     def differs(chosen: np.ndarray) -> np.ndarray:
         """Per cut: whether its chosen pairs' traces differ from T(W)."""
         out = np.zeros(len(umask), dtype=bool)
-        out[np.setxor1d(family, keys[chosen]) >> n] = True
+        got = np.unique(keys[chosen])  # the family is already unique
+        out[np.setxor1d(family, got, assume_unique=True) >> n] = True
         return out
 
     def first(fails: np.ndarray) -> list[int]:
@@ -430,29 +402,24 @@ def run_rest_cuts(
     """The `trace-bound` and `shrink` checks in one pass over every cut
     with independent rest side; returns the rows of `checks`, by check.
 
-    The cuts and their r come from one `_cut_contexts` call per slice of
-    graphs (`_graph_contexts`).  The independent side of both checks is
-    each cut's family T(W), from one `_prefix_traces` walk per chunk of
-    graphs.  With r the largest induced cut matching, trace-bound checks
-    |T(W)| <= sum_{i<=r} C(|W|, i) and <= n^(r+1), and that the
-    independent sets of at most r vertices leave every trace; a failing
-    row shows `trace_count_bound_check`'s report for the first failing
-    cut.  shrink checks that every independent set shrinks to an enabling
-    subset of at most r vertices with the same trace, and, apart from the
-    shrinker, that the enabling sets of size <= r leave every trace.  Each
-    row names its check's first failing cut.  An unrequested check does
-    none of its own work.  Each graph ticks its cut enumeration, counted
-    in closed form (`_tick_cuts`), and its walk's entries (`_tick_walk`)
-    against their budgets; a graph over either gets skipped rows.
-
-    Both checks read their verdicts from `_rest_cut_verdicts`, whose one
-    `_cut_pairs` call and one walk cover a chunk of consecutive graphs of
-    one size: it takes graphs while the squares of their cut counts sum
-    to at most `_CHUNK_CELLS`, but at least one graph, and reads the
-    chunk's cut contexts as one `_CutContexts`, concatenated from the
-    graphs' views.  The first graph of a chunk pays for the pair arrays,
-    the walk and both verdicts, and the first graph of a slice for its
-    cut contexts.
+    Both checks go over the graphs in chunks (`_chunks`).  Each chunk
+    gets one `_cut_contexts` call, for every cut and its r, then each graph
+    ticks its cut enumeration, counted in closed form (`_tick_cuts`); a
+    graph over that budget gets skipped rows and leaves the chunk.  The
+    rest go to one `_rest_cut_verdicts` call, whose one `_cut_pairs` call
+    and one `_prefix_traces` walk give each cut's family T(W), the
+    independent side of both checks.  With r the largest induced cut
+    matching, trace-bound checks |T(W)| <= sum_{i<=r} C(|W|, i) and
+    <= n^(r+1), and that the independent sets of at most r vertices leave
+    every trace; a failing row shows `trace_count_bound_check`'s report
+    for the first failing cut.  shrink checks that every independent set
+    shrinks to an enabling subset of at most r vertices with the same
+    trace, and, apart from the shrinker, that the enabling sets of size
+    <= r leave every trace.  Each row names its check's first failing
+    cut.  An unrequested check does none of its own work.  Each graph
+    ticks its walk's entries against their budget (`_tick_walk`), and a
+    graph over it gets skipped rows.  The first graph of a chunk pays for
+    the chunk's arrays, walk and verdicts.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
@@ -460,28 +427,25 @@ def run_rest_cuts(
     corpus = full_corpus(max_n)
 
     def chunked() -> Iterator:
-        # A graph whose cut enumeration exceeds its budget closes the
-        # chunk before it and stands for its own error.
-        chunk, contexts, cells = [], [], 0
-
-        def flush():
-            merged = _CutContexts(*map(np.concatenate, zip(*contexts)))
-            return _rest_cut_verdicts(chunk, merged, checks)
-
-        for g, got in _graph_contexts([g for _, g in corpus]):
-            error = got if isinstance(got, BudgetExceededError) else None
-            cuts = 0 if error else len(got.comp)
-            cells += cuts ** 2
-            if chunk and (error or g.n != chunk[0].n or cells > _CHUNK_CELLS):
-                yield from flush()
-                chunk, contexts, cells = [], [], cuts ** 2
-            if error:
-                yield error
-            else:
-                chunk.append(g)
-                contexts.append(got)
-        if chunk:
-            yield from flush()
+        # Per graph in order: its walk's entries and row values, or the
+        # error its cut enumeration's ticks raise.
+        for n, chunk in _chunks(g for _, g in corpus):
+            contexts = _cut_contexts(n, [g.adj for g in chunk])
+            keep = np.ones(len(chunk), dtype=bool)
+            errors = {}
+            for i, ticks in enumerate(contexts.ticks.tolist()):
+                try:
+                    _tick_cuts(ticks)
+                except BudgetExceededError as exc:
+                    keep[i], errors[i] = False, exc
+            if keep.any():
+                cut = np.repeat(keep, contexts.lens)
+                kept = _CutContexts(contexts.lens[keep], contexts.ticks[keep],
+                                    contexts.comp[cut], contexts.r[cut])
+                got = _rest_cut_verdicts(
+                    [g for g, ok in zip(chunk, keep) if ok], kept, checks)
+            for i in range(len(chunk)):
+                yield errors[i] if i in errors else next(got)
 
     verdicts = chunked()  # `_rows` evaluates the graphs in corpus order
 

@@ -208,7 +208,12 @@ def _prefix_traces(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
     """The families of every prefix set W of a chunk of graphs on n
     vertices, graph i with adjacency masks adjs[i], as the keys
     i << 2n | W << n | t, t in T_i(W): one `_trace_block` walk from
-    T_i(empty) = {0}.  A graph's entries total sum_W |T_i(W)|."""
+    T_i(empty) = {0}.  A graph's entries total sum_W |T_i(W)|.  The keys
+    are int32, so a chunk of len(adjs) << 2n above 2^31 is refused."""
+    if len(adjs) << 2 * n > 1 << 31:
+        raise ValueError(
+            f"a chunk of {len(adjs)} graph(s) on n={n} vertices needs walk "
+            f"keys up to {len(adjs) << 2 * n}, over int32's 2^31")
     return _trace_block(np.arange(len(adjs)) << 2 * n, adjs, 0, n, n)
 
 
@@ -259,7 +264,7 @@ def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
     """The cut contexts of graphs on n vertices, graph i with adjacency
     masks adjs[i], from 2^n tables, with no enumeration and no matching
     search.  The tables hold a row of 2^n entries per graph, so callers
-    pass a few dozen graphs at a time.
+    pass one chunk (`harness._chunks`).
 
     The rest sides are the masks S with N(S) & S empty, in
     `independent_set_masks` order: by popcount, then lexicographic on the

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from mimlab.harness import (
     CHECK_NAMES,
     ExperimentSpec,
     ReportRow,
+    _chunks,
     _independent_rest_cuts,
     _trace_bound_fails,
     any_failures,
@@ -298,13 +301,11 @@ class TestRestCutPass:
     def test_rows_pinned_at_any_chunk_bound(self, monkeypatch, whole_sizes):
         import mimlab.harness as harness
 
-        # One graph per chunk, then each size's whole corpus as one chunk.
-        graphs: dict[int, list[int]] = {}  # n -> cut count of each graph
-        for _, g in full_corpus(6):
-            cuts = len(list(_independent_rest_cuts(g)))
-            graphs.setdefault(g.n, []).append(cuts)
-        cap = max(sum(k * k for k in ks) for ks in graphs.values())
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", cap if whole_sizes else 1)
+        # One graph per chunk, then each size's whole corpus as one chunk
+        # (n <= 6 has at most 156 graphs of a size, 2^20 >> 6 allows 16,384).
+        sizes = list(Counter(g.n for _, g in full_corpus(6)).values())
+        monkeypatch.setattr(harness, "_CHUNK_ROWS",
+                            1 << 20 if whole_sizes else 1)
         chunks = []
         real = harness._cut_pairs
 
@@ -314,7 +315,6 @@ class TestRestCutPass:
 
         monkeypatch.setattr(harness, "_cut_pairs", counted)
         self.test_rows_pinned()
-        sizes = [len(ks) for ks in graphs.values()]
         per_pass = sizes if whole_sizes else [1] * sum(sizes)
         assert chunks == per_pass * 2
 
@@ -533,12 +533,35 @@ class TestRestCutPass:
         assert row["shrink", name].detail == bad[0].detail
 
 
+class TestChunks:
+    @pytest.mark.parametrize("rows", [1, 1 << 11, 1 << 20])
+    def test_chunks_keep_order_and_never_mix_sizes(self, monkeypatch, rows):
+        import mimlab.harness as harness
+
+        # Each run of one size is cut every max(1, rows >> n) graphs, and a
+        # size that comes back later (n = 1 and 2 after n = 7) starts anew.
+        monkeypatch.setattr(harness, "_CHUNK_ROWS", rows)
+        graphs = [g for _, g in full_corpus(7)]
+        graphs += graphs[:3]
+        chunks = list(_chunks(graphs))
+        assert [id(g) for _, chunk in chunks for g in chunk] == \
+            [id(g) for g in graphs]
+        for n, chunk in chunks:
+            assert chunk and all(g.n == n for g in chunk)
+            assert len(chunk) <= max(1, rows >> n)
+        # only a size's last chunk is short
+        for (n, chunk), (m, _) in itertools.pairwise(chunks):
+            assert n != m or len(chunk) == max(1, rows >> n)
+        assert [n for n, _ in itertools.groupby(n for n, _ in chunks)] == \
+            [1, 2, 3, 4, 5, 6, 7, 1, 2]
+
+
 class TestSubfunctionTraces:
     def test_walk_chunks_cover_the_corpus(self, monkeypatch):
         import mimlab.harness as harness
 
-        # One walk per chunk of at most `_WALK_CHUNK` graphs of one size, in
-        # corpus order, and no `trace_masks` call per prefix set.
+        # One walk per chunk (`_chunks`), in corpus order, and no
+        # `trace_masks` call per prefix set.
         def boom(*args, **kwargs):
             raise AssertionError("a per-prefix trace family was built")
 
@@ -556,9 +579,11 @@ class TestSubfunctionTraces:
         assert [adj for _, adjs in walks for adj in adjs] == \
             [g.adj for _, g in connected_corpus(6)]
         assert all(len(adj) == n for n, adjs in walks for adj in adjs)
-        # conn2 .. conn6 have 1, 2, 6, 21 and 112 graphs
-        assert harness._WALK_CHUNK == 64
-        assert [len(adjs) for _, adjs in walks] == [1, 2, 6, 21, 64, 48]
+        # conn2 .. conn6 have 1, 2, 6, 21 and 112 graphs; conn6 goes in
+        # chunks of 2^11 >> 6 = 32
+        assert harness._CHUNK_ROWS == 1 << 11
+        assert [len(adjs) for _, adjs in walks] == \
+            [1, 2, 6, 21, 32, 32, 32, 16]
 
     def test_mismatch_names_the_lowest_mask(self, monkeypatch):
         import mimlab.harness as harness
@@ -597,6 +622,19 @@ class TestSubfunctionTraces:
             assert [d for d in rows if d not in bad] == \
                 [d for d in clean if d["check"] != "subfunction-traces"
                  or d["instance"] != name]
+
+
+@pytest.mark.slow
+def test_rows_pinned_at_n8():
+    # The n = 8 rows of trace-bound, shrink and subfunction-traces, as
+    # digests recorded before the corpus passes shared one chunker.  About
+    # 30 s, so only `pytest -m slow` runs it.
+    want = json.loads((Path(__file__).parent / "digests_n8.json").read_text())
+    rows = run_rest_cuts(8)
+    got = {check: _digest([r for r in rows if r.check == check])
+           for check in ("trace-bound", "shrink")}
+    got["subfunction-traces"] = _digest(run_subfunction_traces(8))
+    assert got == want
 
 
 class TestSuitesSmall:

@@ -228,6 +228,20 @@ class TestPrefixTraces:
                 assert np.bincount(keys >> 2 * n).tolist() == [
                     sum(map(len, _prefix_families(g))) for g in chunk]
 
+    def test_chunk_beyond_int32_keys_refused(self):
+        # The keys g << 2n | W << n | t are int32: 128 graphs at n = 12
+        # reach 2^31 - 1 and pass; 130 graphs at n = 12, or one graph at
+        # n = 16, would overflow and are refused, naming n and the chunk.
+        g = Graph(12, [(0, 1)])
+        keys = _prefix_traces(12, [g.adj] * 128)
+        assert keys.dtype == np.int32 and keys.min() >= 0
+        want = sum(map(len, _prefix_families(g)))
+        assert np.bincount(keys >> 24).tolist() == [want] * 128
+        with pytest.raises(ValueError, match=r"130 graph\(s\) on n=12 "):
+            _prefix_traces(12, [g.adj] * 130)
+        with pytest.raises(ValueError, match=r"1 graph\(s\) on n=16 "):
+            _prefix_traces(16, [[0] * 16])
+
 
 class TestEnables:
     def test_skew_singleton(self):
