@@ -36,7 +36,13 @@ from .graph import (
     mask_of,
     max_induced_cut_matching,
 )
-from .obdd import _residual_walk, obdd_bounds_report
+from .obdd import (
+    _DP_BLOCK_BITS,
+    _bounds_report,
+    _min_sizes,
+    _residual_walk,
+    obdd_bounds_report,
+)
 from .traces import (
     DEFAULT_ENUM_BUDGET,
     TraceBoundReport,
@@ -51,7 +57,13 @@ from .traces import (
     traces,
     vc_dimension,
 )
-from .width import WidthVariant, exact_width, width_of_ordering
+from .width import (
+    DEFAULT_EXACT_BUDGET,
+    WidthVariant,
+    _lu_widths,
+    exact_width,
+    width_of_ordering,
+)
 
 
 @dataclass
@@ -470,6 +482,16 @@ def run_shrink(max_n: int = 7, *, seed: int = 0) -> list[ReportRow]:
     return run_rest_cuts(max_n, seed=seed, checks=("shrink",))
 
 
+def _tick_sandwich(width_sets: int, entries: int) -> None:
+    """Tick one graph's sandwich work as its per-graph engines would: the
+    sets `exact_width` tests, against DEFAULT_EXACT_BUDGET, then the
+    min-size DP's trace-family entries, sum_W |T(W)|, unbounded by
+    default; in either case the budget of an enclosing
+    `graph._budget_scope` replaces the default."""
+    _Work(None, "exact width search", DEFAULT_EXACT_BUDGET).tick(width_sets)
+    _Work(None, "OBDD minimization DP").tick(entries)
+
+
 def run_obdd_sandwich(
     corpus_max_n: int = 6,
     random_ns: Sequence[int] = (7, 8),
@@ -478,10 +500,50 @@ def run_obdd_sandwich(
     seed: int = 0,
 ) -> list[ReportRow]:
     """Every verdict of `obdd_bounds_report` on the connected corpus plus
-    fixtures; a failing row's detail names the verdicts that fail."""
+    seeded random connected graphs and fixtures; a failing row's detail
+    names the verdicts that fail.
+
+    The instances go in chunks (`_chunks`).  A chunk on at most 8 vertices
+    (`_DP_BLOCK_BITS`, where the min-size DP is one block) gets one call
+    of each chunk kernel: `width._lu_widths` for the exact lu, its
+    canonical witness and the sets `exact_width` would test, and
+    `obdd._min_sizes` for both exact minimal sizes and orders, whose one
+    `_prefix_traces` walk also gives |T(W)| for every witness prefix.
+    Each graph then ticks, in order, the width search's budget and the
+    min-size DP's with what the per-graph engines would count
+    (`_tick_sandwich`), so a budget skips the same rows, and
+    `obdd._bounds_report` gives its verdicts: the diagrams, equivalence
+    and counting checks stay per graph.  The first graph of a chunk pays
+    for the chunk's kernels.  Larger graphs go through
+    `obdd_bounds_report`, whose engines `exact_width` and
+    `min_obdd_size_exact` are the kernels' oracles.
+    """
+    cases = sandwich_instances(corpus_max_n, random_ns, random_count, seed)
+
+    def chunked() -> Iterator:
+        # Per case in order: None for a graph too large for the kernels,
+        # else its width report and ticks, its min sizes and trace counts.
+        for n, chunk in _chunks(g for _, g in cases):
+            if n > _DP_BLOCK_BITS:
+                yield from [None] * len(chunk)
+                continue
+            adjs = [g.adj for g in chunk]
+            widths, ticks = _lu_widths(n, adjs)
+            sizes, counts = _min_sizes(n, adjs)
+            yield from zip(widths, ticks, sizes, counts.tolist())
+
+    kernels = chunked()  # `_rows` evaluates the graphs in corpus order
 
     def evaluate(g):
-        rep = obdd_bounds_report(g)
+        got = next(kernels)
+        if got is None:
+            rep = obdd_bounds_report(g)
+        else:
+            width, ticks, sizes, counts = got
+            _tick_sandwich(ticks, sum(counts))
+            prefixes = itertools.accumulate(1 << v for v in width.witness)
+            rep = _bounds_report(g, width, sizes,
+                                 [counts[w] for w in prefixes])
         return [dict(
             lu=rep.lu,
             obdd_quasi=rep.min_size_quasi,
@@ -491,7 +553,6 @@ def run_obdd_sandwich(
             detail=" ".join(f"{name}=False" for name in rep.failed),
         )]
 
-    cases = sandwich_instances(corpus_max_n, random_ns, random_count, seed)
     return _rows(("obdd-sandwich",), seed, cases, evaluate)
 
 
@@ -801,9 +862,17 @@ def export(
             for row in rows:
                 writer.writerow([_cell(getattr(row, c)) for c in cols])
     elif fmt == "json":
+        # The bytes of json.dump(..., indent=2) plus a newline.  Without an
+        # indent, json encodes in C; the separator puts each field of a row
+        # on its own line, and the rows get their braces and indent here,
+        # written one at a time so that no copy of the whole file is held.
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows_to_dicts(rows, include_timing), fh, indent=2)
-            fh.write("\n")
+            fh.write("[")
+            for i, row in enumerate(rows_to_dicts(rows, include_timing)):
+                fh.write(("," if i else "") + "\n  {\n    "
+                         + encode(row)[1:-1] + "\n  }")
+            fh.write("\n]\n" if rows else "]\n")
     else:
         raise ValueError(f"unknown export format {fmt!r}")
 

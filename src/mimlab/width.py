@@ -40,12 +40,16 @@ the previous size across W.  `width_of_ordering` and
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
+from .traces import _mask_tables, _padded
 
 DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
@@ -244,6 +248,117 @@ def exact_width(
     if max(per_prefix) != value:  # pragma: no cover - internal consistency
         raise AssertionError("witness width disagrees with search value")
     return WidthReport(variant, value, witness, tuple(per_prefix[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _set_layers(n: int) -> tuple:
+    """The nonempty sets W of n vertices by popcount k = 1 .. n: per layer
+    the sets W in ascending order, then one row per W of its k members v
+    in ascending order and of the sets W - v."""
+    masks = np.arange(1 << n)
+    member = masks[:, None] >> np.arange(n) & 1 == 1
+    ones = member.sum(axis=1)
+    layers = []
+    for k in range(1, n + 1):
+        w = masks[ones == k]
+        v = np.nonzero(member[w])[1].reshape(len(w), k)
+        layer = (w, v, w[:, None] ^ 1 << v)
+        for a in layer:
+            a.setflags(write=False)
+        layers.append(layer)
+    return tuple(layers)
+
+
+def _read_back(last: np.ndarray) -> np.ndarray:
+    """Per row i, the order of all n vertices that a table last[i, W] over
+    the 2^n sets W gives, last[i, W] the vertex an optimal order of W puts
+    last: read back from the full set, one vertex at a time."""
+    graphs, size = last.shape
+    rows = np.arange(graphs)
+    order = np.zeros((graphs, size.bit_length() - 1), dtype=last.dtype)
+    w = np.full(graphs, size - 1)
+    for i in reversed(range(order.shape[1])):
+        order[:, i] = last[rows, w]
+        w ^= 1 << order[:, i]
+    return order
+
+
+def _lu_widths(
+    n: int, adjs: Sequence[Sequence[int]]
+) -> tuple[list[WidthReport], list[int]]:
+    """`exact_width(g, LU)` for a chunk of graphs on n vertices, graph i
+    with adjacency masks adjs[i], from 2^n tables, and per graph the sets
+    `exact_width` tests, which its budget counts.
+
+    A pair (A, B) of disjoint vertex sets with |A| = |B| >= 1 is valid
+    when A is independent and the edges between A and B form a perfect
+    matching; pw(W), the LU prefix width, is the largest valid |A| with A
+    inside W and B outside it.  pw(W) >= 1 exactly when an edge crosses W.
+    A valid pair less its highest vertex a of A and a's partner is valid,
+    so the pairs of size k + 1 are those of size k grown by an edge
+    (a, b) with a above A, a outside N(A) + N(B) and b outside N(A) + A:
+    each once.  Each pair writes its size to its 2^(n - 2k) sets W, by
+    ascending size, so the largest stays.  f(W) = max(pw(W), min_v
+    f(W - v)) runs one popcount layer at a time over the whole chunk, the
+    first minimum giving the smallest minimising v, from which the witness
+    is read back (`exact_width`'s tie rule) with pw along it.
+
+    At threshold k `exact_width` tests W when f(W) >= k and some W - v
+    has f <= k, so it tests W at min(f(W), lu) - minpred(W) + 1
+    thresholds, minpred(W) the least f(W - v), when minpred(W) <= lu.
+    `exact_width` stays the engine for every other caller and is this
+    kernel's oracle.
+    """
+    nbr, _, _ = _mask_tables(n, adjs)
+    graphs, size = nbr.shape
+    full = size - 1
+    masks = np.arange(size, dtype=np.int32)
+    pw = (nbr & ~masks & full != 0).astype(np.int32)
+    flat = pw.reshape(-1)
+    adj = np.array(adjs, dtype=np.int32).reshape(graphs, n)
+    g, a, b = np.nonzero(adj[..., None] >> np.arange(n) & 1)
+    per_graph = np.bincount(g, minlength=graphs)
+    edge_a = _padded(g, 1 << a, per_graph, 0)  # padded with 0, no edge
+    edge_b = _padded(g, 1 << b, per_graph, 0)
+    sets_a, sets_b = 1 << a, 1 << b
+    for k in range(2, n // 2 + 1):
+        na, nb = nbr[g, sets_a][:, None], nbr[g, sets_b][:, None]
+        ea, eb = edge_a[g], edge_b[g]
+        row, col = np.nonzero((ea > sets_a[:, None]) & (ea & (na | nb) == 0)
+                              & (eb & (na | sets_a[:, None]) == 0))
+        if not len(row):
+            break
+        g = g[row]
+        sets_a = sets_a[row] | ea[row, col]
+        sets_b = sets_b[row] | eb[row, col]
+        # The sets W holding A and missing B: A plus each subset of the rest.
+        found = (g << n | sets_a)[:, None]
+        rest = full ^ sets_a ^ sets_b
+        for _ in range(n - 2 * k):
+            low = rest & -rest
+            rest ^= low
+            found = np.concatenate((found, found | low[:, None]), axis=1)
+        flat[found] = k
+
+    f = pw.copy()
+    minpred = np.zeros_like(pw)
+    last = np.zeros_like(pw)
+    for w, v, below in _set_layers(n):
+        got = f[:, below]
+        minpred[:, w] = got.min(axis=2)
+        last[:, w] = v[np.arange(len(w)), got.argmin(axis=2)]
+        f[:, w] = np.maximum(pw[:, w], minpred[:, w])
+    lu = f[:, full:]
+    ticks = np.where(minpred <= lu, np.minimum(f, lu) - minpred + 1, 0)
+    ticks[:, 0] = 0
+
+    order = _read_back(last)
+    prefixes = np.bitwise_or.accumulate(1 << order, axis=1)
+    per_prefix = pw[np.arange(graphs)[:, None], prefixes]
+    reports = [WidthReport(WidthVariant.LU, value, tuple(o), tuple(p))
+               for value, o, p in zip(lu[:, 0].tolist(), order.tolist(),
+                                      per_prefix.tolist())]
+    return reports, ticks.sum(axis=1).tolist()
 
 
 def heuristic_width_upper(

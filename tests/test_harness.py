@@ -183,6 +183,19 @@ class TestExport:
             fh.write("\n")
         assert json.loads(p2.read_text()) == data
 
+    @pytest.mark.parametrize("timing", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_json_bytes_are_indented_json_dump(self, tmp_path, timing, count):
+        # the third row has a non-ASCII character and a quote in its name
+        rows = (run_corona(ks=(3, 4)) + [ReportRow(
+            check="vc", instance="x\u00e9\"", n=1, m=0, wall_ms=0.1)])[:count]
+        p = tmp_path / "rows.json"
+        export(rows, "json", p, include_timing=timing)
+        with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+            json.dump(rows_to_dicts(rows, timing), fh, indent=2)
+            fh.write("\n")
+        assert p.read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             export([], "xml", tmp_path / "x")
@@ -627,13 +640,16 @@ class TestSubfunctionTraces:
 @pytest.mark.slow
 def test_rows_pinned_at_n8():
     # The n = 8 rows of trace-bound, shrink and subfunction-traces, as
-    # digests recorded before the corpus passes shared one chunker.  About
-    # 30 s, so only `pytest -m slow` runs it.
+    # digests recorded before the corpus passes shared one chunker, and of
+    # obdd-sandwich, recorded while it still ran one graph at a time.
+    # About 40 s, so only `pytest -m slow` runs it.
     want = json.loads((Path(__file__).parent / "digests_n8.json").read_text())
     rows = run_rest_cuts(8)
     got = {check: _digest([r for r in rows if r.check == check])
            for check in ("trace-bound", "shrink")}
     got["subfunction-traces"] = _digest(run_subfunction_traces(8))
+    got["obdd-sandwich"] = _digest(
+        run_obdd_sandwich(corpus_max_n=8, random_count=0))
     assert got == want
 
 
@@ -687,10 +703,12 @@ class TestBudgetDiscipline:
     def test_skipped_rows_never_pass(self, monkeypatch):
         import mimlab.harness as harness
 
-        def boom(_g):
+        def boom(*_args):
             raise BudgetExceededError("forced", 1)
 
-        monkeypatch.setattr(harness, "obdd_bounds_report", boom)
+        # Every instance here has n <= 8, so its verdicts come from
+        # `_bounds_report`, fed by the chunk kernels.
+        monkeypatch.setattr(harness, "_bounds_report", boom)
         rows = harness.run_obdd_sandwich(
             corpus_max_n=2, random_ns=(), random_count=0
         )
@@ -701,6 +719,24 @@ class TestBudgetDiscipline:
             assert not row.exact
         assert any_skipped(rows)
         assert not any_failures(rows)
+
+    @pytest.mark.parametrize("budget", [None, 1, 20, 200, 1000])
+    def test_sandwich_chunks_skip_what_the_engines_refuse(
+        self, monkeypatch, budget
+    ):
+        import mimlab.harness as harness
+
+        # The chunk kernels tick what `exact_width` and the min-size DP
+        # count, so a budget skips the same graphs with the same details
+        # as the per-graph engines, which every graph takes when no chunk
+        # fits the kernels (at 20 and 200 both kinds of skip occur).
+        kwargs = dict(corpus_max_n=5, random_ns=(7, 8), random_count=4)
+        with _budget_scope(budget):
+            chunked = rows_to_dicts(run_obdd_sandwich(**kwargs))
+            monkeypatch.setattr(harness, "_DP_BLOCK_BITS", 0)
+            engines = rows_to_dicts(run_obdd_sandwich(**kwargs))
+        assert chunked == engines
+        assert any(d["skipped"] for d in chunked) == (budget is not None)
 
     def test_every_suite_skips_an_exhausted_instance(self, monkeypatch):
         import mimlab.harness as harness

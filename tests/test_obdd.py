@@ -20,6 +20,7 @@ from mimlab.generators import (
 )
 from mimlab.graph import Graph
 from mimlab.harness import (
+    _chunks,
     connected_corpus,
     full_corpus,
     run_obdd_sandwich,
@@ -35,6 +36,7 @@ from mimlab.obdd import (
     TRUTH_TABLE_LIMIT,
     Obdd,
     _isolated_table,
+    _min_sizes,
     build_obdd,
     cnf_of_graph,
     count_accepting,
@@ -502,11 +504,38 @@ class TestMinimization:
                     (enum.size_quasi, enum.size_total), g.edges()
 
 
+class TestChunkMinSizes:
+    # `_min_sizes`, the chunk kernel of obdd-sandwich, against its oracle
+    # `min_obdd_size_exact`: every connected graph with n <= 7 and seeded
+    # n = 8 graphs, in the chunks `run_obdd_sandwich` makes.
+    CASES = ([g for _, g in connected_corpus(7)]
+             + [random_connected_graph(8, seed) for seed in range(40)])
+
+    def test_reports_equal_the_dp(self):
+        for n, chunk in _chunks(self.CASES):
+            reports, counts = _min_sizes(n, [g.adj for g in chunk])
+            # both sizes and both tie-broken orders
+            assert reports == [min_obdd_size_exact(g) for g in chunk], n
+            assert counts.shape == (len(chunk), 1 << n)
+
+    def test_counts_are_trace_family_sizes(self):
+        for n, chunk in _chunks(self.CASES[::7]):
+            _, counts = _min_sizes(n, [g.adj for g in chunk])
+            assert counts.tolist() == [
+                [len(trace_masks(g, w)) for w in range(1 << n)]
+                for g in chunk]
+
+    def test_isolated_vertex_refused(self):
+        with pytest.raises(ValueError, match="isolated"):
+            _min_sizes(3, [Graph(3, [(0, 1), (1, 2)]).adj,
+                           Graph(3, [(0, 1)]).adj])
+
+
 class TestIsolatedTable:
     @given(graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_entries_are_isolated_vertices(self, g):
-        iso = _isolated_table(g)
+        iso = _isolated_table(g.n, [g.adj])[0]
         assert len(iso) == 1 << g.n
         for z in range(1 << g.n):
             members = [v for v in range(g.n) if z >> v & 1]
@@ -516,7 +545,7 @@ class TestIsolatedTable:
 
     def test_entries_are_64_bit(self):
         # The DP reads the table as uint64, whatever a C long is.
-        assert _isolated_table(C4).itemsize == 8
+        assert _isolated_table(C4.n, [C4.adj]).itemsize == 8
 
 
 class TestOrderValidation:
@@ -590,13 +619,24 @@ class TestBoundsReport:
         assert rep.all_ok
 
     def test_upper_bound_checked(self, monkeypatch):
+        import mimlab.harness as harness
+
         real = obdd.min_obdd_size_exact
+        real_chunk = harness._min_sizes
 
         def oversized(g):
             rep = real(g)
             return replace(rep, size_quasi=g.n ** (g.n + 2) + 1)
 
+        def oversized_chunk(n, adjs):
+            # The sandwich's graphs here have n <= 8, so their sizes come
+            # from the chunk kernel, not from min_obdd_size_exact.
+            reports, counts = real_chunk(n, adjs)
+            return [replace(rep, size_quasi=n ** (n + 2) + 1)
+                    for rep in reports], counts
+
         monkeypatch.setattr(obdd, "min_obdd_size_exact", oversized)
+        monkeypatch.setattr(harness, "_min_sizes", oversized_chunk)
         rep = obdd_bounds_report(K2)
         assert rep.min_size_quasi > rep.upper_expression
         assert rep.lower_ok and not rep.upper_ok

@@ -20,8 +20,10 @@ from mimlab.graph import (
     max_induced_cut_matching,
     upper_subgraph,
 )
+from mimlab.harness import _chunks, connected_corpus, full_corpus
 from mimlab.width import (
     WidthVariant,
+    _lu_widths,
     _prefix_scan,
     exact_width,
     heuristic_width_upper,
@@ -409,6 +411,55 @@ class TestExactWidth:
         lu = exact_width(g, WidthVariant.LU).value
         lmim = exact_width(g, WidthVariant.LMIM).value
         assert lsim <= lu <= lmim
+
+
+def _smallest_passing_budget(g):
+    # exact_width(g, LU) passes a budget exactly when it is at least the
+    # number of sets the search tests: find that number by bisection.
+    def passes(budget):
+        try:
+            exact_width(g, WidthVariant.LU, budget=budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    hi = 1
+    while not passes(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+class TestLuWidths:
+    # `_lu_widths`, the chunk kernel of obdd-sandwich, against its oracle
+    # `exact_width`: every connected graph with n <= 7 and seeded n = 8
+    # graphs, in the chunks `run_obdd_sandwich` makes.
+    CASES = ([g for _, g in connected_corpus(7)]
+             + [random_connected_graph(8, seed) for seed in range(40)])
+
+    @pytest.mark.parametrize("whole_corpus", [False, True])
+    def test_reports_equal_exact_width(self, whole_corpus):
+        # The whole corpus up to n = 6 adds graphs with isolated vertices,
+        # edgeless ones and n = 1.
+        cases = ([g for _, g in full_corpus(6)] if whole_corpus
+                 else self.CASES)
+        for n, chunk in _chunks(cases):
+            reports, _ = _lu_widths(n, [g.adj for g in chunk])
+            # value, canonical witness and per-prefix widths
+            assert reports == [exact_width(g, WidthVariant.LU)
+                               for g in chunk], n
+
+    def test_ticks_are_the_sets_exact_width_tests(self):
+        sample = self.CASES[::23] + [two_rows(), clique_thread(2)]
+        for n, chunk in _chunks(sample):
+            _, ticks = _lu_widths(n, [g.adj for g in chunk])
+            assert ticks == [_smallest_passing_budget(g) for g in chunk]
 
 
 class TestHeuristic:
