@@ -506,9 +506,11 @@ def run_obdd_sandwich(
     The instances go in chunks (`_chunks`).  A chunk on at most 8 vertices
     (`_DP_BLOCK_BITS`, where the min-size DP is one block) gets one call
     of each chunk kernel: `width._lu_widths` for the exact lu, its
-    canonical witness and the sets `exact_width` would test, and
-    `obdd._min_sizes` for both exact minimal sizes and orders, whose one
-    `_prefix_traces` walk also gives |T(W)| for every witness prefix.
+    canonical witness and the sets `exact_width` would test, from the LU
+    pair table the cut contexts also read, and `obdd._min_sizes` for
+    both exact minimal sizes and orders, as one call of
+    `min_obdd_size_exact`'s block step; its one `_prefix_traces` walk
+    also gives |T(W)| for every witness prefix.
     Each graph then ticks, in order, the width search's budget and the
     min-size DP's with what the per-graph engines would count
     (`_tick_sandwich`), so a budget skips the same rows, and

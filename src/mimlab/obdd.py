@@ -44,7 +44,6 @@ from .width import (
     WidthVariant,
     _permutation,
     _read_back,
-    _set_layers,
     exact_width,
     prefix_width_witness,
 )
@@ -481,7 +480,8 @@ _KEY_VALUE = -1 << _KEY_BITS
 def _block_steps(j: int, n: int) -> tuple:
     """The steps x -> x + u inside a block of 2^j sets, by popcount k of x
     from 0 to j - 1: per layer the sets x (one entry per step), the sets
-    x + u, and the row x * n + u of each step in a table of 2^j x n."""
+    x + u, and the row x * n + u of each step in a table of 2^j x n.
+    `_dp_block` relaxes one layer per `np.minimum.at`."""
     layers = []
     for k in range(j):
         pairs = [(x, u) for x in range(1 << j) if x.bit_count() == k
@@ -493,6 +493,63 @@ def _block_steps(j: int, n: int) -> tuple:
             a.setflags(write=False)
         layers.append(layer)
     return tuple(layers)
+
+
+def _dp_block(
+    keys: np.ndarray, walk: np.ndarray, iso: np.ndarray, high: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cost and relax one aligned block of prefix sets H + x of the
+    min-size DP, H = `high` and x a set of the vertices 0 .. j - 1, for a
+    run of graphs on n vertices.  Returns the trace counts |T(H + x)| over
+    (graph, x) and the cost keys over (x, v, graph, size notion).
+
+    `iso` holds the graphs' isolated-vertex tables (`_isolated_table`),
+    `walk` the block's families as the keys g << 2n | x << n | t, grouped
+    by (g, x), and `keys` the DP keys of the block's sets over (x, graph,
+    size notion), those of x = 0 final; the others are relaxed in place.
+    A run of several graphs is one block of all 2^n sets (j = n).
+
+    One gather of iso[g, V - t] over the walk, V the vertices outside
+    H + x, unpacked to bits and summed per set, gives every ND(v).  The
+    cost of the step W -> W + v is the level after W, |T(W)| less the
+    true sink when G[V] has no edge (quasi) or |T(W)| - ND(v) (reduced),
+    as the key increment value << 5 | v.  The steps inside the block are
+    relaxed by popcount of x, one scatter-minimum per layer."""
+    graphs, size = iso.shape
+    n = size.bit_length() - 1
+    span = 1 << j
+    outside = size - 1 ^ high
+    run = walk >> n  # g << n | x: g << j | x, as graphs == 1 or j == n
+    count = np.bincount(run, minlength=graphs << j)
+    ignored = iso.reshape(-1)[run ^ walk & size - 1 ^ outside]
+    ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
+                            count=n, bitorder="little")
+    nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,
+                         dtype=np.int32).reshape(graphs, span, n)
+    count = count.reshape(graphs, span)
+    comps = np.uint64(outside) ^ np.arange(span, dtype=np.uint64)  # V
+    # cost[x, v, g]: the graph axis inside, so that one index over the
+    # sets serves one graph and a chunk alike
+    cost = np.empty((span, n, graphs, 2), dtype=np.int32)
+    cost[..., 0] = (count - (iso[:, comps] == comps)).T[:, None]
+    cost[..., 1] = (count[..., None] - nd).transpose(1, 2, 0)
+    cost <<= _KEY_BITS
+    cost |= np.arange(n, dtype=np.int32)[:, None, None]
+    step_cost = cost.reshape(span * n, graphs, 2)
+    for src, tgt, row in _block_steps(j, n):
+        np.minimum.at(keys, tgt, (keys[src] & _KEY_VALUE) + step_cost[row])
+    return count, cost
+
+
+def _reports(keys: np.ndarray) -> list[MinSizeReport]:
+    """Per graph, the sizes and the orders of the final DP keys[W, g, size
+    notion]: the full set's values, and the last vertices read back from
+    it (`width._read_back`)."""
+    quasi, total = (_read_back((keys[..., col] & ~_KEY_VALUE).T).tolist()
+                    for col in (0, 1))
+    sizes = ((keys[-1] >> _KEY_BITS) + 2).tolist()
+    return [MinSizeReport(*size, tuple(oq), tuple(ot))
+            for size, oq, ot in zip(sizes, quasi, total)]
 
 
 def min_obdd_size_exact(
@@ -521,20 +578,18 @@ def min_obdd_size_exact(
     `traces._trace_step`, from the family of H minus its lowest vertex,
     an earlier base.  `traces._trace_block` derives the whole block's
     families from it, one batched step per low vertex, as one array of
-    (x, t) pairs sorted by x.  One gather reads iso[V - t] for every
-    pair, and those masks, unpacked to bits and summed per set, give
-    every ND(v) of the block.
+    (x, t) pairs sorted by x, and `_dp_block`, which the chunk kernel
+    `_min_sizes` shares, costs and relaxes the block.
 
     The best order of W is stored as a key, value << 5 | v, with v the
     vertex the order puts last.  The least key therefore holds the
     optimum and, among optimal orders, the one whose last vertex is
     smallest; the orders are read back from the keys' low bits.  As a
     minimum does not depend on the order of the relaxations, a block
-    relaxes the steps W -> W + u inside it by popcount of W's low bits,
-    one scatter-minimum per popcount, and then pushes to W + v, for each
-    higher vertex v it lacks, with one elementwise minimum over that
-    contiguous slice.  The DP keeps the two key columns, the iso table
-    and one block's arrays.
+    relaxes the steps W -> W + u inside it first and then pushes to
+    W + v, for each higher vertex v it lacks, with one elementwise
+    minimum over that contiguous slice.  The DP keeps the two key
+    columns, the iso table and one block's arrays.
 
     `budget` caps the trace-family entries the DP processes (|T(W)| once
     per prefix set W, ticked per block), past which BudgetExceededError
@@ -551,16 +606,13 @@ def min_obdd_size_exact(
     cnf_of_graph(g)  # validate
     full = (1 << n) - 1
     size = 1 << n
-    iso = _isolated_table(n, [g.adj])[0]
+    iso = _isolated_table(n, [g.adj])
     adj = g.adj
     j = min(n, _DP_BLOCK_BITS)
     span = 1 << j
-    layers = _block_steps(j, n)
-    vertices = np.arange(n, dtype=np.int32)[:, None]
-    lows = np.arange(span, dtype=np.uint64)
 
-    # keys[W]: the keys of the best quasi and reduced orders of W.
-    keys = np.full((size, 2), np.iinfo(np.int32).max, dtype=np.int32)
+    # keys[W, 0]: the keys of the best quasi and reduced orders of W.
+    keys = np.full((size, 1, 2), np.iinfo(np.int32).max, dtype=np.int32)
     keys[0] = 0
     # bases[p] holds the trace family of the latest block base of size p.
     # In numeric order the latest base of size p - 1 before H is H minus
@@ -574,51 +626,15 @@ def min_obdd_size_exact(
                                    full ^ block)
         pairs = _trace_block(bases[p], adj, block, j, n)
         work.tick(len(pairs))
-        lowset = pairs >> n
-        count = np.bincount(lowset, minlength=span)
-        # nd[W, v] = ND_W(v): one gather of iso[V ^ t] over the block's
-        # traces, V = full - block - x, unpacked to one column per vertex
-        # and summed per set.
-        outside = full ^ block
-        comps = np.uint64(outside) ^ lows
-        ignored = iso[(pairs & full) ^ lowset ^ outside]
-        ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
-                                count=n, bitorder="little")
-        nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,
-                             dtype=np.int32)
-        # cost[W, v]: the quasi and the reduced level of W, v next, as the
-        # key increment of the step W -> W + v.
-        cost = np.empty((span, n, 2), dtype=np.int32)
-        cost[..., 0] = (count - (iso[comps] == comps))[:, None]
-        cost[..., 1] = count[:, None] - nd
-        cost <<= _KEY_BITS
-        cost |= vertices
-        # The block's keys are final once its inner steps are relaxed, by
-        # popcount; then they push to the later blocks W + v.
         here = keys[block:block + span]
-        step_cost = cost.reshape(span * n, 2)
-        for src, tgt, row in layers:
-            np.minimum.at(here, tgt, (here[src] & _KEY_VALUE) + step_cost[row])
+        _, cost = _dp_block(here, pairs, iso, block, j)
+        # The block's keys are final; they push to the later blocks W + v.
         done = here & _KEY_VALUE
         for v in range(j, n):
             if not block >> v & 1:
                 there = keys[block + (1 << v):block + (1 << v) + span]
                 np.minimum(there, done + cost[:, v], out=there)
-
-    def order_of(best: np.ndarray) -> tuple[int, ...]:
-        order_rev = []
-        wmask = full
-        while wmask:
-            order_rev.append(best.item(wmask) & ~_KEY_VALUE)
-            wmask ^= 1 << order_rev[-1]
-        return tuple(reversed(order_rev))
-
-    return MinSizeReport(
-        size_quasi=(int(keys[full, 0]) >> _KEY_BITS) + 2,
-        size_total=(int(keys[full, 1]) >> _KEY_BITS) + 2,
-        order_quasi=order_of(keys[:, 0]),
-        order_total=order_of(keys[:, 1]),
-    )
+    return _reports(keys)[0]
 
 
 def _min_sizes(
@@ -630,47 +646,22 @@ def _min_sizes(
 
     With n <= _DP_BLOCK_BITS the DP is one block, and the chunk's one
     `_prefix_traces` walk holds every family.  Its keys are sorted once,
-    so that each (graph, W) is one run, then the DP of
-    `min_obdd_size_exact` runs on the whole chunk: ND(v) from one gather
-    of the isolated-vertex tables, the cost keys value << 5 | v, and one
-    gather-minimum over the sets W - v per popcount layer.  The least key
-    keeps the optimum with the smallest last vertex, so the sizes and
-    orders are `min_obdd_size_exact`'s, which stays the engine for larger
-    n and is this kernel's oracle.
+    so that each (graph, W) is one run, and one `_dp_block` call, the
+    block step of `min_obdd_size_exact`, costs and relaxes every set of
+    the chunk; the least key keeps the optimum with the smallest last
+    vertex.  `min_obdd_size_exact` stays the engine for larger n, and
+    the dependence-scan DP of the tests is this kernel's independent
+    oracle.
     """
-    graphs, size = len(adjs), 1 << n
-    full = size - 1
     iso = _isolated_table(n, adjs)
-    if iso[:, full].any():
+    if iso[:, -1].any():
         raise ValueError("every variable must occur in a clause: a graph "
                          "of the chunk has isolated vertices")
-    walk = np.sort(_prefix_traces(n, adjs))
-    run = walk >> n  # i << n | W
-    count = np.bincount(run, minlength=graphs << n)
-    flat = iso.reshape(-1)
-    comps = full ^ np.arange(size)  # V, the vertices outside W
-    ignored = flat[run & ~full | comps[run & full] ^ walk & full]
-    ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
-                            count=n, bitorder="little")
-    nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,
-                         dtype=np.int32).reshape(graphs, size, n)
-    count = count.reshape(graphs, size)
-    cost = np.empty((graphs, size, n, 2), dtype=np.int32)
-    cost[..., 0] = (count - (iso[:, comps] == comps.astype(np.uint64)))[..., None]
-    cost[..., 1] = count[..., None] - nd
-    cost <<= _KEY_BITS
-    cost |= np.arange(n, dtype=np.int32)[:, None]
-    keys = np.zeros((graphs, size, 2), dtype=np.int32)
-    for w, v, below in _set_layers(n):
-        got = (keys[:, below] & _KEY_VALUE) + cost[:, below, v]
-        keys[:, w] = got.min(axis=2)
-
-    quasi, total = (_read_back(keys[..., col] & ~_KEY_VALUE).tolist()
-                    for col in (0, 1))
-    sizes = ((keys[:, full] >> _KEY_BITS) + 2).tolist()
-    reports = [MinSizeReport(*size, tuple(oq), tuple(ot))
-               for size, oq, ot in zip(sizes, quasi, total)]
-    return reports, count
+    keys = np.full((1 << n, len(adjs), 2), np.iinfo(np.int32).max,
+                   dtype=np.int32)
+    keys[0] = 0
+    count, _ = _dp_block(keys, np.sort(_prefix_traces(n, adjs)), iso, 0, n)
+    return _reports(keys), count
 
 
 def _min_sizes_by_enumeration(g: Graph) -> MinSizeReport:

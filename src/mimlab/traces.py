@@ -15,8 +15,9 @@ trace-bound reads the traces of the small sets, and shrink runs
 compare against each cut's family from `_prefix_traces`.  The cuts
 themselves, every independent rest side with its largest induced cut
 matching r and the enumeration's work, come from 2^n tables per graph
-(`_cut_contexts`); `independent_set_masks` and the matching search stay
-as their oracles.
+(`_cut_contexts`); r is read from the one table of valid LU pairs
+(`_lu_pair_widths`) that `width._lu_widths` also reads.
+`independent_set_masks` and the matching search stay as their oracles.
 
 The shrinker's precondition, V independent, makes enabling local: an
 independent S inside U enables an induced cut matching exactly when every
@@ -249,6 +250,55 @@ def _mask_tables(
     return nbr, ones, rev
 
 
+def _lu_pair_widths(
+    n: int, adjs: Sequence[Sequence[int]], nbr: np.ndarray
+) -> np.ndarray:
+    """pw[i, W] for every set W of a run of graphs on n vertices, graph i
+    with adjacency masks adjs[i] and neighbourhood table nbr
+    (`_mask_tables`): the largest |A| over the valid pairs (A, B) with A
+    inside W and B outside it, 0 when there is none.
+
+    A pair (A, B) of disjoint vertex sets with |A| = |B| >= 1 is valid
+    when A is independent and the edges between A and B form a perfect
+    matching, so pw(W) is the LU prefix width of W; pw(W) >= 1 exactly
+    when an edge crosses W.  A valid pair less its highest vertex a of A
+    and a's partner is valid, so the pairs of size k + 1 are those of
+    size k grown by an edge (a, b) with a above A, a outside N(A) + N(B)
+    and b outside N(A) + A: each once.  Each pair writes its size to its
+    2^(n - 2k) sets W, by ascending size, so the largest stays.
+    """
+    graphs, size = nbr.shape
+    full = size - 1
+    masks = np.arange(size, dtype=np.int32)
+    pw = (nbr & ~masks & full != 0).astype(np.int32)
+    flat = pw.reshape(-1)
+    adj = np.array(adjs, dtype=np.int32).reshape(graphs, n)
+    g, a, b = np.nonzero(adj[..., None] >> np.arange(n) & 1)
+    per_graph = np.bincount(g, minlength=graphs)
+    edge_a = _padded(g, 1 << a, per_graph, 0)  # padded with 0, no edge
+    edge_b = _padded(g, 1 << b, per_graph, 0)
+    sets_a, sets_b = 1 << a, 1 << b
+    for k in range(2, n // 2 + 1):
+        na, nb = nbr[g, sets_a][:, None], nbr[g, sets_b][:, None]
+        ea, eb = edge_a[g], edge_b[g]
+        row, col = np.nonzero((ea > sets_a[:, None]) & (ea & (na | nb) == 0)
+                              & (eb & (na | sets_a[:, None]) == 0))
+        if not len(row):
+            break
+        g = g[row]
+        sets_a = sets_a[row] | ea[row, col]
+        sets_b = sets_b[row] | eb[row, col]
+        # The sets W holding A and missing B: A plus each subset of the rest.
+        found = (g << n | sets_a)[:, None]
+        rest = full ^ sets_a ^ sets_b
+        for _ in range(n - 2 * k):
+            low = rest & -rest
+            rest ^= low
+            found = np.concatenate((found, found | low[:, None]), axis=1)
+        flat[found] = k
+    return pw
+
+
 class _CutContexts(NamedTuple):
     """The cut contexts of a run of graphs of one size: per graph, and per
     cut (U, rest) with independent rest side, by graph, then rest side in
@@ -271,18 +321,16 @@ def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
     ascending vertex tuple, which is the bit-reversed mask descending.
     That enumeration visits, over all of g, n + 1 nodes for the empty set
     and n - top(S) for every other independent S, top(S) its highest
-    vertex: n + 1 - bit_length(S) for every S.  An induced cut matching is
-    a vertex set X on which every member has exactly one neighbour in X,
-    with X & U independent (X & rest is, being inside the rest side), so
-    r(U) is the largest |X| / 2 over those X; a graph has few such X, so
-    each cut tests its graph's list of them.  `independent_set_masks`,
+    vertex: n + 1 - bit_length(S) for every S.  The rest side is
+    independent, so an induced cut matching's part B on it is, and the
+    matchings are exactly the valid LU pairs (A, B) of `_lu_pair_widths`
+    with A inside U: r(U) = pw(U).  `independent_set_masks`,
     `max_induced_cut_matching` and `_EdgeTable` are the oracles.
     """
     size = 1 << n
     graphs = len(adjs)
     nbr, ones, rev = _mask_tables(n, adjs)
-    masks = np.arange(size, dtype=np.int32)
-    indep = nbr & masks == 0
+    indep = nbr & np.arange(size, dtype=np.int32) == 0
     bit_length = np.repeat(np.arange(n + 1), np.r_[1, 1 << np.arange(n)])
     ticks = (indep * (n + 1 - bit_length)).sum(axis=1)
     # The keys are distinct, so any sort gives this order; the stable one
@@ -291,17 +339,7 @@ def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
     graph_of, at = np.nonzero(indep[:, order])
     comp = order[at].astype(np.int32)
     lens = np.bincount(graph_of, minlength=graphs)
-
-    matching = np.ones((graphs, size), dtype=bool)
-    for v in range(n):
-        x = nbr[:, 1 << v, None] & masks  # v's neighbours in X
-        matching &= (masks >> v & 1 == 0) | (x != 0) & (x & x - 1 == 0)
-    has, xs = np.nonzero(matching)  # the empty X is one of every graph's
-    listed = _padded(has, xs, np.bincount(has, minlength=graphs), 0)
-    x = listed[graph_of]  # cut k's candidates, padded with the empty X
-    umask = (size - 1 ^ comp)[:, None]
-    fit = indep[graph_of[:, None], x & umask]
-    r = np.where(fit, ones[x], 0).max(axis=1) >> 1
+    r = _lu_pair_widths(n, adjs, nbr)[graph_of, size - 1 ^ comp]
     return _CutContexts(lens, ticks, comp, r)
 
 

@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
-from .traces import _mask_tables, _padded
+from .traces import _lu_pair_widths, _mask_tables
 
 DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
@@ -290,18 +290,12 @@ def _lu_widths(
     with adjacency masks adjs[i], from 2^n tables, and per graph the sets
     `exact_width` tests, which its budget counts.
 
-    A pair (A, B) of disjoint vertex sets with |A| = |B| >= 1 is valid
-    when A is independent and the edges between A and B form a perfect
-    matching; pw(W), the LU prefix width, is the largest valid |A| with A
-    inside W and B outside it.  pw(W) >= 1 exactly when an edge crosses W.
-    A valid pair less its highest vertex a of A and a's partner is valid,
-    so the pairs of size k + 1 are those of size k grown by an edge
-    (a, b) with a above A, a outside N(A) + N(B) and b outside N(A) + A:
-    each once.  Each pair writes its size to its 2^(n - 2k) sets W, by
-    ascending size, so the largest stays.  f(W) = max(pw(W), min_v
-    f(W - v)) runs one popcount layer at a time over the whole chunk, the
-    first minimum giving the smallest minimising v, from which the witness
-    is read back (`exact_width`'s tie rule) with pw along it.
+    pw(W), the LU prefix width, comes from the valid pairs (A, B) of
+    `traces._lu_pair_widths`, the table the cut contexts also read.
+    f(W) = max(pw(W), min_v f(W - v)) runs one popcount layer at a time
+    over the whole chunk, the first minimum giving the smallest
+    minimising v, from which the witness is read back (`exact_width`'s
+    tie rule) with pw along it.
 
     At threshold k `exact_width` tests W when f(W) >= k and some W - v
     has f <= k, so it tests W at min(f(W), lu) - minpred(W) + 1
@@ -312,34 +306,7 @@ def _lu_widths(
     nbr, _, _ = _mask_tables(n, adjs)
     graphs, size = nbr.shape
     full = size - 1
-    masks = np.arange(size, dtype=np.int32)
-    pw = (nbr & ~masks & full != 0).astype(np.int32)
-    flat = pw.reshape(-1)
-    adj = np.array(adjs, dtype=np.int32).reshape(graphs, n)
-    g, a, b = np.nonzero(adj[..., None] >> np.arange(n) & 1)
-    per_graph = np.bincount(g, minlength=graphs)
-    edge_a = _padded(g, 1 << a, per_graph, 0)  # padded with 0, no edge
-    edge_b = _padded(g, 1 << b, per_graph, 0)
-    sets_a, sets_b = 1 << a, 1 << b
-    for k in range(2, n // 2 + 1):
-        na, nb = nbr[g, sets_a][:, None], nbr[g, sets_b][:, None]
-        ea, eb = edge_a[g], edge_b[g]
-        row, col = np.nonzero((ea > sets_a[:, None]) & (ea & (na | nb) == 0)
-                              & (eb & (na | sets_a[:, None]) == 0))
-        if not len(row):
-            break
-        g = g[row]
-        sets_a = sets_a[row] | ea[row, col]
-        sets_b = sets_b[row] | eb[row, col]
-        # The sets W holding A and missing B: A plus each subset of the rest.
-        found = (g << n | sets_a)[:, None]
-        rest = full ^ sets_a ^ sets_b
-        for _ in range(n - 2 * k):
-            low = rest & -rest
-            rest ^= low
-            found = np.concatenate((found, found | low[:, None]), axis=1)
-        flat[found] = k
-
+    pw = _lu_pair_widths(n, adjs, nbr)
     f = pw.copy()
     minpred = np.zeros_like(pw)
     last = np.zeros_like(pw)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from mimlab.generators import random_connected_graph, random_graph
 from mimlab.graph import Graph
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -34,3 +35,9 @@ def graphs_without_isolated(draw, min_n=2, max_n=6):
             partner = (v + 1) % g.n
         extra.append((min(v, partner), max(v, partner)))
     return Graph(g.n, list(g.edges()) + extra)
+
+
+# Seeded graphs on 9 vertices, one past the exhaustive corpus's n = 8:
+# dense random ones (some with isolated vertices) and connected ones.
+N9_GRAPHS = ([random_graph(9, 0.5, seed) for seed in range(6)]
+             + [random_connected_graph(9, seed) for seed in range(6)])

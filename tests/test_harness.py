@@ -53,6 +53,8 @@ from mimlab.traces import (
     trace_masks,
 )
 
+from conftest import N9_GRAPHS
+
 
 class TestSpec:
     def test_unknown_check_rejected(self):
@@ -266,6 +268,16 @@ class TestCutContext:
                     g, vertices_of(full ^ comp))[0] for comp in comps]
                 cuts += len(comps)
         assert cuts == 29018 + 381
+
+    def test_builder_matches_the_oracles_at_n9(self):
+        # Past the corpus: seeded n = 9 graphs in one call, the rest sides
+        # against the enumeration and r against the matching search.
+        got = _per_graph(_cut_contexts(9, [g.adj for g in N9_GRAPHS]))
+        for g, (_, comps, rs, _) in zip(N9_GRAPHS, got, strict=True):
+            full = g.full_mask()
+            assert comps == list(independent_set_masks(g, full))
+            assert rs == [max_induced_cut_matching(
+                g, vertices_of(full ^ comp))[0] for comp in comps]
 
     def test_ticks_are_the_enumeration_nodes(self):
         # The closed-form count is the budget `independent_set_masks` needs

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -505,9 +505,11 @@ class TestMinimization:
 
 
 class TestChunkMinSizes:
-    # `_min_sizes`, the chunk kernel of obdd-sandwich, against its oracle
-    # `min_obdd_size_exact`: every connected graph with n <= 7 and seeded
-    # n = 8 graphs, in the chunks `run_obdd_sandwich` makes.
+    # `_min_sizes`, the chunk kernel of obdd-sandwich, against
+    # `min_obdd_size_exact`, which runs the same block step, and against the
+    # dependence-scan DP of the oracles, which shares no kernel with either:
+    # every connected graph with n <= 7 and seeded n = 8 graphs, in the
+    # chunks `run_obdd_sandwich` makes.
     CASES = ([g for _, g in connected_corpus(7)]
              + [random_connected_graph(8, seed) for seed in range(40)])
 
@@ -516,6 +518,8 @@ class TestChunkMinSizes:
             reports, counts = _min_sizes(n, [g.adj for g in chunk])
             # both sizes and both tie-broken orders
             assert reports == [min_obdd_size_exact(g) for g in chunk], n
+            assert [astuple(r) for r in reports] == [
+                naive_min_obdd_sizes(g) for g in chunk], n
             assert counts.shape == (len(chunk), 1 << n)
 
     def test_counts_are_trace_family_sizes(self):

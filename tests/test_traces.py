@@ -47,7 +47,7 @@ from mimlab.traces import (
 )
 from mimlab.width import WidthVariant, prefix_width
 
-from conftest import graphs
+from conftest import N9_GRAPHS, graphs
 from oracles import (
     edge_set,
     naive_enables,
@@ -227,6 +227,16 @@ class TestPrefixTraces:
                 # the entry total each graph ticks against its budget
                 assert np.bincount(keys >> 2 * n).tolist() == [
                     sum(map(len, _prefix_families(g))) for g in chunk]
+
+    def test_chunk_families_equal_trace_masks_at_n9(self):
+        # Past the corpus: seeded n = 9 graphs in one chunk.
+        fams: dict[int, set[int]] = {}
+        for q in _prefix_traces(9, [g.adj for g in N9_GRAPHS]).tolist():
+            fams.setdefault(q >> 9, set()).add(q & 511)
+        assert sorted(fams) == list(range(len(N9_GRAPHS) << 9))
+        for i, g in enumerate(N9_GRAPHS):
+            assert [fams[i << 9 | w] for w in range(512)] == \
+                [trace_masks(g, w) for w in range(512)]
 
     def test_chunk_beyond_int32_keys_refused(self):
         # The keys g << 2n | W << n | t are int32: 128 graphs at n = 12

@@ -32,7 +32,7 @@ from mimlab.width import (
     width_of_ordering,
 )
 
-from conftest import graphs
+from conftest import N9_GRAPHS, graphs
 from oracles import (
     derived_edges,
     naive_exact_width,
@@ -454,6 +454,12 @@ class TestLuWidths:
             # value, canonical witness and per-prefix widths
             assert reports == [exact_width(g, WidthVariant.LU)
                                for g in chunk], n
+
+    def test_reports_equal_exact_width_at_n9(self):
+        # Past the sandwich's n <= 8: seeded n = 9 graphs in one call.
+        reports, _ = _lu_widths(9, [g.adj for g in N9_GRAPHS])
+        assert reports == [exact_width(g, WidthVariant.LU)
+                           for g in N9_GRAPHS]
 
     def test_ticks_are_the_sets_exact_width_tests(self):
         sample = self.CASES[::23] + [two_rows(), clique_thread(2)]
