@@ -39,7 +39,7 @@ from .graph import (
 from .obdd import (
     _DP_BLOCK_BITS,
     _bounds_report,
-    _min_sizes,
+    _min_size_dp,
     _residual_walk,
     obdd_bounds_report,
 )
@@ -343,7 +343,7 @@ def _rest_cut_verdicts(
     n = graphs[0].n
     full = (1 << n) - 1
     adjs = [g.adj for g in graphs]
-    pairs = _cut_pairs(n, adjs, contexts)
+    pairs = _cut_pairs(contexts)
     umask, r = full ^ contexts.comp, contexts.r
     graph_of = np.repeat(np.arange(len(graphs)), contexts.lens)
     entries, family, count = _cut_families(n, adjs, graph_of, umask)
@@ -417,9 +417,10 @@ def run_rest_cuts(
     Both checks go over the graphs in chunks (`_chunks`).  Each chunk
     gets one `_cut_contexts` call, for every cut and its r, then each graph
     ticks its cut enumeration, counted in closed form (`_tick_cuts`); a
-    graph over that budget gets skipped rows and leaves the chunk.  The
-    rest go to one `_rest_cut_verdicts` call, whose one `_cut_pairs` call
-    and one `_prefix_traces` walk give each cut's family T(W), the
+    graph over that budget gets skipped rows and leaves the chunk, its
+    rows of the call's 2^n tables with it.  The rest go to one
+    `_rest_cut_verdicts` call, whose one `_cut_pairs` call, on those
+    tables, and one `_prefix_traces` walk give each cut's family T(W), the
     independent side of both checks.  With r the largest induced cut
     matching, trace-bound checks |T(W)| <= sum_{i<=r} C(|W|, i) and
     <= n^(r+1), and that the independent sets of at most r vertices leave
@@ -453,7 +454,9 @@ def run_rest_cuts(
             if keep.any():
                 cut = np.repeat(keep, contexts.lens)
                 kept = _CutContexts(contexts.lens[keep], contexts.ticks[keep],
-                                    contexts.comp[cut], contexts.r[cut])
+                                    contexts.comp[cut], contexts.r[cut],
+                                    contexts.nbr[keep], contexts.ones,
+                                    contexts.rev)
                 got = _rest_cut_verdicts(
                     [g for g, ok in zip(chunk, keep) if ok], kept, checks)
             for i in range(len(chunk)):
@@ -507,18 +510,18 @@ def run_obdd_sandwich(
     (`_DP_BLOCK_BITS`, where the min-size DP is one block) gets one call
     of each chunk kernel: `width._lu_widths` for the exact lu, its
     canonical witness and the sets `exact_width` would test, from the LU
-    pair table the cut contexts also read, and `obdd._min_sizes` for
-    both exact minimal sizes and orders, as one call of
-    `min_obdd_size_exact`'s block step; its one `_prefix_traces` walk
-    also gives |T(W)| for every witness prefix.
+    pair table the cut contexts also read, and `obdd._min_size_dp`, the
+    min-size DP of `min_obdd_size_exact` run as one block over the chunk,
+    for both exact minimal sizes and orders and |T(W)| for every prefix
+    set, of which `_bounds_report` reads the witness prefixes.
     Each graph then ticks, in order, the width search's budget and the
     min-size DP's with what the per-graph engines would count
     (`_tick_sandwich`), so a budget skips the same rows, and
     `obdd._bounds_report` gives its verdicts: the diagrams, equivalence
     and counting checks stay per graph.  The first graph of a chunk pays
     for the chunk's kernels.  Larger graphs go through
-    `obdd_bounds_report`, whose engines `exact_width` and
-    `min_obdd_size_exact` are the kernels' oracles.
+    `obdd_bounds_report`: `exact_width`, the oracle of `_lu_widths`, and
+    the same DP block by block.
     """
     cases = sandwich_instances(corpus_max_n, random_ns, random_count, seed)
 
@@ -529,9 +532,8 @@ def run_obdd_sandwich(
             if n > _DP_BLOCK_BITS:
                 yield from [None] * len(chunk)
                 continue
-            adjs = [g.adj for g in chunk]
-            widths, ticks = _lu_widths(n, adjs)
-            sizes, counts = _min_sizes(n, adjs)
+            widths, ticks = _lu_widths(n, [g.adj for g in chunk])
+            sizes, counts = _min_size_dp(chunk, None)
             yield from zip(widths, ticks, sizes, counts.tolist())
 
     kernels = chunked()  # `_rows` evaluates the graphs in corpus order
@@ -543,9 +545,7 @@ def run_obdd_sandwich(
         else:
             width, ticks, sizes, counts = got
             _tick_sandwich(ticks, sum(counts))
-            prefixes = itertools.accumulate(1 << v for v in width.witness)
-            rep = _bounds_report(g, width, sizes,
-                                 [counts[w] for w in prefixes])
+            rep = _bounds_report(g, width, sizes, counts)
         return [dict(
             lu=rep.lu,
             obdd_quasi=rep.min_size_quasi,

@@ -38,7 +38,7 @@ from .graph import (
     mask_of,
     neighborhood_mask,
 )
-from .traces import _prefix_traces, _trace_block, _trace_step
+from .traces import _mask_tables, _prefix_traces, _trace_block, _trace_step
 from .width import (
     WidthReport,
     WidthVariant,
@@ -444,28 +444,6 @@ class MinSizeReport:
     order_total: tuple[int, ...]
 
 
-def _isolated_table(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
-    """iso[i, Z] = the vertices of Z with no neighbour in Z, for every Z,
-    in graph i of a run of graphs on n vertices with adjacency masks
-    adjs[i].
-
-    Built by adding the vertices in ascending order: for Z below b = 1 << v,
-    Z + v keeps the isolated vertices of Z outside N(v), plus v itself when
-    N(v) misses Z.  The entries are little-endian uint64 words, so byte i
-    of an entry holds vertices 8i to 8i + 7.
-    """
-    iso = np.zeros((len(adjs), 1 << n), dtype="<u8")
-    z = np.arange(1 << n >> 1, dtype=np.uint64)
-    adj = np.array(adjs, dtype=np.uint64).reshape(len(adjs), n)
-    for v in range(n):
-        b = 1 << v
-        nv = adj[:, v:v + 1]
-        upper = iso[:, b:2 * b]
-        np.bitwise_and(iso[:, :b], ~nv, out=upper)
-        np.bitwise_or(upper, np.uint64(b), out=upper, where=z[:b] & nv == 0)
-    return iso
-
-
 # The min-size DP costs and relaxes prefix sets in aligned blocks of
 # 2^_DP_BLOCK_BITS.  A DP key is value << _KEY_BITS | v, v the vertex an
 # optimal order puts last (v < 32, since n <= OBDD_DP_LIMIT).  Keys fit an
@@ -503,14 +481,16 @@ def _dp_block(
     run of graphs on n vertices.  Returns the trace counts |T(H + x)| over
     (graph, x) and the cost keys over (x, v, graph, size notion).
 
-    `iso` holds the graphs' isolated-vertex tables (`_isolated_table`),
-    `walk` the block's families as the keys g << 2n | x << n | t, grouped
-    by (g, x), and `keys` the DP keys of the block's sets over (x, graph,
-    size notion), those of x = 0 final; the others are relaxed in place.
+    `iso[g, Z]` holds the vertices of Z isolated in G_g[Z] as int32
+    masks, `walk` the block's families as the keys g << 2n | x << n | t,
+    grouped by (g, x), and `keys` the DP keys of the block's sets over (x,
+    graph, size notion), those of x = 0 final; the others are relaxed in
+    place.
     A run of several graphs is one block of all 2^n sets (j = n).
 
     One gather of iso[g, V - t] over the walk, V the vertices outside
-    H + x, unpacked to bits and summed per set, gives every ND(v).  The
+    H + x, unpacked to bits (as little-endian words, so byte k holds
+    vertices 8k to 8k + 7) and summed per set, gives every ND(v).  The
     cost of the step W -> W + v is the level after W, |T(W)| less the
     true sink when G[V] has no edge (quasi) or |T(W)| - ND(v) (reduced),
     as the key increment value << 5 | v.  The steps inside the block are
@@ -522,12 +502,12 @@ def _dp_block(
     run = walk >> n  # g << n | x: g << j | x, as graphs == 1 or j == n
     count = np.bincount(run, minlength=graphs << j)
     ignored = iso.reshape(-1)[run ^ walk & size - 1 ^ outside]
-    ignored = np.unpackbits(ignored[:, None].view(np.uint8), axis=1,
-                            count=n, bitorder="little")
+    ignored = ignored.astype("<i4", copy=False)[:, None].view(np.uint8)
+    ignored = np.unpackbits(ignored, axis=1, count=n, bitorder="little")
     nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,
                          dtype=np.int32).reshape(graphs, span, n)
     count = count.reshape(graphs, span)
-    comps = np.uint64(outside) ^ np.arange(span, dtype=np.uint64)  # V
+    comps = outside ^ np.arange(span, dtype=np.int32)  # V
     # cost[x, v, g]: the graph axis inside, so that one index over the
     # sets serves one graph and a chunk alike
     cost = np.empty((span, n, graphs, 2), dtype=np.int32)
@@ -552,17 +532,15 @@ def _reports(keys: np.ndarray) -> list[MinSizeReport]:
             for size, oq, ot in zip(sizes, quasi, total)]
 
 
-def min_obdd_size_exact(
-    g: Graph,
-    *,
-    method: str = "dp",
-    budget: int | None = None,
-) -> MinSizeReport:
-    """Exact minimum OBDD sizes over all variable orderings.
-
-    method "dp" runs subset dynamic programs over prefix sets for both
-    size notions; method "enum" builds the OBDD for every permutation
-    (small n only) and serves as an independent cross-check.
+def _min_size_dp(
+    graphs: Sequence[Graph], work: _Work | None
+) -> tuple[list[MinSizeReport], np.ndarray]:
+    """The min-size DP of `min_obdd_size_exact`: per graph its sizes and
+    orders, and the trace counts |T_i(W)| as an int32 table over (graph i,
+    prefix set W).  It runs for one graph on at most OBDD_DP_LIMIT
+    vertices, block by block, or for a chunk of graphs on n <=
+    _DP_BLOCK_BITS vertices, as one block, and refuses more vertices and
+    isolated ones (`cnf_of_graph`).
 
     After the prefix set W, with V the vertices outside W, the live
     states are the traces t in T(W), less the empty trace when G[V] has
@@ -570,7 +548,9 @@ def min_obdd_size_exact(
     V exactly when v is isolated in G[V - t]: v is not forced true and
     has no undecided neighbour left free.  So the reduced level of v
     after W has |T(W)| - ND(v) nodes, ND(v) the number of traces t with
-    v in iso[V - t], where iso is the isolated-vertex table of G.
+    v in iso[V - t].  A vertex of Z is isolated in G[Z] exactly when it
+    lies outside N(Z), so iso[Z] is Z - N(Z), read off the neighbourhood
+    table of `traces._mask_tables`.
 
     The DP works per aligned block of 2^_DP_BLOCK_BITS prefix sets
     H + x, H the block's vertices from _DP_BLOCK_BITS up and x a set of
@@ -578,8 +558,10 @@ def min_obdd_size_exact(
     `traces._trace_step`, from the family of H minus its lowest vertex,
     an earlier base.  `traces._trace_block` derives the whole block's
     families from it, one batched step per low vertex, as one array of
-    (x, t) pairs sorted by x, and `_dp_block`, which the chunk kernel
-    `_min_sizes` shares, costs and relaxes the block.
+    (x, t) pairs sorted by x, and `_dp_block` costs and relaxes the
+    block.  With n <= _DP_BLOCK_BITS the DP is one block, and one
+    `traces._prefix_traces` walk holds every family of the graphs,
+    sorted once so that each (graph, W) is one run.
 
     The best order of W is stored as a key, value << 5 | v, with v the
     vertex the order puts last.  The least key therefore holds the
@@ -589,79 +571,82 @@ def min_obdd_size_exact(
     relaxes the steps W -> W + u inside it first and then pushes to
     W + v, for each higher vertex v it lacks, with one elementwise
     minimum over that contiguous slice.  The DP keeps the two key
-    columns, the iso table and one block's arrays.
+    columns, the iso and count tables and one block's arrays.
 
-    `budget` caps the trace-family entries the DP processes (|T(W)| once
-    per prefix set W, ticked per block), past which BudgetExceededError
-    is raised; None means unbounded, and anything but an integer >= 1
-    raises ValueError.  Method "enum" has its own n guard instead.
+    `work`, when given, ticks each block's trace-family entries, so
+    |T(W)| once per prefix set W; None ticks nothing.
     """
-    work = _Work(budget, "OBDD minimization DP")
-    if method == "enum":
-        return _min_sizes_by_enumeration(g)
-    if method != "dp":
-        raise ValueError(f"unknown minimization method {method!r}")
-    n = g.n
+    n = graphs[0].n
     _refuse_above(n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
-    cnf_of_graph(g)  # validate
-    full = (1 << n) - 1
+    for g in graphs:
+        cnf_of_graph(g)  # validate
+    adjs = [g.adj for g in graphs]
     size = 1 << n
-    iso = _isolated_table(n, [g.adj])
-    adj = g.adj
+    iso = ~_mask_tables(n, adjs)[0] & np.arange(size, dtype=np.int32)
     j = min(n, _DP_BLOCK_BITS)
     span = 1 << j
 
-    # keys[W, 0]: the keys of the best quasi and reduced orders of W.
-    keys = np.full((size, 1, 2), np.iinfo(np.int32).max, dtype=np.int32)
+    # keys[W, i]: the keys of graph i's best quasi and reduced orders of W.
+    keys = np.full((size, len(adjs), 2), np.iinfo(np.int32).max,
+                   dtype=np.int32)
     keys[0] = 0
+    counts = np.empty((len(adjs), size), dtype=np.int32)
     # bases[p] holds the trace family of the latest block base of size p.
     # In numeric order the latest base of size p - 1 before H is H minus
     # its lowest vertex, so each base family derives from an earlier one.
     bases: list[set[int]] = [{0}] * (n + 1)
     for block in range(0, size, span):
-        p = block.bit_count()
-        if p:
-            b = block & -block
-            bases[p] = _trace_step(bases[p - 1], adj[b.bit_length() - 1], b,
-                                   full ^ block)
-        pairs = _trace_block(bases[p], adj, block, j, n)
-        work.tick(len(pairs))
+        if j == n:
+            pairs = np.sort(_prefix_traces(n, adjs))
+        else:
+            (adj,) = adjs  # only one graph has more than one block
+            p = block.bit_count()
+            if p:
+                b = block & -block
+                bases[p] = _trace_step(bases[p - 1], adj[b.bit_length() - 1],
+                                       b, size - 1 ^ block)
+            pairs = _trace_block(bases[p], adj, block, j, n)
+        if work is not None:
+            work.tick(len(pairs))
         here = keys[block:block + span]
-        _, cost = _dp_block(here, pairs, iso, block, j)
+        counts[:, block:block + span], cost = _dp_block(here, pairs, iso,
+                                                        block, j)
         # The block's keys are final; they push to the later blocks W + v.
         done = here & _KEY_VALUE
         for v in range(j, n):
             if not block >> v & 1:
                 there = keys[block + (1 << v):block + (1 << v) + span]
                 np.minimum(there, done + cost[:, v], out=there)
-    return _reports(keys)[0]
+    return _reports(keys), counts
 
 
-def _min_sizes(
-    n: int, adjs: Sequence[Sequence[int]]
-) -> tuple[list[MinSizeReport], np.ndarray]:
-    """`min_obdd_size_exact` for a chunk of graphs on n <= _DP_BLOCK_BITS
-    vertices, graph i with adjacency masks adjs[i], and the chunk's trace
-    counts |T_i(W)| as a table over (i, W).
+def min_obdd_size_exact(
+    g: Graph,
+    *,
+    method: str = "dp",
+    budget: int | None = None,
+) -> MinSizeReport:
+    """Exact minimum OBDD sizes over all variable orderings.
 
-    With n <= _DP_BLOCK_BITS the DP is one block, and the chunk's one
-    `_prefix_traces` walk holds every family.  Its keys are sorted once,
-    so that each (graph, W) is one run, and one `_dp_block` call, the
-    block step of `min_obdd_size_exact`, costs and relaxes every set of
-    the chunk; the least key keeps the optimum with the smallest last
-    vertex.  `min_obdd_size_exact` stays the engine for larger n, and
-    the dependence-scan DP of the tests is this kernel's independent
-    oracle.
+    method "dp" runs the subset dynamic program over prefix sets for both
+    size notions (`_min_size_dp`), which counts the level after each
+    prefix set W from its trace family T(W); among optimal orders it
+    returns the one whose last vertex is smallest, then the same for the
+    prefix before it.  Method "enum" builds the OBDD for every
+    permutation (small n only) and serves as an independent cross-check.
+
+    `budget` caps the trace-family entries the DP processes (|T(W)| once
+    per prefix set W, ticked per block of 2^_DP_BLOCK_BITS sets), past
+    which BudgetExceededError is raised; None means unbounded, and
+    anything but an integer >= 1 raises ValueError.  Method "enum" has
+    its own n guard instead.
     """
-    iso = _isolated_table(n, adjs)
-    if iso[:, -1].any():
-        raise ValueError("every variable must occur in a clause: a graph "
-                         "of the chunk has isolated vertices")
-    keys = np.full((1 << n, len(adjs), 2), np.iinfo(np.int32).max,
-                   dtype=np.int32)
-    keys[0] = 0
-    count, _ = _dp_block(keys, np.sort(_prefix_traces(n, adjs)), iso, 0, n)
-    return _reports(keys), count
+    work = _Work(budget, "OBDD minimization DP")
+    if method == "enum":
+        return _min_sizes_by_enumeration(g)
+    if method != "dp":
+        raise ValueError(f"unknown minimization method {method!r}")
+    return _min_size_dp([g], work)[0][0]
 
 
 def _min_sizes_by_enumeration(g: Graph) -> MinSizeReport:
@@ -746,19 +731,16 @@ def obdd_bounds_report(g: Graph) -> ObddBoundsReport:
     """Exact width, exact minimal sizes, and every sandwich verdict; the
     upper mechanism bounds each witness prefix's trace count by n^(r + 1).
 
-    The width comes from `exact_width` (LU), the sizes from
-    `min_obdd_size_exact`, and each witness prefix's trace family from the
-    one before it (`traces._trace_step`); `_bounds_report` gives every
-    verdict.  `harness.run_obdd_sandwich` feeds the same `_bounds_report`
-    from chunk kernels on graphs with at most 8 vertices."""
+    The width comes from `exact_width` (LU), and the sizes and the trace
+    count of every prefix set from one run of the min-size DP
+    (`_min_size_dp`), under `min_obdd_size_exact`'s budget;
+    `_bounds_report` gives every verdict.  `harness.run_obdd_sandwich`
+    feeds the same `_bounds_report` from the chunk kernels on graphs with
+    at most 8 vertices."""
     width_report = exact_width(g, WidthVariant.LU)
-    min_sizes = min_obdd_size_exact(g)
-    fam, rest, trace_counts = {0}, g.full_mask(), []
-    for v in width_report.witness:
-        rest ^= 1 << v
-        fam = _trace_step(fam, g.adj[v], 1 << v, rest)
-        trace_counts.append(len(fam))
-    return _bounds_report(g, width_report, min_sizes, trace_counts)
+    work = _Work(None, "OBDD minimization DP")
+    (min_sizes,), counts = _min_size_dp([g], work)
+    return _bounds_report(g, width_report, min_sizes, counts[0])
 
 
 def _bounds_report(
@@ -768,10 +750,10 @@ def _bounds_report(
     trace_counts: Sequence[int],
 ) -> ObddBoundsReport:
     """Every sandwich verdict on g, given its exact LU width, its exact
-    minimal sizes and |T(W)| for each witness prefix W (trace_counts[i]
-    for the first i + 1 vertices).  The diagrams along the witness and
-    along the quasi-optimal order are built and checked here, independently
-    of how those three inputs were computed."""
+    minimal sizes and |T(W)| for every prefix set W (trace_counts[W]),
+    of which the witness prefixes are read.  The diagrams along the
+    witness and along the quasi-optimal order are built and checked here,
+    independently of how those three inputs were computed."""
     lu = width_report.value
     witness = width_report.witness
     n = g.n
@@ -797,8 +779,9 @@ def _bounds_report(
         lower_ok=2**lu <= min_sizes.size_quasi,
         upper_ok=min_sizes.size_quasi <= n ** (lu + 2),
         upper_mechanism_ok=all(
-            t <= n ** (r + 1)
-            for t, r in zip(trace_counts, width_report.per_prefix)
+            trace_counts[w] <= n ** (r + 1)
+            for w, r in zip(itertools.accumulate(1 << v for v in witness),
+                            width_report.per_prefix)
         ),
         level_contract_ok=all(
             live <= residuals

@@ -15,8 +15,9 @@ trace-bound reads the traces of the small sets, and shrink runs
 compare against each cut's family from `_prefix_traces`.  The cuts
 themselves, every independent rest side with its largest induced cut
 matching r and the enumeration's work, come from 2^n tables per graph
-(`_cut_contexts`); r is read from the one table of valid LU pairs
-(`_lu_pair_widths`) that `width._lu_widths` also reads.
+(`_cut_contexts`), which `_cut_pairs` reads again; r is read from the
+one table of valid LU pairs (`_lu_pair_widths`) that `width._lu_widths`
+also reads.
 `independent_set_masks` and the matching search stay as their oracles.
 
 The shrinker's precondition, V independent, makes enabling local: an
@@ -33,13 +34,16 @@ one at a time and derives each family from the previous one with
 `_trace_step`, the forced-set transition.  Its work budget counts the
 family entries processed.  `_trace_block` is the same transition applied
 to many prefix sets at once in numpy, for one graph or a chunk of graphs
-of one size.  `obdd.min_obdd_size_exact` needs the families of every
-prefix set of one graph: it derives one base family per block of 2^8
-prefix sets with `_trace_step`, and the block's other families from the
-base with `_trace_block`.  The corpus passes (`harness.run_rest_cuts`,
+of one size.  The min-size DP (`obdd._min_size_dp`) needs the families
+of every prefix set: for one graph it derives one base family per block
+of 2^8 prefix sets with `_trace_step`, and the block's other families
+from the base with `_trace_block`.  The DP over a chunk of small graphs
+and the corpus passes (`harness.run_rest_cuts`,
 `harness.run_subfunction_traces`) walk every prefix set of a chunk of
 graphs with one `_trace_block` call from the empty set
-(`_prefix_traces`).
+(`_prefix_traces`).  The DP also reads its isolated-vertex table off the
+neighbourhood table of `_mask_tables`, which the cut contexts, the cut
+pairs and the LU pair table share.
 """
 
 from __future__ import annotations
@@ -236,7 +240,8 @@ def _mask_tables(
     graph i with adjacency masks adjs[i], from one doubling pass over the
     vertices: nbr[i, S], the neighbourhood of S in graph i; ones[S], the
     popcount of S; rev[S], S bit-reversed.  All int32: masks fit up to
-    n = 26, and the tables stop far earlier (the corpus ends at n = 8)."""
+    n = 26, past the min-size DP's n <= 20 (`obdd._min_size_dp`, which
+    reads its isolated-vertex table off nbr)."""
     size = 1 << n
     adj = np.array(adjs, dtype=np.int32).reshape(len(adjs), n)
     nbr = np.zeros((len(adjs), size), dtype=np.int32)
@@ -302,12 +307,16 @@ def _lu_pair_widths(
 class _CutContexts(NamedTuple):
     """The cut contexts of a run of graphs of one size: per graph, and per
     cut (U, rest) with independent rest side, by graph, then rest side in
-    `independent_set_masks` order."""
+    `independent_set_masks` order; and the graphs' `_mask_tables`, which
+    `_cut_pairs` reads too."""
 
     lens: np.ndarray  # [graph] -> its cut count, its independent sets
     ticks: np.ndarray  # [graph] -> `independent_set_masks(g, full)`'s nodes
     comp: np.ndarray  # [cut] -> its rest side
     r: np.ndarray  # [cut] -> its largest induced cut matching
+    nbr: np.ndarray  # [graph, mask] -> its neighbourhood
+    ones: np.ndarray  # [mask] -> its popcount, over all 2^n masks
+    rev: np.ndarray  # [mask] -> it bit-reversed, over all 2^n masks
 
 
 def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
@@ -340,7 +349,7 @@ def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
     comp = order[at].astype(np.int32)
     lens = np.bincount(graph_of, minlength=graphs)
     r = _lu_pair_widths(n, adjs, nbr)[graph_of, size - 1 ^ comp]
-    return _CutContexts(lens, ticks, comp, r)
+    return _CutContexts(lens, ticks, comp, r, nbr, ones, rev)
 
 
 class _CutPairs(NamedTuple):
@@ -355,18 +364,15 @@ class _CutPairs(NamedTuple):
     rev: np.ndarray  # [mask] -> it bit-reversed, over all 2^n masks
 
 
-def _cut_pairs(
-    n: int, adjs: Sequence[Sequence[int]], contexts: _CutContexts
-) -> _CutPairs:
-    """Every pair (cut, S) of a chunk of graphs on n vertices, with its
-    trace; graph i has adjacency masks adjs[i], and `contexts` lists every
-    graph's cuts (`_cut_contexts`), whose rest sides are all the graph's
-    independent sets in order.  A cut's sets S are those of its graph's
+def _cut_pairs(contexts: _CutContexts) -> _CutPairs:
+    """Every pair (cut, S) of a chunk of graphs of one size, with its
+    trace, from the chunk's cut contexts (`_cut_contexts`): every graph's
+    cuts, whose rest sides are all the graph's independent sets in order,
+    and its neighbourhood table.  A cut's sets S are those of its graph's
     independent sets that avoid its rest side: the independent subsets of
     the other side.  Masks (and `_shrink_block`'s keys) are int32.
     """
-    nbr, ones, rev = _mask_tables(n, adjs)
-    lens, comps = contexts.lens, contexts.comp
+    lens, comps, nbr = contexts.lens, contexts.comp, contexts.nbr
     graph_of = np.repeat(np.arange(len(lens)), lens)
     listed = _padded(graph_of, comps, lens, -1)
     # Row k of cand lists the independent sets of cut k's graph; the
@@ -375,11 +381,11 @@ def _cut_pairs(
     cut, col = np.nonzero((cand >= 0) & (cand & comps[:, None] == 0))
     sets = cand[cut, col]
     # the narrowest signed type that holds every pair index
-    lut = np.full((len(comps), 1 << n), -1,
+    lut = np.full((len(comps), nbr.shape[1]), -1,
                   dtype=np.min_scalar_type(-len(sets)))
     lut[cut, sets] = np.arange(len(sets))
     trace = nbr[graph_of[cut], sets] & comps[cut]
-    return _CutPairs(cut, sets, trace, lut, ones, rev)
+    return _CutPairs(cut, sets, trace, lut, contexts.ones, contexts.rev)
 
 
 def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:

@@ -213,11 +213,18 @@ def _cuts_with_pairs(g):
     """(umask, comp, r, subsets, traces) per cut of g: the cut context and
     the cut's pairs (S, trace) from `_cut_pairs` over g alone."""
     cuts = list(_independent_rest_cuts(g))
-    pairs = _cut_pairs(g.n, [g.adj], _cut_contexts(g.n, [g.adj]))
+    pairs = _cut_pairs(_cut_contexts(g.n, [g.adj]))
     for k, (umask, comp, r) in enumerate(cuts):
         at = pairs.cut == k
         yield (umask, comp, r, pairs.sets[at].tolist(),
                pairs.trace[at].tolist())
+
+
+def _chunk_adjs(contexts):
+    """The adjacency masks of a `_cut_contexts` result's graphs: their
+    neighbourhood tables at the one-vertex sets."""
+    n = len(contexts.ones).bit_length() - 1
+    return [tuple(row) for row in contexts.nbr[:, 1 << np.arange(n)].tolist()]
 
 
 def _per_graph(contexts):
@@ -334,9 +341,9 @@ class TestRestCutPass:
         chunks = []
         real = harness._cut_pairs
 
-        def counted(n, adjs, contexts):
-            chunks.append(len(adjs))
-            return real(n, adjs, contexts)
+        def counted(contexts):
+            chunks.append(len(contexts.lens))
+            return real(contexts)
 
         monkeypatch.setattr(harness, "_cut_pairs", counted)
         self.test_rows_pinned()
@@ -366,9 +373,9 @@ class TestRestCutPass:
         chunks, walks = [], []
         real_pairs, real_walk = harness._cut_pairs, harness._prefix_traces
 
-        def listing(n, adjs, contexts):
-            chunks.append(list(adjs))
-            return real_pairs(n, adjs, contexts)
+        def listing(contexts):
+            chunks.append(_chunk_adjs(contexts))
+            return real_pairs(contexts)
 
         def walking(n, adjs):
             walks.append(list(adjs))
@@ -455,12 +462,12 @@ class TestRestCutPass:
         real_pairs, real = harness._cut_pairs, harness._trace_bound_fails
         chosen = []  # the chosen cuts in the latest chunk, if g is in it
 
-        def listing(n, adjs, contexts):
+        def listing(contexts):
             chosen[:] = [lo + comps.index(cuts[k][1])
                          for adj, (lo, comps, _, _)
-                         in zip(adjs, _per_graph(contexts))
+                         in zip(_chunk_adjs(contexts), _per_graph(contexts))
                          if adj == g.adj for k in (4, 0)]
-            return real_pairs(n, adjs, contexts)
+            return real_pairs(contexts)
 
         def failing(*args):
             fails = real(*args)
@@ -495,10 +502,11 @@ class TestRestCutPass:
         real_pairs, real = harness._cut_pairs, harness._shrink_block
         chosen = []  # the chosen cut in the latest chunk, if g is in it
 
-        def listing(n, adjs, contexts):
+        def listing(contexts):
             chosen[:] = [lo + comps.index(comp) for adj, (lo, comps, _, _)
-                         in zip(adjs, _per_graph(contexts)) if adj == g.adj]
-            return real_pairs(n, adjs, contexts)
+                         in zip(_chunk_adjs(contexts), _per_graph(contexts))
+                         if adj == g.adj]
+            return real_pairs(contexts)
 
         def lying(pairs):
             # no set of the chosen cut enables, as far as the suite reads

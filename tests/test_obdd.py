@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from mimlab.generators import (
     random_connected_graph,
     two_rows,
 )
-from mimlab.graph import Graph
+from mimlab.graph import Graph, _connected
 from mimlab.harness import (
     _chunks,
     connected_corpus,
@@ -35,8 +36,8 @@ from mimlab.obdd import (
     TRUE_ID,
     TRUTH_TABLE_LIMIT,
     Obdd,
-    _isolated_table,
-    _min_sizes,
+    _bounds_report,
+    _min_size_dp,
     build_obdd,
     cnf_of_graph,
     count_accepting,
@@ -50,10 +51,10 @@ from mimlab.obdd import (
     obdd_to_dot,
     subfunction_count,
 )
-from mimlab.traces import trace_masks
+from mimlab.traces import _mask_tables, trace_masks
 from mimlab.width import WidthVariant, exact_width
 
-from conftest import graphs, graphs_without_isolated
+from conftest import N9_GRAPHS, graphs, graphs_without_isolated
 from oracles import (
     naive_count_satisfying,
     naive_equiv_check,
@@ -455,8 +456,8 @@ class TestMinimization:
             min_obdd_size_exact(C4, budget=budget)
 
     def test_dp_allocation_peak_n15(self):
-        # The int32 keys (two per set), the uint64 iso table and one
-        # block's temporaries: about 1 MB at n = 15, no 2^n x n table.
+        # The int32 keys (two per set), the int32 iso and count tables and
+        # one block's temporaries: about 1 MB at n = 15, no 2^n x n table.
         g = random_connected_graph(15, 2, p=0.4)
         tracemalloc.start()
         try:
@@ -505,8 +506,8 @@ class TestMinimization:
 
 
 class TestChunkMinSizes:
-    # `_min_sizes`, the chunk kernel of obdd-sandwich, against
-    # `min_obdd_size_exact`, which runs the same block step, and against the
+    # `_min_size_dp` on the chunks of obdd-sandwich against
+    # `min_obdd_size_exact`, its one-graph call, and against the
     # dependence-scan DP of the oracles, which shares no kernel with either:
     # every connected graph with n <= 7 and seeded n = 8 graphs, in the
     # chunks `run_obdd_sandwich` makes.
@@ -515,7 +516,7 @@ class TestChunkMinSizes:
 
     def test_reports_equal_the_dp(self):
         for n, chunk in _chunks(self.CASES):
-            reports, counts = _min_sizes(n, [g.adj for g in chunk])
+            reports, counts = _min_size_dp(chunk, None)
             # both sizes and both tie-broken orders
             assert reports == [min_obdd_size_exact(g) for g in chunk], n
             assert [astuple(r) for r in reports] == [
@@ -524,22 +525,57 @@ class TestChunkMinSizes:
 
     def test_counts_are_trace_family_sizes(self):
         for n, chunk in _chunks(self.CASES[::7]):
-            _, counts = _min_sizes(n, [g.adj for g in chunk])
+            _, counts = _min_size_dp(chunk, None)
             assert counts.tolist() == [
                 [len(trace_masks(g, w)) for w in range(1 << n)]
                 for g in chunk]
 
     def test_isolated_vertex_refused(self):
         with pytest.raises(ValueError, match="isolated"):
-            _min_sizes(3, [Graph(3, [(0, 1), (1, 2)]).adj,
-                           Graph(3, [(0, 1)]).adj])
+            _min_size_dp([Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1)])],
+                         None)
+
+
+class TestMinSizeDpBlocks:
+    # Past one block of 2^8 prefix sets: n = 9 and 10 have 2 and 4 blocks,
+    # so the counts and keys cross the pushes between blocks.
+    CASES = ([g for g in N9_GRAPHS if _connected(g.adj)]
+             + [random_connected_graph(10, 5)])
+
+    @pytest.mark.parametrize("g", CASES)
+    def test_counts_are_trace_family_sizes(self, g):
+        _, counts = _min_size_dp([g], None)
+        assert counts.tolist() == [
+            [len(trace_masks(g, w)) for w in range(1 << g.n)]]
+
+    @pytest.mark.parametrize("g", CASES)
+    def test_reports_equal_the_oracle(self, g):
+        reports, _ = _min_size_dp([g], None)
+        assert [astuple(r) for r in reports] == [naive_min_obdd_sizes(g)]
+
+    @pytest.mark.parametrize("g", CASES)
+    def test_bounds_report_reads_the_prefix_counts(self, g):
+        # The report from the DP's count table equals one built from the
+        # public engines, each witness prefix counted by `trace_masks`.
+        width = exact_width(g, WidthVariant.LU)
+        prefixes = itertools.accumulate(1 << v for v in width.witness)
+        counts = {w: len(trace_masks(g, w)) for w in prefixes}
+        assert obdd_bounds_report(g) == _bounds_report(
+            g, width, min_obdd_size_exact(g), counts)
+
+
+def _isolated(g):
+    """The min-size DP's isolated-vertex table of g: Z - N(Z) for every Z,
+    from the neighbourhood table of `_mask_tables`."""
+    nbr = _mask_tables(g.n, [g.adj])[0][0]
+    return ~nbr & np.arange(1 << g.n, dtype=np.int32)
 
 
 class TestIsolatedTable:
     @given(graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_entries_are_isolated_vertices(self, g):
-        iso = _isolated_table(g.n, [g.adj])[0]
+        iso = _isolated(g)
         assert len(iso) == 1 << g.n
         for z in range(1 << g.n):
             members = [v for v in range(g.n) if z >> v & 1]
@@ -547,9 +583,14 @@ class TestIsolatedTable:
                       if not any(u in members for u in g.neighbors(v))]
             assert iso[z] == sum(1 << v for v in lonely)
 
-    def test_entries_are_64_bit(self):
-        # The DP reads the table as uint64, whatever a C long is.
-        assert _isolated_table(C4.n, [C4.adj]).itemsize == 8
+    def test_entries_are_int32(self):
+        # `_dp_block` unpacks the entries as little-endian int32 words, so
+        # byte k holds vertices 8k to 8k + 7, up to n = OBDD_DP_LIMIT.
+        g = perfect_matching_graph(10)
+        iso = _isolated(g)
+        assert iso.dtype == np.int32
+        z = sum(1 << v for v in (3, 7, 9, 17, 18))  # 7 and 17 adjacent
+        assert [v for v in range(g.n) if iso[z] >> v & 1] == [3, 9, 18]
 
 
 class TestOrderValidation:
@@ -625,22 +666,17 @@ class TestBoundsReport:
     def test_upper_bound_checked(self, monkeypatch):
         import mimlab.harness as harness
 
-        real = obdd.min_obdd_size_exact
-        real_chunk = harness._min_sizes
+        real = obdd._min_size_dp
 
-        def oversized(g):
-            rep = real(g)
-            return replace(rep, size_quasi=g.n ** (g.n + 2) + 1)
+        def oversized(graphs, work):
+            # The one min-size DP behind min_obdd_size_exact,
+            # obdd_bounds_report and the sandwich's chunks.
+            reports, counts = real(graphs, work)
+            return [replace(rep, size_quasi=g.n ** (g.n + 2) + 1)
+                    for g, rep in zip(graphs, reports)], counts
 
-        def oversized_chunk(n, adjs):
-            # The sandwich's graphs here have n <= 8, so their sizes come
-            # from the chunk kernel, not from min_obdd_size_exact.
-            reports, counts = real_chunk(n, adjs)
-            return [replace(rep, size_quasi=n ** (n + 2) + 1)
-                    for rep in reports], counts
-
-        monkeypatch.setattr(obdd, "min_obdd_size_exact", oversized)
-        monkeypatch.setattr(harness, "_min_sizes", oversized_chunk)
+        monkeypatch.setattr(obdd, "_min_size_dp", oversized)
+        monkeypatch.setattr(harness, "_min_size_dp", oversized)
         rep = obdd_bounds_report(K2)
         assert rep.min_size_quasi > rep.upper_expression
         assert rep.lower_ok and not rep.upper_ok

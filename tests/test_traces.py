@@ -368,7 +368,7 @@ def _block_rows(graphs):
     """The same rows from one `_shrink_block` call over graphs of one size,
     cut numbers restarting at each graph."""
     contexts = _cut_contexts(graphs[0].n, [g.adj for g in graphs])
-    pairs = _cut_pairs(graphs[0].n, [g.adj for g in graphs], contexts)
+    pairs = _cut_pairs(contexts)
     shrunk, enables = _shrink_block(pairs)
     starts = list(itertools.accumulate(contexts.lens.tolist(), initial=0))
     rows = [[] for _ in graphs]
@@ -422,7 +422,7 @@ class TestShrinkBlock:
     def test_lookup_table_and_traces(self):
         for g in (TIE, random_connected_graph(8, 1)):
             cuts = list(_independent_rest_cuts(g))
-            pairs = _cut_pairs(g.n, [g.adj], _cut_contexts(g.n, [g.adj]))
+            pairs = _cut_pairs(_cut_contexts(g.n, [g.adj]))
             for i, (c, s, t) in enumerate(zip(pairs.cut.tolist(),
                                               pairs.sets.tolist(),
                                               pairs.trace.tolist())):
