@@ -330,15 +330,17 @@ def _rest_cut_verdicts(
     graphs share one size n and go to `_cut_pairs` and `_cut_families` as
     one chunk.  The walk gives each cut's family T(W) as the sorted keys
     cut << n | t; the pairs (cut, S) give the same keys a second way, from
-    N(S) & comp.  trace-bound fails at a cut when `_trace_bound_fails`
-    says so; its row then shows the `_trace_bound_report` built from those
-    arrays.  For shrink a set passes when its output is a subset of it
-    with the same trace, enables and has at most r vertices; the output is
-    a listed set of the same cut, so its trace and verdict are read from
-    the chunk's own arrays.  It also fails at a cut whose enabling sets of
-    at most r vertices leave other traces than the family.  A row names
-    the first cut that fails its check; an unrequested check's work is not
-    done.
+    N(S) & comp, and `differs` marks both in boolean tables over the keys
+    and compares them cut by cut.  trace-bound fails at a cut when
+    `_trace_bound_fails` says so; its row then shows the
+    `_trace_bound_report` built from those arrays.  For shrink a set
+    passes when its output is a subset of it with the same trace, enables
+    and has at most r vertices; the output is a listed set of the same
+    cut, so its trace and verdict are read from the chunk's own arrays,
+    through the kernel's flat index cut << n | mask.  It also fails at a
+    cut whose enabling sets of at most r vertices leave other traces than
+    the family.  A row names the first cut that fails its check; an
+    unrequested check's work is not done.
     """
     n = graphs[0].n
     full = (1 << n) - 1
@@ -350,12 +352,14 @@ def _rest_cut_verdicts(
     keys = pairs.cut << n | pairs.trace
     small = pairs.ones[pairs.sets] <= r[pairs.cut]
 
+    seen = np.zeros(len(umask) << n, dtype=bool)  # [cut << n | t]
+    seen[family] = True
+
     def differs(chosen: np.ndarray) -> np.ndarray:
         """Per cut: whether its chosen pairs' traces differ from T(W)."""
-        out = np.zeros(len(umask), dtype=bool)
-        got = np.unique(keys[chosen])  # the family is already unique
-        out[np.setxor1d(family, got, assume_unique=True) >> n] = True
-        return out
+        got = np.zeros_like(seen)
+        got[keys[chosen]] = True
+        return (seen != got).reshape(len(umask), 1 << n).any(axis=1)
 
     def first(fails: np.ndarray) -> list[int]:
         """Per graph: its first failing cut, -1 if none fails."""
@@ -383,7 +387,7 @@ def _rest_cut_verdicts(
             for k, cuts in zip(first(fails), contexts.lens.tolist())]
     if "shrink" in checks:
         out, enables = _shrink_block(pairs)
-        at = pairs.lut[pairs.cut, out]
+        at = pairs.lut.reshape(-1)[pairs.cut << n | out]
         ok = ((out & ~pairs.sets) == 0) & (at >= 0)
         ok &= enables[at] & (pairs.trace[at] == pairs.trace)
         ok &= pairs.ones[out] <= r[pairs.cut]

@@ -11,8 +11,12 @@ wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
 (`trace-bound`) and the statement (`shrink`) on the arrays of
 `_cut_pairs`, every pair (cut, set) of a chunk of graphs with its trace:
 trace-bound reads the traces of the small sets, and shrink runs
-`_shrink_block`, the same shrinker as array passes over the pairs.  Both
-compare against each cut's family from `_prefix_traces`.  The cuts
+`_shrink_block`, the same shrinker as array passes over the pairs, one
+popcount layer at a time.  A set of k vertices gathers only its k sets
+S - v, from the table of set layers (`_set_layers`, which
+`width._lu_widths` also reads), and every set of a cut is one flat
+lookup cut << n | mask in the pairs' index table.  Both checks compare
+against each cut's family from `_prefix_traces`.  The cuts
 themselves, every independent rest side with its largest induced cut
 matching r and the enumeration's work, come from 2^n tables per graph
 (`_cut_contexts`), which `_cut_pairs` reads again; r is read from the
@@ -255,6 +259,27 @@ def _mask_tables(
     return nbr, ones, rev
 
 
+@functools.lru_cache(maxsize=None)
+def _set_layers(n: int) -> tuple:
+    """The nonempty sets W of n vertices by popcount k = 1 .. n: per layer
+    the sets W in ascending order, then one row per W of its k members v
+    in ascending order and of the sets W - v.  `width._lu_widths` and
+    `_shrink_block` read them."""
+    masks = np.arange(1 << n, dtype=np.int32)
+    bits = 1 << np.arange(n, dtype=np.int32)
+    member = masks[:, None] & bits != 0
+    ones = member.sum(axis=1)
+    layers = []
+    for k in range(1, n + 1):
+        w = masks[ones == k]
+        v = np.nonzero(member[w])[1].reshape(len(w), k)
+        layer = (w, v, w[:, None] ^ bits[v])
+        for a in layer:
+            a.setflags(write=False)
+        layers.append(layer)
+    return tuple(layers)
+
+
 def _lu_pair_widths(
     n: int, adjs: Sequence[Sequence[int]], nbr: np.ndarray
 ) -> np.ndarray:
@@ -370,7 +395,8 @@ def _cut_pairs(contexts: _CutContexts) -> _CutPairs:
     cuts, whose rest sides are all the graph's independent sets in order,
     and its neighbourhood table.  A cut's sets S are those of its graph's
     independent sets that avoid its rest side: the independent subsets of
-    the other side.  Masks (and `_shrink_block`'s keys) are int32.
+    the other side.  Cut numbers and masks are int32, and so are the flat
+    indices cut << n | mask into `lut` that `_shrink_block` reads.
     """
     lens, comps, nbr = contexts.lens, contexts.comp, contexts.nbr
     graph_of = np.repeat(np.arange(len(lens)), lens)
@@ -379,7 +405,7 @@ def _cut_pairs(contexts: _CutContexts) -> _CutPairs:
     # cut's sets are those disjoint from its rest side comps[k].
     cand = listed[graph_of]
     cut, col = np.nonzero((cand >= 0) & (cand & comps[:, None] == 0))
-    sets = cand[cut, col]
+    cut, sets = cut.astype(np.int32), cand[cut, col]
     # the narrowest signed type that holds every pair index
     lut = np.full((len(comps), nbr.shape[1]), -1,
                   dtype=np.min_scalar_type(-len(sets)))
@@ -394,28 +420,26 @@ def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
 
     The array form of `_Enablers` and `_shrink_step`, which stay as
     `shrink_to_enabler`'s rule and this kernel's slow oracle.  Every
-    quantity follows from smaller sets of the same cut, read through
-    `lut`.  A member v of S has a private neighbour exactly when the trace
-    of {v} is not inside that of S - v, one test per vertex, so this gives
-    the lowest lacking member (`_Enablers.lacking`).  The rest is gathered
-    one popcount layer at a time: the maximum enabler, as the largest key
-    |T| << n | T bit-reversed over the answers T for S - v (the largest
-    key is the lexicographically least maximum subset, `max_enabler`'s
-    tie rule); the fixpoint of eliminations; `_shrink_step`'s next set;
-    and the output, which is S when S enables and otherwise the next
-    set's.
+    quantity follows from smaller sets of the same cut, so the pairs go
+    one popcount layer k at a time.  A set of layer k gathers its k
+    members' sets S - v, in ascending v, from the layer's rows of
+    `_set_layers`, and reads every set of its cut, those and the ones
+    below, through one flat lookup `lut.reshape(-1)[cut << n | mask]`.
+    A member v has a private neighbour exactly when the trace of S is not
+    inside that of S - v (the difference lies in N(v)), so the first
+    member whose test fails is the lowest lacking one
+    (`_Enablers.lacking`).  The maximum enabler is the answer T for some
+    S - v with the largest key |T| << n | T bit-reversed: the key is one
+    to one, and its largest is the lexicographically least maximum
+    subset, `max_enabler`'s tie rule.  Then come the fixpoint of
+    eliminations, `_shrink_step`'s next set, and the output, which is S
+    when S enables and otherwise the next set's.  The empty set, layer 0,
+    keeps the starting values: it enables, and its answers are all 0.
     """
     cut, sets, trace, lut, ones, rev = pairs
     n = len(ones).bit_length() - 1
-    lack = np.zeros_like(sets)
-    for v in reversed(range(n)):  # the lowest lacking member writes last
-        b = 1 << v
-        # for v outside S a lookup may give -1, but the mask drops it
-        alone = trace[lut[cut, b]] & ~trace[lut[cut, sets ^ b]] == 0
-        lack[(sets & b != 0) & alone] = b
-    enables = lack == 0
-
-    bits = 1 << np.arange(n, dtype=np.int32)
+    index = lut.reshape(-1)  # [cut << n | mask] -> the pair's index
+    enables = np.ones(len(sets), dtype=bool)
     best = np.zeros_like(sets)
     key = np.zeros_like(sets)
     elim = np.zeros_like(sets)
@@ -423,22 +447,25 @@ def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
     popcount = ones[sets]
     order = np.argsort(popcount, kind="stable")
     ends = np.searchsorted(popcount[order], np.arange(n + 1), side="right")
-    # A set's values read only its own and smaller sets', so a layer may go
-    # in slices: 2^10 sets at most bound the (sets, n) arrays' memory.
-    bounds = np.union1d(ends, range(0, len(sets), 1 << 10)).tolist()
-    for lo, hi in itertools.pairwise(bounds):
+    for (w, _, below), lo, hi in zip(_set_layers(n), ends, ends[1:]):
+        if lo == hi:
+            continue
         at = order[lo:hi]
-        s, c, ok = sets[at], cut[at], enables[at]
-        below = lut[c[:, None], s[:, None] ^ bits]  # S - v, v in S
-        member = (s[:, None] & bits) != 0
-        pick = np.where(member, key[below], -1).argmax(axis=1)
-        best[at] = t = np.where(ok, s, best[below[np.arange(len(at)), pick]])
+        s, c = sets[at], cut[at] << n
+        rows = np.arange(len(at))
+        minus = below[np.searchsorted(w, s)]  # S - v, v in S ascending
+        down = index[c[:, None] | minus]
+        alone = trace[at][:, None] & ~trace[down] == 0
+        lacking = down[rows, alone.argmax(axis=1)]  # S - v, v lowest lacking
+        enables[at] = ok = ~alone.any(axis=1)
+        pick = key[down].argmax(axis=1)
+        best[at] = t = np.where(ok, s, best[down[rows, pick]])
         key[at] = ones[t] << n | rev[t]
-        elim[at] = np.where(ok, s, elim[lut[c, s ^ lack[at]]])
+        elim[at] = np.where(ok, s, elim[lacking])
         outside = s & ~t
         grown = t | outside & -outside  # S0 + w, reduced by eliminations
-        step = elim[lut[c, grown]] | s & ~grown
-        out[at] = np.where(ok, s, out[lut[c, step]])
+        step = elim[index[c | grown]] | s & ~grown
+        out[at] = np.where(ok, s, out[index[c | step]])
     return out, enables
 
 

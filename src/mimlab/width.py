@@ -40,7 +40,6 @@ the previous size across W.  `width_of_ordering` and
 
 from __future__ import annotations
 
-import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
-from .traces import _lu_pair_widths, _mask_tables
+from .traces import _lu_pair_widths, _mask_tables, _set_layers
 
 DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
@@ -248,25 +247,6 @@ def exact_width(
     if max(per_prefix) != value:  # pragma: no cover - internal consistency
         raise AssertionError("witness width disagrees with search value")
     return WidthReport(variant, value, witness, tuple(per_prefix[1:]))
-
-
-@functools.lru_cache(maxsize=None)
-def _set_layers(n: int) -> tuple:
-    """The nonempty sets W of n vertices by popcount k = 1 .. n: per layer
-    the sets W in ascending order, then one row per W of its k members v
-    in ascending order and of the sets W - v."""
-    masks = np.arange(1 << n)
-    member = masks[:, None] >> np.arange(n) & 1 == 1
-    ones = member.sum(axis=1)
-    layers = []
-    for k in range(1, n + 1):
-        w = masks[ones == k]
-        v = np.nonzero(member[w])[1].reshape(len(w), k)
-        layer = (w, v, w[:, None] ^ 1 << v)
-        for a in layer:
-            a.setflags(write=False)
-        layers.append(layer)
-    return tuple(layers)
 
 
 def _read_back(last: np.ndarray) -> np.ndarray:

@@ -385,6 +385,13 @@ def _block_rows(graphs):
 # shrinker to {4}; taking {5, 6} would end at {5, 6}.
 TIE = Graph(7, [(0, 2), (0, 4), (0, 6), (1, 4), (1, 5), (2, 3)])
 
+# A set that needs three recombine moves: at the cut with rest side
+# {0, 1}, {3, 4, 5, 6, 7} goes to {3, 5, 6, 7}, then {5, 7} and ends at
+# {5}, while eliminations alone take {3, 5, 6, 7} to {6, 7}, which has the
+# same trace and enables too.  No set of the n <= 7 corpus tells the two
+# apart.
+STEPS = Graph(8, [(0, 3), (0, 5), (0, 7), (1, 5), (1, 6), (2, 3), (2, 4)])
+
 
 class TestShrinkBlock:
     # The array kernel of the shrink check against the scalar shrinker
@@ -405,6 +412,14 @@ class TestShrinkBlock:
                 pairs += len(got)
         assert pairs == 38397
 
+    def test_matches_scalar_shrinker_at_n9(self):
+        # one past the exhaustive corpus, the twelve graphs as one chunk
+        pairs = 0
+        for g, got in zip(N9_GRAPHS, _block_rows(N9_GRAPHS), strict=True):
+            assert got == _scalar_shrink_rows(g)
+            pairs += len(got)
+        assert pairs == 13222
+
     def test_tie_goes_to_the_lexicographically_least(self):
         comp, s = 0b11, 0b1110100
         cut = [c[1] for c in _independent_rest_cuts(TIE)].index(comp)
@@ -418,6 +433,13 @@ class TestShrinkBlock:
         assert rule.max_enabler(s) == 0b0100100
         assert (cut, s, 0b10000, False) in _block_rows([TIE])[0]
         assert (cut, s, 0b10000, False) in _scalar_shrink_rows(TIE)
+
+    def test_step_set_is_shrunk_on(self):
+        comp, s = 0b11, 0b11111000
+        cut = [c[1] for c in _independent_rest_cuts(STEPS)].index(comp)
+        rows = _scalar_shrink_rows(STEPS)
+        assert (cut, s, 0b100000, False) in rows
+        assert _block_rows([STEPS])[0] == rows
 
     def test_lookup_table_and_traces(self):
         for g in (TIE, random_connected_graph(8, 1)):
