@@ -50,6 +50,7 @@ from .traces import (
     _cut_pairs,
     _CutContexts,
     _enum_work,
+    _mask_tables,
     _prefix_traces,
     _shrink_block,
     _trace_bound_report,
@@ -510,14 +511,16 @@ def run_obdd_sandwich(
     seeded random connected graphs and fixtures; a failing row's detail
     names the verdicts that fail.
 
-    The instances go in chunks (`_chunks`).  A chunk on at most 8 vertices
-    (`_DP_BLOCK_BITS`, where the min-size DP is one block) gets one call
-    of each chunk kernel: `width._lu_widths` for the exact lu, its
-    canonical witness and the sets `exact_width` would test, from the LU
-    pair table the cut contexts also read, and `obdd._min_size_dp`, the
-    min-size DP of `min_obdd_size_exact` run as one block over the chunk,
-    for both exact minimal sizes and orders and |T(W)| for every prefix
-    set, of which `_bounds_report` reads the witness prefixes.
+    The instances go in chunks (`_chunks`).  A chunk on at most 10
+    vertices (`_DP_BLOCK_BITS`, where the min-size DP is one block) gets
+    one neighbourhood table (`traces._mask_tables`) and one call of each
+    chunk kernel, both reading that table: `width._lu_widths` for the
+    exact lu, its canonical witness and the sets `exact_width` would
+    test, from the LU pair table the cut contexts also read, and
+    `obdd._min_size_dp`, the min-size DP of `min_obdd_size_exact` run as
+    one block over the chunk, for both exact minimal sizes and orders and
+    |T(W)| for every prefix set, of which `_bounds_report` reads the
+    witness prefixes.
     Each graph then ticks, in order, the width search's budget and the
     min-size DP's with what the per-graph engines would count
     (`_tick_sandwich`), so a budget skips the same rows, and
@@ -536,8 +539,10 @@ def run_obdd_sandwich(
             if n > _DP_BLOCK_BITS:
                 yield from [None] * len(chunk)
                 continue
-            widths, ticks = _lu_widths(n, [g.adj for g in chunk])
-            sizes, counts = _min_size_dp(chunk, None)
+            adjs = [g.adj for g in chunk]
+            nbr = _mask_tables(n, adjs)[0]
+            widths, ticks = _lu_widths(n, adjs, nbr)
+            sizes, counts = _min_size_dp(chunk, nbr, None)
             yield from zip(widths, ticks, sizes, counts.tolist())
 
     kernels = chunked()  # `_rows` evaluates the graphs in corpus order

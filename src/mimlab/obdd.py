@@ -448,8 +448,10 @@ class MinSizeReport:
 # 2^_DP_BLOCK_BITS.  A DP key is value << _KEY_BITS | v, v the vertex an
 # optimal order puts last (v < 32, since n <= OBDD_DP_LIMIT).  Keys fit an
 # int32: the level after W has at most 2^min(|W|, n - |W|) <= 2^10 states,
-# so a value is below 20 * 2^10.
-_DP_BLOCK_BITS = 8
+# so a value is below 20 * 2^10.  A block's trace keys x << n | t
+# (`traces._trace_block`) stay below 2^(OBDD_DP_LIMIT + _DP_BLOCK_BITS),
+# which must not pass int32's 2^31.
+_DP_BLOCK_BITS = 10
 _KEY_BITS = 5
 _KEY_VALUE = -1 << _KEY_BITS
 
@@ -464,9 +466,10 @@ def _block_steps(j: int, n: int) -> tuple:
     for k in range(j):
         pairs = [(x, u) for x in range(1 << j) if x.bit_count() == k
                  for u in range(j) if not x >> u & 1]
-        layer = tuple(np.array(a) for a in ([x for x, _ in pairs],
-                                           [x | 1 << u for x, u in pairs],
-                                           [x * n + u for x, u in pairs]))
+        layer = tuple(np.array(a, dtype=np.int32)
+                      for a in ([x for x, _ in pairs],
+                                [x | 1 << u for x, u in pairs],
+                                [x * n + u for x, u in pairs]))
         for a in layer:
             a.setflags(write=False)
         layers.append(layer)
@@ -489,23 +492,29 @@ def _dp_block(
     A run of several graphs is one block of all 2^n sets (j = n).
 
     One gather of iso[g, V - t] over the walk, V the vertices outside
-    H + x, unpacked to bits (as little-endian words, so byte k holds
-    vertices 8k to 8k + 7) and summed per set, gives every ND(v).  The
-    cost of the step W -> W + v is the level after W, |T(W)| less the
-    true sink when G[V] has no edge (quasi) or |T(W)| - ND(v) (reduced),
-    as the key increment value << 5 | v.  The steps inside the block are
-    relaxed by popcount of x, one scatter-minimum per layer."""
+    H + x, gives every ND(v), counted in packed lanes: each mask is
+    unpacked to one 16-bit lane per vertex, four lanes to a little-endian
+    64-bit word (vertex 4w + i in lane i of word w), and one sum of the
+    words per set adds all n counts at once.  No lane carries into the
+    next, since ND(v) <= |T(W)| <= 2^min(|W|, n - |W|) <= 2^10 < 2^16
+    for n <= OBDD_DP_LIMIT.  The cost of the step W -> W + v is the level
+    after W, |T(W)| less the true sink when G[V] has no edge (quasi) or
+    |T(W)| - ND(v) (reduced), as the key increment value << 5 | v.  The
+    steps inside the block are relaxed by popcount of x, one
+    scatter-minimum per layer."""
     graphs, size = iso.shape
     n = size.bit_length() - 1
     span = 1 << j
     outside = size - 1 ^ high
     run = walk >> n  # g << n | x: g << j | x, as graphs == 1 or j == n
     count = np.bincount(run, minlength=graphs << j)
-    ignored = iso.reshape(-1)[run ^ walk & size - 1 ^ outside]
-    ignored = ignored.astype("<i4", copy=False)[:, None].view(np.uint8)
-    ignored = np.unpackbits(ignored, axis=1, count=n, bitorder="little")
-    nd = np.add.reduceat(ignored, np.cumsum(count) - count, axis=0,
-                         dtype=np.int32).reshape(graphs, span, n)
+    lanes = iso.reshape(-1)[run ^ walk & size - 1 ^ outside]
+    del run  # before the lanes, the block's largest arrays
+    lanes = np.unpackbits(lanes.astype("<i4", copy=False)[:, None].view(
+        np.uint8), axis=1, count=-(-n // 4) * 4, bitorder="little")
+    nd = np.add.reduceat(lanes.astype("<u2").view("<u8"),
+                         np.cumsum(count) - count, axis=0)
+    nd = nd.view("<u2")[:, :n].reshape(graphs, span, n)
     count = count.reshape(graphs, span)
     comps = outside ^ np.arange(span, dtype=np.int32)  # V
     # cost[x, v, g]: the graph axis inside, so that one index over the
@@ -533,14 +542,16 @@ def _reports(keys: np.ndarray) -> list[MinSizeReport]:
 
 
 def _min_size_dp(
-    graphs: Sequence[Graph], work: _Work | None
+    graphs: Sequence[Graph], nbr: np.ndarray, work: _Work | None
 ) -> tuple[list[MinSizeReport], np.ndarray]:
     """The min-size DP of `min_obdd_size_exact`: per graph its sizes and
     orders, and the trace counts |T_i(W)| as an int32 table over (graph i,
     prefix set W).  It runs for one graph on at most OBDD_DP_LIMIT
-    vertices, block by block, or for a chunk of graphs on n <=
-    _DP_BLOCK_BITS vertices, as one block, and refuses more vertices and
-    isolated ones (`cnf_of_graph`).
+    vertices, block by block (`_one_graph_dp`, which refuses more), or
+    for a chunk of graphs on n <= _DP_BLOCK_BITS vertices, as one block,
+    and refuses isolated vertices (`cnf_of_graph`).  `nbr` is the graphs'
+    neighbourhood table (`traces._mask_tables`), which the caller builds,
+    so that a chunk's LU widths (`width._lu_widths`) read the same one.
 
     After the prefix set W, with V the vertices outside W, the live
     states are the traces t in T(W), less the empty trace when G[V] has
@@ -549,8 +560,7 @@ def _min_size_dp(
     has no undecided neighbour left free.  So the reduced level of v
     after W has |T(W)| - ND(v) nodes, ND(v) the number of traces t with
     v in iso[V - t].  A vertex of Z is isolated in G[Z] exactly when it
-    lies outside N(Z), so iso[Z] is Z - N(Z), read off the neighbourhood
-    table of `traces._mask_tables`.
+    lies outside N(Z), so iso[Z] is Z - N(Z), read off `nbr`.
 
     The DP works per aligned block of 2^_DP_BLOCK_BITS prefix sets
     H + x, H the block's vertices from _DP_BLOCK_BITS up and x a set of
@@ -577,12 +587,12 @@ def _min_size_dp(
     |T(W)| once per prefix set W; None ticks nothing.
     """
     n = graphs[0].n
-    _refuse_above(n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
     for g in graphs:
         cnf_of_graph(g)  # validate
     adjs = [g.adj for g in graphs]
     size = 1 << n
-    iso = ~_mask_tables(n, adjs)[0] & np.arange(size, dtype=np.int32)
+    iso = ~nbr & np.arange(size, dtype=np.int32)
+    del nbr  # one graph's caller holds no other reference
     j = min(n, _DP_BLOCK_BITS)
     span = 1 << j
 
@@ -617,7 +627,20 @@ def _min_size_dp(
             if not block >> v & 1:
                 there = keys[block + (1 << v):block + (1 << v) + span]
                 np.minimum(there, done + cost[:, v], out=there)
+        del cost  # one block's cost table at a time, not two
     return _reports(keys), counts
+
+
+def _one_graph_dp(
+    g: Graph, work: _Work
+) -> tuple[MinSizeReport, np.ndarray]:
+    """`_min_size_dp` on g alone: its report and its row of trace counts.
+    g is refused above OBDD_DP_LIMIT vertices before its 2^n
+    neighbourhood table is built."""
+    _refuse_above(g.n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
+    (report,), counts = _min_size_dp([g], _mask_tables(g.n, [g.adj])[0],
+                                     work)
+    return report, counts[0]
 
 
 def min_obdd_size_exact(
@@ -646,7 +669,7 @@ def min_obdd_size_exact(
         return _min_sizes_by_enumeration(g)
     if method != "dp":
         raise ValueError(f"unknown minimization method {method!r}")
-    return _min_size_dp([g], work)[0][0]
+    return _one_graph_dp(g, work)[0]
 
 
 def _min_sizes_by_enumeration(g: Graph) -> MinSizeReport:
@@ -736,11 +759,11 @@ def obdd_bounds_report(g: Graph) -> ObddBoundsReport:
     (`_min_size_dp`), under `min_obdd_size_exact`'s budget;
     `_bounds_report` gives every verdict.  `harness.run_obdd_sandwich`
     feeds the same `_bounds_report` from the chunk kernels on graphs with
-    at most 8 vertices."""
+    at most 10 vertices."""
     width_report = exact_width(g, WidthVariant.LU)
     work = _Work(None, "OBDD minimization DP")
-    (min_sizes,), counts = _min_size_dp([g], work)
-    return _bounds_report(g, width_report, min_sizes, counts[0])
+    min_sizes, counts = _one_graph_dp(g, work)
+    return _bounds_report(g, width_report, min_sizes, counts)
 
 
 def _bounds_report(

@@ -40,7 +40,7 @@ family entries processed.  `_trace_block` is the same transition applied
 to many prefix sets at once in numpy, for one graph or a chunk of graphs
 of one size.  The min-size DP (`obdd._min_size_dp`) needs the families
 of every prefix set: for one graph it derives one base family per block
-of 2^8 prefix sets with `_trace_step`, and the block's other families
+of 2^10 prefix sets with `_trace_step`, and the block's other families
 from the base with `_trace_block`.  The DP over a chunk of small graphs
 and the corpus passes (`harness.run_rest_cuts`,
 `harness.run_subfunction_traces`) walk every prefix set of a chunk of
@@ -181,7 +181,8 @@ def _trace_block(
     per graph g of a chunk.  `base` holds the keys g << 2n | t, t in
     T_g(H): for one graph, the family itself.  The keys fit int32 while
     2^(n + j) and the chunk's g << 2n stay below 2^31: up to n = 20 with
-    j = 8 (the min-size DP), and for thousands of graphs at n = 8.
+    j = 10 (the min-size DP, whose OBDD_DP_LIMIT + _DP_BLOCK_BITS <= 31
+    a test pins), and for thousands of graphs at n = 8.
 
     This is `_trace_step`'s forced-set rule applied to many prefix sets at
     once.  The low vertices u are added in ascending order; a pair (x, t),

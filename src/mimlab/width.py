@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
-from .traces import _lu_pair_widths, _mask_tables, _set_layers
+from .traces import _lu_pair_widths, _set_layers
 
 DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
@@ -264,11 +264,13 @@ def _read_back(last: np.ndarray) -> np.ndarray:
 
 
 def _lu_widths(
-    n: int, adjs: Sequence[Sequence[int]]
+    n: int, adjs: Sequence[Sequence[int]], nbr: np.ndarray
 ) -> tuple[list[WidthReport], list[int]]:
     """`exact_width(g, LU)` for a chunk of graphs on n vertices, graph i
-    with adjacency masks adjs[i], from 2^n tables, and per graph the sets
-    `exact_width` tests, which its budget counts.
+    with adjacency masks adjs[i] and neighbourhood table nbr
+    (`traces._mask_tables`, which the chunk's min-size DP also reads),
+    from 2^n tables, and per graph the sets `exact_width` tests, which
+    its budget counts.
 
     pw(W), the LU prefix width, comes from the valid pairs (A, B) of
     `traces._lu_pair_widths`, the table the cut contexts also read.
@@ -283,7 +285,6 @@ def _lu_widths(
     `exact_width` stays the engine for every other caller and is this
     kernel's oracle.
     """
-    nbr, _, _ = _mask_tables(n, adjs)
     graphs, size = nbr.shape
     full = size - 1
     pw = _lu_pair_widths(n, adjs, nbr)

@@ -749,8 +749,10 @@ class TestBudgetDiscipline:
         # The chunk kernels tick what `exact_width` and the min-size DP
         # count, so a budget skips the same graphs with the same details
         # as the per-graph engines, which every graph takes when no chunk
-        # fits the kernels (at 20 and 200 both kinds of skip occur).
-        kwargs = dict(corpus_max_n=5, random_ns=(7, 8), random_count=4)
+        # fits the kernels (at 20 and 200 both kinds of skip occur).  The
+        # n = 9 and 10 graphs are single DP blocks in the chunks.
+        kwargs = dict(corpus_max_n=5, random_ns=(7, 8, 9, 10),
+                      random_count=4)
         with _budget_scope(budget):
             chunked = rows_to_dicts(run_obdd_sandwich(**kwargs))
             monkeypatch.setattr(harness, "_DP_BLOCK_BITS", 0)

@@ -28,7 +28,9 @@ from mimlab.harness import (
     sandwich_instances,
 )
 from mimlab.obdd import (
+    _DP_BLOCK_BITS,
     _EQUIV_BLOCK_BITS,
+    _KEY_BITS,
     BRUTE_ORDER_LIMIT,
     EQUIV_CHECK_LIMIT,
     FALSE_ID,
@@ -173,6 +175,19 @@ class TestResidualEngine:
                 assert count == subfunction_count(g, u), (g.edges(), u)
                 checked += 1
         assert checked == 7956
+
+    @pytest.mark.parametrize(
+        "i, g", [(i, g) for i, g in enumerate(N9_GRAPHS) if _connected(g.adj)])
+    def test_walk_matches_both_oracles_at_n9(self, i, g):
+        # Past the exhaustive corpus: every prefix set of the connected
+        # seeded n = 9 graphs against `subfunction_count`, and eight
+        # seeded ones per graph against the naive count.
+        walk = obdd._residual_walk(g)
+        members = [[v for v in range(g.n) if w >> v & 1]
+                   for w in range(1 << g.n)]
+        assert walk == [subfunction_count(g, u) for u in members]
+        for w in random.Random(i).sample(range(1 << g.n), 8):
+            assert walk[w] == naive_subfunction_count(g, members[w]), w
 
     @pytest.mark.parametrize("g, prefix", list(_seeded_prefix_cases()),
                              ids=lambda x: getattr(x, "n", None) or str(x))
@@ -441,14 +456,62 @@ class TestMinimization:
             min_obdd_size_exact(g, budget=entries - 1)
 
     def test_dp_budget_counts_each_family_once_across_blocks(self):
-        # n = 10 spans four blocks of 2^8 prefix sets, each ticked once
-        # with its entry total: still exactly the sum passes.
+        # n = 10 is one block of 2^10 prefix sets, ticked once with its
+        # entry total: still exactly the sum passes.
         g = random_connected_graph(10, 0, p=0.4)
         entries = sum(len(trace_masks(g, w)) for w in range(1 << g.n))
         assert entries == 6908
         min_obdd_size_exact(g, budget=entries)
         with pytest.raises(BudgetExceededError):
             min_obdd_size_exact(g, budget=entries - 1)
+
+    def test_dp_budget_counts_each_family_once_over_four_blocks(self):
+        # n = 12 spans four blocks of 2^10 prefix sets, each ticked once
+        # with its entry total: still exactly the sum passes.
+        g = random_connected_graph(12, 0, p=0.4)
+        assert g.n > _DP_BLOCK_BITS + 1
+        entries = sum(len(trace_masks(g, w)) for w in range(1 << g.n))
+        assert entries == 40104
+        min_obdd_size_exact(g, budget=entries)
+        with pytest.raises(BudgetExceededError):
+            min_obdd_size_exact(g, budget=entries - 1)
+
+    def test_trace_keys_fit_int32(self):
+        # `traces._trace_block` keys a block's pairs x << n | t, below
+        # 2^(n + _DP_BLOCK_BITS); raising either constant past this
+        # would overflow them.
+        assert OBDD_DP_LIMIT + _DP_BLOCK_BITS <= 31
+
+    def test_nd_past_eight_bit_lanes(self, monkeypatch):
+        # One side W of a perfect matching on 18 vertices leaves all 2^9
+        # subsets of the other side V as traces, and V is independent, so
+        # each v in V is isolated in G[V - t] for the 2^8 traces t
+        # without it: ND(v) = 256 overflows an 8-bit lane.  The reduced
+        # cost of W -> W + v is |T(W)| - ND(v).
+        g = perfect_matching_graph(9)
+        w = sum(1 << v for v in range(9, 18))
+        family = trace_masks(g, w)
+        rest = (1 << g.n) - 1 ^ w
+        # v is isolated in G[V - t]: outside t, no neighbour in V - t
+        nd = [sum(1 for t in family if not (t >> v & 1 or g.adj[v] & rest & ~t))
+              for v in range(9)]
+        assert len(family) == 512 and nd == [256] * 9
+        span = 1 << _DP_BLOCK_BITS
+        real = obdd._dp_block
+        costs = []
+
+        def spy(keys, walk, iso, high, j):
+            count, cost = real(keys, walk, iso, high, j)
+            if high == w & -span:
+                costs.append(cost[w & span - 1, :9, 0, 1] >> _KEY_BITS)
+            return count, cost
+
+        monkeypatch.setattr(obdd, "_dp_block", spy)
+        rep = min_obdd_size_exact(g)
+        (reduced,) = costs
+        assert reduced.tolist() == [len(family) - c for c in nd]
+        assert rep.size_total == build_obdd(g, rep.order_total).size_total
+        assert rep.size_quasi == build_obdd(g, rep.order_quasi).size_quasi
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
@@ -457,7 +520,8 @@ class TestMinimization:
 
     def test_dp_allocation_peak_n15(self):
         # The int32 keys (two per set), the int32 iso and count tables and
-        # one block's temporaries: about 1 MB at n = 15, no 2^n x n table.
+        # one block's temporaries, of which the 16-bit ND lanes are the
+        # largest: about 1.8 MB at n = 15, no 2^n x n table.
         g = random_connected_graph(15, 2, p=0.4)
         tracemalloc.start()
         try:
@@ -505,6 +569,12 @@ class TestMinimization:
                     (enum.size_quasi, enum.size_total), g.edges()
 
 
+def _nbr(graphs):
+    """The neighbourhood table `_min_size_dp` reads for a run of graphs
+    of one size."""
+    return _mask_tables(graphs[0].n, [g.adj for g in graphs])[0]
+
+
 class TestChunkMinSizes:
     # `_min_size_dp` on the chunks of obdd-sandwich against
     # `min_obdd_size_exact`, its one-graph call, and against the
@@ -516,7 +586,7 @@ class TestChunkMinSizes:
 
     def test_reports_equal_the_dp(self):
         for n, chunk in _chunks(self.CASES):
-            reports, counts = _min_size_dp(chunk, None)
+            reports, counts = _min_size_dp(chunk, _nbr(chunk), None)
             # both sizes and both tie-broken orders
             assert reports == [min_obdd_size_exact(g) for g in chunk], n
             assert [astuple(r) for r in reports] == [
@@ -525,32 +595,34 @@ class TestChunkMinSizes:
 
     def test_counts_are_trace_family_sizes(self):
         for n, chunk in _chunks(self.CASES[::7]):
-            _, counts = _min_size_dp(chunk, None)
+            _, counts = _min_size_dp(chunk, _nbr(chunk), None)
             assert counts.tolist() == [
                 [len(trace_masks(g, w)) for w in range(1 << n)]
                 for g in chunk]
 
     def test_isolated_vertex_refused(self):
         with pytest.raises(ValueError, match="isolated"):
-            _min_size_dp([Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1)])],
-                         None)
+            chunk = [Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1)])]
+            _min_size_dp(chunk, _nbr(chunk), None)
 
 
 class TestMinSizeDpBlocks:
-    # Past one block of 2^8 prefix sets: n = 9 and 10 have 2 and 4 blocks,
-    # so the counts and keys cross the pushes between blocks.
+    # n = 9 and 10 fit one block of 2^10 prefix sets; n = 11 and 12 have
+    # 2 and 4 blocks, so the counts and keys cross the pushes between
+    # blocks.
     CASES = ([g for g in N9_GRAPHS if _connected(g.adj)]
-             + [random_connected_graph(10, 5)])
+             + [random_connected_graph(10, 5)]
+             + [random_connected_graph(11, 8), random_connected_graph(12, 9)])
 
     @pytest.mark.parametrize("g", CASES)
     def test_counts_are_trace_family_sizes(self, g):
-        _, counts = _min_size_dp([g], None)
+        _, counts = _min_size_dp([g], _nbr([g]), None)
         assert counts.tolist() == [
             [len(trace_masks(g, w)) for w in range(1 << g.n)]]
 
     @pytest.mark.parametrize("g", CASES)
     def test_reports_equal_the_oracle(self, g):
-        reports, _ = _min_size_dp([g], None)
+        reports, _ = _min_size_dp([g], _nbr([g]), None)
         assert [astuple(r) for r in reports] == [naive_min_obdd_sizes(g)]
 
     @pytest.mark.parametrize("g", CASES)
@@ -668,10 +740,10 @@ class TestBoundsReport:
 
         real = obdd._min_size_dp
 
-        def oversized(graphs, work):
+        def oversized(graphs, nbr, work):
             # The one min-size DP behind min_obdd_size_exact,
             # obdd_bounds_report and the sandwich's chunks.
-            reports, counts = real(graphs, work)
+            reports, counts = real(graphs, nbr, work)
             return [replace(rep, size_quasi=g.n ** (g.n + 2) + 1)
                     for g, rep in zip(graphs, reports)], counts
 

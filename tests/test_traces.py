@@ -171,9 +171,9 @@ class TestTraces:
 
 
 class TestTraceBlock:
-    # The min-size DP's blocks: the 2^8 prefix sets H + x, x inside the
-    # vertices 0..7, H a set of the higher ones; at n = 11 some bases H
-    # have three vertices.
+    # Blocks of 2^8 prefix sets H + x, x inside the vertices 0..7, H a
+    # set of the higher ones, as the min-size DP builds its blocks of
+    # 2^_DP_BLOCK_BITS sets; at n = 11 some bases H have three vertices.
     @pytest.mark.parametrize("n, seed, p", [
         (9, 0, 0.4), (10, 1, 0.3), (11, 2, 0.4), (11, 3, 0.6),
     ])

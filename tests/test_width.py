@@ -21,6 +21,7 @@ from mimlab.graph import (
     upper_subgraph,
 )
 from mimlab.harness import _chunks, connected_corpus, full_corpus
+from mimlab.traces import _mask_tables
 from mimlab.width import (
     WidthVariant,
     _lu_widths,
@@ -436,6 +437,13 @@ def _smallest_passing_budget(g):
     return hi
 
 
+def _chunk_tables(n, chunk):
+    """`_lu_widths`'s arguments for a chunk of graphs on n vertices: n,
+    their adjacency masks and their neighbourhood table."""
+    adjs = [g.adj for g in chunk]
+    return n, adjs, _mask_tables(n, adjs)[0]
+
+
 class TestLuWidths:
     # `_lu_widths`, the chunk kernel of obdd-sandwich, against its oracle
     # `exact_width`: every connected graph with n <= 7 and seeded n = 8
@@ -450,21 +458,21 @@ class TestLuWidths:
         cases = ([g for _, g in full_corpus(6)] if whole_corpus
                  else self.CASES)
         for n, chunk in _chunks(cases):
-            reports, _ = _lu_widths(n, [g.adj for g in chunk])
+            reports, _ = _lu_widths(*_chunk_tables(n, chunk))
             # value, canonical witness and per-prefix widths
             assert reports == [exact_width(g, WidthVariant.LU)
                                for g in chunk], n
 
     def test_reports_equal_exact_width_at_n9(self):
-        # Past the sandwich's n <= 8: seeded n = 9 graphs in one call.
-        reports, _ = _lu_widths(9, [g.adj for g in N9_GRAPHS])
+        # Past the exhaustive corpus: seeded n = 9 graphs in one call.
+        reports, _ = _lu_widths(*_chunk_tables(9, N9_GRAPHS))
         assert reports == [exact_width(g, WidthVariant.LU)
                            for g in N9_GRAPHS]
 
     def test_ticks_are_the_sets_exact_width_tests(self):
         sample = self.CASES[::23] + [two_rows(), clique_thread(2)]
         for n, chunk in _chunks(sample):
-            _, ticks = _lu_widths(n, [g.adj for g in chunk])
+            _, ticks = _lu_widths(*_chunk_tables(n, chunk))
             assert ticks == [_smallest_passing_budget(g) for g in chunk]
 
 
