@@ -527,8 +527,8 @@ def run_obdd_sandwich(
     `obdd._bounds_report` gives its verdicts: the diagrams, equivalence
     and counting checks stay per graph.  The first graph of a chunk pays
     for the chunk's kernels.  Larger graphs go through
-    `obdd_bounds_report`: `exact_width`, the oracle of `_lu_widths`, and
-    the same DP block by block.
+    `obdd_bounds_report`: `exact_width`, which hands a wide walk to
+    `_lu_widths` itself, and the same DP block by block.
     """
     cases = sandwich_instances(corpus_max_n, random_ns, random_count, seed)
 
@@ -540,7 +540,7 @@ def run_obdd_sandwich(
                 yield from [None] * len(chunk)
                 continue
             adjs = [g.adj for g in chunk]
-            nbr = _mask_tables(n, adjs)[0]
+            nbr = _mask_tables(n, adjs)
             widths, ticks = _lu_widths(n, adjs, nbr)
             sizes, counts = _min_size_dp(chunk, nbr, None)
             yield from zip(widths, ticks, sizes, counts.tolist())

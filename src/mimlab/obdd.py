@@ -638,8 +638,7 @@ def _one_graph_dp(
     g is refused above OBDD_DP_LIMIT vertices before its 2^n
     neighbourhood table is built."""
     _refuse_above(g.n, OBDD_DP_LIMIT, "OBDD minimization subset DP")
-    (report,), counts = _min_size_dp([g], _mask_tables(g.n, [g.adj])[0],
-                                     work)
+    (report,), counts = _min_size_dp([g], _mask_tables(g.n, [g.adj]), work)
     return report, counts[0]
 
 

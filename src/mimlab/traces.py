@@ -13,10 +13,9 @@ wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
 trace-bound reads the traces of the small sets, and shrink runs
 `_shrink_block`, the same shrinker as array passes over the pairs, one
 popcount layer at a time.  A set of k vertices gathers only its k sets
-S - v, from the table of set layers (`_set_layers`, which
-`width._lu_widths` also reads), and every set of a cut is one flat
-lookup cut << n | mask in the pairs' index table.  Both checks compare
-against each cut's family from `_prefix_traces`.  The cuts
+S - v, from the table of set layers (`_set_layers`), and every set of a
+cut is one flat lookup cut << n | mask in the pairs' index table.  Both
+checks compare against each cut's family from `_prefix_traces`.  The cuts
 themselves, every independent rest side with its largest induced cut
 matching r and the enumeration's work, come from 2^n tables per graph
 (`_cut_contexts`), which `_cut_pairs` reads again; r is read from the
@@ -73,6 +72,8 @@ from .graph import (
 )
 
 DEFAULT_ENUM_BUDGET = 1 << 24
+# The sets `_lu_pair_widths` writes per scatter, bounding its memory.
+_SCATTER_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -238,34 +239,36 @@ def _padded(
     return out
 
 
-def _mask_tables(
-    n: int, adjs: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables over all 2^n masks S for a run of graphs on n vertices,
-    graph i with adjacency masks adjs[i], from one doubling pass over the
-    vertices: nbr[i, S], the neighbourhood of S in graph i; ones[S], the
-    popcount of S; rev[S], S bit-reversed.  All int32: masks fit up to
-    n = 26, past the min-size DP's n <= 20 (`obdd._min_size_dp`, which
-    reads its isolated-vertex table off nbr)."""
-    size = 1 << n
+def _mask_tables(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
+    """nbr[i, S], the neighbourhood of S in graph i, over all 2^n masks S
+    for a run of graphs on n vertices, graph i with adjacency masks
+    adjs[i], from one doubling pass over the vertices.  int32: masks fit
+    up to n = 26, past the min-size DP's n <= 20 (`obdd._min_size_dp`,
+    which reads its isolated-vertex table off nbr)."""
     adj = np.array(adjs, dtype=np.int32).reshape(len(adjs), n)
-    nbr = np.zeros((len(adjs), size), dtype=np.int32)
-    ones = np.zeros(size, dtype=np.int32)
-    rev = np.zeros(size, dtype=np.int32)
+    nbr = np.zeros((len(adjs), 1 << n), dtype=np.int32)
     for v in range(n):
         b = 1 << v
         nbr[:, b:2 * b] = nbr[:, :b] | adj[:, v:v + 1]
-        ones[b:2 * b] = ones[:b] + 1
-        rev[b:2 * b] = rev[:b] | 1 << (n - 1 - v)
-    return nbr, ones, rev
+    return nbr
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """ones[S], the popcount of S, over all 2^n masks S, as int32."""
+    ones = np.zeros(1 << n, dtype=np.int32)
+    for v in range(n):
+        ones[1 << v:2 << v] = ones[:1 << v] + 1
+    return ones
 
 
 @functools.lru_cache(maxsize=None)
 def _set_layers(n: int) -> tuple:
     """The nonempty sets W of n vertices by popcount k = 1 .. n: per layer
     the sets W in ascending order, then one row per W of its k members v
-    in ascending order and of the sets W - v.  `width._lu_widths` and
-    `_shrink_block` read them."""
+    in ascending order and of the sets W - v.  `_shrink_block` reads
+    them for its chunks (n <= 9).  They would keep 3 MB at n = 15, so
+    `width._lu_widths`, which runs up to n = 16 and beyond, builds its
+    layers per call."""
     masks = np.arange(1 << n, dtype=np.int32)
     bits = 1 << np.arange(n, dtype=np.int32)
     member = masks[:, None] & bits != 0
@@ -300,8 +303,7 @@ def _lu_pair_widths(
     """
     graphs, size = nbr.shape
     full = size - 1
-    masks = np.arange(size, dtype=np.int32)
-    pw = (nbr & ~masks & full != 0).astype(np.int32)
+    pw = (nbr & ~np.arange(size, dtype=np.int32) & full != 0).astype(np.int32)
     flat = pw.reshape(-1)
     adj = np.array(adjs, dtype=np.int32).reshape(graphs, n)
     g, a, b = np.nonzero(adj[..., None] >> np.arange(n) & 1)
@@ -320,21 +322,35 @@ def _lu_pair_widths(
         sets_a = sets_a[row] | ea[row, col]
         sets_b = sets_b[row] | eb[row, col]
         # The sets W holding A and missing B: A plus each subset of the rest.
-        found = (g << n | sets_a)[:, None]
-        rest = full ^ sets_a ^ sets_b
-        for _ in range(n - 2 * k):
-            low = rest & -rest
-            rest ^= low
-            found = np.concatenate((found, found | low[:, None]), axis=1)
-        flat[found] = k
+        _scatter(flat, g << n | sets_a, full ^ sets_a ^ sets_b, n - 2 * k, k)
     return pw
+
+
+def _scatter(flat: np.ndarray, keys: np.ndarray, rest: np.ndarray,
+             bits: int, value: int) -> None:
+    """flat[key | S] = value for every key in keys and every subset S of
+    its rest, each rest of `bits` vertices: 2^bits indices per key,
+    doubled into one buffer of at most _SCATTER_CELLS indices at a time."""
+    step = max(1, _SCATTER_CELLS >> bits)
+    found = np.empty((step, 1 << bits), dtype=np.intp)
+    for lo in range(0, len(keys), step):
+        part = found[:len(keys) - lo]
+        part[:, 0] = keys[lo:lo + step]
+        free = rest[lo:lo + step]
+        for i in range(bits):
+            low = free & -free
+            free = free ^ low
+            np.bitwise_or(part[:, :1 << i], low[:, None],
+                          out=part[:, 1 << i:2 << i])
+        flat[part] = value
 
 
 class _CutContexts(NamedTuple):
     """The cut contexts of a run of graphs of one size: per graph, and per
     cut (U, rest) with independent rest side, by graph, then rest side in
-    `independent_set_masks` order; and the graphs' `_mask_tables`, which
-    `_cut_pairs` reads too."""
+    `independent_set_masks` order; and the graphs' neighbourhood table
+    (`_mask_tables`) with the popcount and bit-reversal tables, which
+    `_cut_pairs` and `_shrink_block` read too."""
 
     lens: np.ndarray  # [graph] -> its cut count, its independent sets
     ticks: np.ndarray  # [graph] -> `independent_set_masks(g, full)`'s nodes
@@ -364,7 +380,11 @@ def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
     """
     size = 1 << n
     graphs = len(adjs)
-    nbr, ones, rev = _mask_tables(n, adjs)
+    nbr = _mask_tables(n, adjs)
+    ones = _popcounts(n)
+    rev = np.zeros(size, dtype=np.int32)
+    for v in range(n):
+        rev[1 << v:2 << v] = rev[:1 << v] | 1 << (n - 1 - v)
     indep = nbr & np.arange(size, dtype=np.int32) == 0
     bit_length = np.repeat(np.arange(n + 1), np.r_[1, 1 << np.arange(n)])
     ticks = (indep * (n + 1 - bit_length)).sum(axis=1)

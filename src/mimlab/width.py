@@ -17,6 +17,23 @@ dicts of the sets it settles, so memory grows with those sets, not with
 2^n; no guard on n applies, only a budget on the sets tested
 (DEFAULT_EXACT_BUDGET unless the caller gives one).
 
+On a dense graph the walk tests most of the 2^n sets, one matching query
+each, and a DP over all of them costs less.  So an LU walk that has
+tested more than max(2^n / 4, _TABLE_FLOOR) sets hands the graph to
+`_lu_widths`, the 2^n-table kernel the obdd-sandwich chunks run, which
+gives the same report and, in closed form, the sets the walk would have
+tested in all, so the budget ticks the rest.  On the benchmark's four
+dense n = 14-15 graphs the walk tests 10,350-29,731 sets, and the kernel
+takes a quarter to a tenth of the whole walk's time; the low-width walks
+that stay under a quarter test 1,130-4,883 sets at n = 15-16, and there
+the kernel takes 2 to 30 times the walk's time.  The floor (512 sets,
+about 0.5-1 ms of walk) keeps small graphs, whose tables cost more in
+numpy calls than their walk, on the walk: `clique_thread(3)` tests 243
+sets in 0.25 ms and takes 0.75 ms in the kernel.  (BENCH_width_handover.json
+has the times.)  LMIM and LSIM stay on the walk, since the kernel holds
+LU's pair rule only.  The walk alone (`_exact_width(..., hand_over=False)`)
+is the kernel's oracle.
+
 The conflict rule between two crossing edges does not depend on the cut,
 and every edge crossing W that does not leave its newest vertex c also
 crosses W - c.  So a new matching must use the newest vertex's edges: a
@@ -40,18 +57,24 @@ the previous size across W.  `width_of_ordering` and
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graph import Graph, WidthVariant, _EdgeTable, _Work, mask_of
-from .traces import _lu_pair_widths, _set_layers
+from .traces import _lu_pair_widths, _mask_tables, _popcounts
 
 DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
+# An LU walk hands over to the table kernel past max(2^n / 4, this many)
+# tested sets.
+_TABLE_FLOOR = 512
 
 
 @dataclass(frozen=True)
@@ -174,58 +197,38 @@ def exact_width(
     caps the number of sets tested (counted once per popcount layer) and
     raises BudgetExceededError past it.  None means DEFAULT_EXACT_BUDGET
     (2^22); any other value but an integer >= 1 raises ValueError.
+
+    An LU walk that has tested more than max(2^n / 4, _TABLE_FLOOR) sets
+    hands the graph to the table kernel `_lu_widths`, which returns the
+    same report and ticks the sets the walk would still have tested, so
+    the budget passes and fails exactly as for the walk, with the same
+    message.  Its 2^n int32 tables peak at 1.1-1.4 MB at n = 15.
     """
+    return _exact_width(g, variant, budget, hand_over=True)
+
+
+def _exact_width(
+    g: Graph, variant: WidthVariant | str, budget: int | None,
+    hand_over: bool,
+) -> WidthReport:
+    """`exact_width`; with hand_over False the threshold walk never hands
+    an LU graph to the table kernel, so the walk alone can serve as the
+    kernel's oracle."""
     work = _Work(budget, "exact width search", DEFAULT_EXACT_BUDGET)
     variant = WidthVariant(variant)
     n = g.n
     if n == 0:
         return WidthReport(variant, 0, (), ())
-    full = (1 << n) - 1
+    wide = sys.maxsize
+    if hand_over and variant is WidthVariant.LU:
+        wide = max(1 << n >> 2, _TABLE_FLOOR)
     table = _EdgeTable(g, variant)
-    out_e, into_e = table.out, table.into
-
-    # f maps each accepted set to its exact f; a set absent from f is
-    # untested.  A layer maps each of its sets to the ORs of its
-    # vertices' leaving and entering edge masks, or to None when the set
-    # was rejected at threshold k, so that no set is tested twice at one
-    # threshold.
-    f = {0: 0}
-    k = 0
-    while True:
-        layer = {0: (0, 0)}
-        for _ in range(n):
-            nxt = {}
-            tested = 0
-            for s, ors in layer.items():
-                if ors is None:
-                    continue
-                s_out, s_in = ors
-                rest = full ^ s
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    wmask = s | b
-                    if wmask in nxt:
-                        continue
-                    x = b.bit_length() - 1
-                    leaving = s_out | out_e[x]
-                    entering = s_in | into_e[x]
-                    if wmask not in f:
-                        # f(s) <= k bounds pw(s), so a (k+1)-matching
-                        # across W must use an edge leaving b.
-                        tested += 1
-                        cand = leaving & ~entering
-                        if table.exists_through(cand, cand & out_e[x], k + 1):
-                            nxt[wmask] = None
-                            continue
-                        f[wmask] = k
-                    nxt[wmask] = (leaving, entering)
-            work.tick(tested)
-            layer = nxt
-        if layer.get(full) is not None:
-            break
-        k += 1
-
+    f = _threshold_walk(table, n, work, wide)
+    if f is None:
+        (report,), (ticks,) = _lu_widths(n, [g.adj], _mask_tables(n, [g.adj]))
+        work.tick(ticks - work.nodes)
+        return report
+    full = (1 << n) - 1
     value = f[full]
     order_rev = []
     wmask = full
@@ -249,6 +252,61 @@ def exact_width(
     return WidthReport(variant, value, witness, tuple(per_prefix[1:]))
 
 
+def _threshold_walk(
+    table: _EdgeTable, n: int, work: _Work, wide: int
+) -> dict[int, int] | None:
+    """`exact_width`'s threshold walk: f(W) for every set it accepts, or
+    None once it has tested more than `wide` sets."""
+    full = (1 << n) - 1
+    out_e, into_e = table.out, table.into
+
+    # f maps each accepted set to its exact f; a set absent from f is
+    # untested.  A layer maps each of its sets to the ORs of its
+    # vertices' leaving and entering edge masks, or to None when the set
+    # was rejected at threshold k, so that no set is tested twice at one
+    # threshold.
+    f = {0: 0}
+    k = 0
+    while True:
+        layer = {0: (0, 0)}
+        for _ in range(n):
+            nxt = {}
+            tested = 0
+            room = wide - work.nodes
+            for s, ors in layer.items():
+                if ors is None:
+                    continue
+                s_out, s_in = ors
+                rest = full ^ s
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    wmask = s | b
+                    if wmask in nxt:
+                        continue
+                    x = b.bit_length() - 1
+                    leaving = s_out | out_e[x]
+                    entering = s_in | into_e[x]
+                    if wmask not in f:
+                        # f(s) <= k bounds pw(s), so a (k+1)-matching
+                        # across W must use an edge leaving b.
+                        tested += 1
+                        if tested > room:
+                            work.tick(tested)
+                            return None
+                        cand = leaving & ~entering
+                        if table.exists_through(cand, cand & out_e[x], k + 1):
+                            nxt[wmask] = None
+                            continue
+                        f[wmask] = k
+                    nxt[wmask] = (leaving, entering)
+            work.tick(tested)
+            layer = nxt
+        if layer.get(full) is not None:
+            return f
+        k += 1
+
+
 def _read_back(last: np.ndarray) -> np.ndarray:
     """Per row i, the order of all n vertices that a table last[i, W] over
     the 2^n sets W gives, last[i, W] the vertex an optimal order of W puts
@@ -268,34 +326,49 @@ def _lu_widths(
 ) -> tuple[list[WidthReport], list[int]]:
     """`exact_width(g, LU)` for a chunk of graphs on n vertices, graph i
     with adjacency masks adjs[i] and neighbourhood table nbr
-    (`traces._mask_tables`, which the chunk's min-size DP also reads),
-    from 2^n tables, and per graph the sets `exact_width` tests, which
-    its budget counts.
+    (`traces._mask_tables`, which a chunk's min-size DP also reads),
+    from 2^n tables, and per graph the sets `exact_width`'s walk tests,
+    which its budget counts.  The obdd-sandwich chunks call it, and so
+    does `exact_width` for one wide LU graph.
 
     pw(W), the LU prefix width, comes from the valid pairs (A, B) of
     `traces._lu_pair_widths`, the table the cut contexts also read.
     f(W) = max(pw(W), min_v f(W - v)) runs one popcount layer at a time
-    over the whole chunk, the first minimum giving the smallest
-    minimising v, from which the witness is read back (`exact_width`'s
-    tie rule) with pw along it.
+    over the whole chunk, each layer built per call, with one gather per
+    vertex v of f(W ^ v) << 5 | v: a set W + v above the layer is not
+    reached yet and holds a value above every width, so the minimum is
+    over W's members and gives the smallest minimising v, from which the
+    witness is read back (`exact_width`'s tie rule) with pw along it.
 
-    At threshold k `exact_width` tests W when f(W) >= k and some W - v
-    has f <= k, so it tests W at min(f(W), lu) - minpred(W) + 1
-    thresholds, minpred(W) the least f(W - v), when minpred(W) <= lu.
-    `exact_width` stays the engine for every other caller and is this
-    kernel's oracle.
+    At threshold k the walk tests W when f(W) >= k and some W - v has
+    f <= k, so it tests W at min(f(W), lu) - minpred(W) + 1 thresholds,
+    minpred(W) the least f(W - v), when minpred(W) <= lu.  The walk
+    alone (`_exact_width(..., hand_over=False)`) is this kernel's oracle.
     """
     graphs, size = nbr.shape
     full = size - 1
     pw = _lu_pair_widths(n, adjs, nbr)
-    f = pw.copy()
-    minpred = np.zeros_like(pw)
-    last = np.zeros_like(pw)
-    for w, v, below in _set_layers(n):
-        got = f[:, below]
-        minpred[:, w] = got.min(axis=2)
-        last[:, w] = v[np.arange(len(w)), got.argmin(axis=2)]
-        f[:, w] = np.maximum(pw[:, w], minpred[:, w])
+    # key[i, W] = f(W) << 5 over the sets reached so far, and (n + 1) << 5,
+    # above every width, elsewhere.  W + v is not reached while W's layer
+    # runs, so the least key[W ^ v] | v over all v is over W's members:
+    # min f(W - v) << 5 | v, the smallest minimising v.
+    key = np.full_like(pw, n + 1 << 5)
+    key[:, 0] = 0
+    low = np.zeros_like(pw)
+    by_size = np.argsort(_popcounts(n), kind="stable").astype(np.int32)
+    ends = list(itertools.accumulate(math.comb(n, k) for k in range(n + 1)))
+    for lo, hi in zip(ends, ends[1:]):
+        w = by_size[lo:hi]  # one popcount layer, ascending
+        best = np.full((graphs, hi - lo), n + 1 << 5, dtype=pw.dtype)
+        for v in range(n):
+            np.minimum(best, key[:, w ^ 1 << v] | v, out=best)
+        low[:, w] = best
+        key[:, w] = np.maximum(pw[:, w] << 5, best & ~31)
+    # Free what the tick count does not read: beside its temporaries it
+    # would set the kernel's peak.
+    del by_size
+    f, minpred, last = np.right_shift(key, 5, out=key), low >> 5, low & 31
+    del low
     lu = f[:, full:]
     ticks = np.where(minpred <= lu, np.minimum(f, lu) - minpred + 1, 0)
     ticks[:, 0] = 0

@@ -572,7 +572,7 @@ class TestMinimization:
 def _nbr(graphs):
     """The neighbourhood table `_min_size_dp` reads for a run of graphs
     of one size."""
-    return _mask_tables(graphs[0].n, [g.adj for g in graphs])[0]
+    return _mask_tables(graphs[0].n, [g.adj for g in graphs])
 
 
 class TestChunkMinSizes:
@@ -639,7 +639,7 @@ class TestMinSizeDpBlocks:
 def _isolated(g):
     """The min-size DP's isolated-vertex table of g: Z - N(Z) for every Z,
     from the neighbourhood table of `_mask_tables`."""
-    nbr = _mask_tables(g.n, [g.adj])[0][0]
+    nbr = _mask_tables(g.n, [g.adj])[0]
     return ~nbr & np.arange(1 << g.n, dtype=np.int32)
 
 

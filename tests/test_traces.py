@@ -2,6 +2,8 @@ import bisect
 import functools
 import itertools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from mimlab.traces import (
     _Enablers,
     _cut_contexts,
     _cut_pairs,
+    _lu_pair_widths,
+    _mask_tables,
     _shrink_block,
     _shrink_mask,
     _prefix_traces,
@@ -251,6 +255,33 @@ class TestPrefixTraces:
             _prefix_traces(12, [g.adj] * 130)
         with pytest.raises(ValueError, match=r"1 graph\(s\) on n=16 "):
             _prefix_traces(16, [[0] * 16])
+
+
+class TestLuPairWidths:
+    # clique_thread(4), n = 16, has 4,444 valid pairs of sizes 2-4, which
+    # own 7.3 M (pair, set) cells: the scatter writes them in bounded
+    # slices.
+    CT4 = clique_thread(4)
+
+    def test_equals_prefix_width_on_sampled_sets(self):
+        g = self.CT4
+        pw = _lu_pair_widths(g.n, [g.adj], _mask_tables(g.n, [g.adj]))[0]
+        rng = random.Random(0)
+        for w in [rng.getrandbits(g.n) for _ in range(300)]:
+            assert pw[w] == prefix_width(g, vertices_of(w), WidthVariant.LU)
+
+    def test_allocation_peak(self):
+        # About 3.8 MB, most of it the growth step's candidate matrices
+        # (pairs x edges); one (pair, set) matrix held all 7.3 M cells.
+        g = self.CT4
+        nbr = _mask_tables(g.n, [g.adj])
+        tracemalloc.start()
+        try:
+            _lu_pair_widths(g.n, [g.adj], nbr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestEnables:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mimlab.generators import (
 )
 from mimlab.graph import (
     _EdgeTable,
+    _Work,
     cut_graph,
     is_induced_cut_matching,
     max_induced_cut_matching,
@@ -24,8 +27,10 @@ from mimlab.harness import _chunks, connected_corpus, full_corpus
 from mimlab.traces import _mask_tables
 from mimlab.width import (
     WidthVariant,
+    _exact_width,
     _lu_widths,
     _prefix_scan,
+    _threshold_walk,
     exact_width,
     heuristic_width_upper,
     prefix_width,
@@ -414,12 +419,25 @@ class TestExactWidth:
         assert lsim <= lu <= lmim
 
 
+def _walk(g, budget=None):
+    """exact_width(g, LU) by the threshold walk alone, which never hands
+    over to the table kernel: the kernel's independent oracle."""
+    return _exact_width(g, WidthVariant.LU, budget, hand_over=False)
+
+
+def _walk_tests(g):
+    """The sets the LU threshold walk tests, which its budget counts."""
+    work = _Work(None, "exact width search")
+    _threshold_walk(_EdgeTable(g, WidthVariant.LU), g.n, work, sys.maxsize)
+    return work.nodes
+
+
 def _smallest_passing_budget(g):
-    # exact_width(g, LU) passes a budget exactly when it is at least the
-    # number of sets the search tests: find that number by bisection.
+    # The LU walk passes a budget exactly when it is at least the number
+    # of sets it tests: find that number by bisection.
     def passes(budget):
         try:
-            exact_width(g, WidthVariant.LU, budget=budget)
+            _walk(g, budget)
         except BudgetExceededError:
             return False
         return True
@@ -441,13 +459,14 @@ def _chunk_tables(n, chunk):
     """`_lu_widths`'s arguments for a chunk of graphs on n vertices: n,
     their adjacency masks and their neighbourhood table."""
     adjs = [g.adj for g in chunk]
-    return n, adjs, _mask_tables(n, adjs)[0]
+    return n, adjs, _mask_tables(n, adjs)
 
 
 class TestLuWidths:
-    # `_lu_widths`, the chunk kernel of obdd-sandwich, against its oracle
-    # `exact_width`: every connected graph with n <= 7 and seeded n = 8
-    # graphs, in the chunks `run_obdd_sandwich` makes.
+    # `_lu_widths`, the chunk kernel of obdd-sandwich and of a wide LU
+    # `exact_width`, against its oracle, the threshold walk alone: every
+    # connected graph with n <= 7 and seeded n = 8 graphs, in the chunks
+    # `run_obdd_sandwich` makes.
     CASES = ([g for _, g in connected_corpus(7)]
              + [random_connected_graph(8, seed) for seed in range(40)])
 
@@ -460,20 +479,81 @@ class TestLuWidths:
         for n, chunk in _chunks(cases):
             reports, _ = _lu_widths(*_chunk_tables(n, chunk))
             # value, canonical witness and per-prefix widths
-            assert reports == [exact_width(g, WidthVariant.LU)
-                               for g in chunk], n
+            assert reports == [_walk(g) for g in chunk], n
 
     def test_reports_equal_exact_width_at_n9(self):
         # Past the exhaustive corpus: seeded n = 9 graphs in one call.
         reports, _ = _lu_widths(*_chunk_tables(9, N9_GRAPHS))
-        assert reports == [exact_width(g, WidthVariant.LU)
-                           for g in N9_GRAPHS]
+        assert reports == [_walk(g) for g in N9_GRAPHS]
 
     def test_ticks_are_the_sets_exact_width_tests(self):
         sample = self.CASES[::23] + [two_rows(), clique_thread(2)]
         for n, chunk in _chunks(sample):
             _, ticks = _lu_widths(*_chunk_tables(n, chunk))
             assert ticks == [_smallest_passing_budget(g) for g in chunk]
+
+
+# Seeded random graphs past the corpus, and the benchmark's four low-width
+# exact grids: 16 of the 18 random graphs hand over (not n = 11 and 12 at
+# p = 0.3), and of the grids only (2, 2, 2).
+HAND_OVER_CASES = (
+    [(f"random{n}-p{p}", random_connected_graph(n, n, p=p))
+     for n in range(11, 17) for p in (0.3, 0.4, 0.6)]
+    + [(f"skewgrid{pqr}", skew_grid(*pqr)[0])
+       for pqr in ((3, 3, 1), (3, 1, 3), (5, 2, 1), (2, 2, 2))])
+
+
+class TestHandOver:
+    # exact_width(g, LU) hands a wide walk to `_lu_widths`; everything it
+    # returns or raises must be the walk's.
+    @pytest.mark.parametrize("g", [g for _, g in HAND_OVER_CASES],
+                             ids=[name for name, _ in HAND_OVER_CASES])
+    def test_matches_walk(self, g):
+        tested = _walk_tests(g)
+        walk = _walk(g, tested)
+        # value, canonical witness and per-prefix widths
+        assert exact_width(g, WidthVariant.LU, budget=tested) == walk
+        # the same smallest passing budget, and the same error below it
+        with pytest.raises(BudgetExceededError) as want:
+            _walk(g, tested - 1)
+        with pytest.raises(BudgetExceededError) as got:
+            exact_width(g, WidthVariant.LU, budget=tested - 1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("g, hands_over", [
+        (random_connected_graph(14, 0, p=0.4), True),
+        # under a quarter of its 2^15 sets
+        (skew_grid(3, 1, 3)[0], False),
+        # 243 sets tested: past a quarter of 2^9, under the floor
+        (clique_thread(3), False),
+    ], ids=["dense14", "skewgrid313", "cliquethread3"])
+    def test_hand_over_rule(self, monkeypatch, g, hands_over):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _lu_widths(*args)
+
+        monkeypatch.setattr("mimlab.width._lu_widths", spy)
+        assert exact_width(g, WidthVariant.LU) == _walk(g)
+        assert len(calls) == hands_over
+        # LMIM and LSIM never hand over.
+        exact_width(g, WidthVariant.LMIM)
+        exact_width(g, WidthVariant.LSIM)
+        assert len(calls) == hands_over
+
+    def test_allocation_peak_n15(self):
+        # A dense n = 15 walk hands over at a quarter of its sets; the
+        # kernel's 2^n int32 tables and its bounded scatter stay near
+        # 1.4 MB, under the walk's dicts of every tested set.
+        g = random_connected_graph(15, 2, p=0.4)
+        tracemalloc.start()
+        try:
+            exact_width(g, WidthVariant.LU)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestHeuristic:
