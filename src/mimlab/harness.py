@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
@@ -46,12 +47,13 @@ from .obdd import (
 from .traces import (
     DEFAULT_ENUM_BUDGET,
     TraceBoundReport,
-    _cut_contexts,
-    _cut_pairs,
-    _CutContexts,
+    _enum_nodes,
     _enum_work,
     _mask_tables,
+    _popcounts,
     _prefix_traces,
+    _rest_cuts,
+    _RestCuts,
     _shrink_block,
     _trace_bound_report,
     trace_masks,
@@ -209,12 +211,13 @@ def _tick_walk(entries: int) -> None:
 
 
 # The corpus passes take each size's graphs in chunks of consecutive graphs
-# (`_chunks`), so that a chunk's 2^n tables (the walk of `_prefix_traces`,
-# `_cut_contexts` and `_cut_pairs`) hold at most this many (graph, mask)
-# rows: 32 graphs at n = 6, 16 at n = 7 and 8 at n = 8.  A larger bound
-# trades memory for per-call cost: at 1 << 13 `run_rest_cuts(7)` took
-# 0.29 s against 0.33 s, but its tracemalloc peak rose from 2.0 to 5.8 MB
-# (2-core Xeon VM).
+# (`_chunks`), so that a chunk's 2^n tables (the neighbourhood table that
+# `_enum_nodes` reads, the walk of `_prefix_traces` and the tables of
+# `_rest_cuts`) hold at most this many (graph, mask) rows: 32 graphs at
+# n = 6, 16 at n = 7 and 8 at n = 8.  A larger bound trades memory for
+# per-call cost: at 1 << 13 `run_rest_cuts(7)` took 0.29 s against
+# 0.33 s, but its tracemalloc peak rose from 2.0 to 5.8 MB (2-core Xeon
+# VM).
 _CHUNK_ROWS = 1 << 11
 
 
@@ -269,22 +272,12 @@ def run_subfunction_traces(max_n: int = 6, *, seed: int = 0) -> list[ReportRow]:
 
 
 def _tick_cuts(nodes: int) -> None:
-    """Tick one graph's cut enumeration, the nodes `_cut_contexts` counts
-    for it, against `independent_set_masks`' budget (`traces._enum_work`),
-    or the budget of an enclosing `graph._budget_scope`; the rest-cut pass
-    turns the error into that graph's skipped rows."""
+    """Tick one graph's cut enumeration, the nodes `traces._enum_nodes`
+    counts for it, against `independent_set_masks`' budget
+    (`traces._enum_work`), or the budget of an enclosing
+    `graph._budget_scope`; the rest-cut pass turns the error into that
+    graph's skipped rows."""
     _enum_work(None).tick(nodes)
-
-
-def _independent_rest_cuts(g: Graph) -> list[tuple[int, int, int]]:
-    """The cuts (U, rest) of g whose rest side is independent, as
-    (umask, comp, r): the one-graph case of `_cut_contexts`, ticked by
-    `_tick_cuts`."""
-    contexts = _cut_contexts(g.n, [g.adj])
-    _tick_cuts(int(contexts.ticks[0]))
-    full = g.full_mask()
-    return [(full ^ comp, comp, r) for comp, r
-            in zip(contexts.comp.tolist(), contexts.r.tolist())]
 
 
 def _trace_bound_fails(
@@ -301,70 +294,41 @@ def _trace_bound_fails(
     return (count > binom[side, r]) | (count > power[r]) | small_differs
 
 
-def _cut_families(
-    n: int, adjs: Sequence[Sequence[int]], graph_of: np.ndarray,
-    umask: np.ndarray,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The families T(W) of a chunk's cuts, cut k of graph graph_of[k]
-    with side umask[k], from one `_prefix_traces` walk: each graph's walk
-    entries, sum_W |T(W)|, the sorted keys cut << n | t, t in T(W), and
-    each cut's |T(W)|.  The walk's pairs whose prefix set is no cut are
-    dropped here, so its arrays are freed before the shrinker runs."""
-    walk = _prefix_traces(n, adjs)
-    entries = np.bincount(walk >> 2 * n, minlength=len(adjs)).tolist()
-    cut_of = np.full(len(adjs) << n, -1, dtype=np.int32)  # (graph, W)
-    cut_of[graph_of << n | umask] = np.arange(len(umask))
-    at = cut_of[walk >> n]
-    keep = at >= 0
-    family = np.sort(at[keep] << n | walk[keep] & (1 << n) - 1)
-    return entries, family, np.bincount(at[keep], minlength=len(umask))
-
-
 def _rest_cut_verdicts(
-    graphs: Sequence[Graph], contexts: _CutContexts, checks: Sequence[str]
+    n: int, cuts: _RestCuts, checks: Sequence[str]
 ) -> Iterator[tuple[int, tuple[dict, ...]]]:
-    """Per graph: its walk's entries, sum_W |T(W)|, and the values of its
-    rows, one dict per check in `checks`.
+    """Per graph of a chunk on n vertices: its walk's entries, sum_W
+    |T(W)|, and the values of its rows, one dict per check in `checks`.
 
-    `contexts` holds the graphs' cuts (`_cut_contexts`), numbered in order
-    over the chunk: rest side comp, side U = full ^ comp and r.  The
-    graphs share one size n and go to `_cut_pairs` and `_cut_families` as
-    one chunk.  The walk gives each cut's family T(W) as the sorted keys
-    cut << n | t; the pairs (cut, S) give the same keys a second way, from
-    N(S) & comp, and `differs` marks both in boolean tables over the keys
-    and compares them cut by cut.  trace-bound fails at a cut when
-    `_trace_bound_fails` says so; its row then shows the
-    `_trace_bound_report` built from those arrays.  For shrink a set
+    `cuts` holds the chunk's rest-cut tables (`traces._rest_cuts`): every
+    cut with rest side comp, side U = full ^ comp and r, every pair
+    (cut, S) with its trace, and each cut's family T(U) as a boolean row
+    over the traces t.  The pairs give the same rows a second way, from
+    N(S) & comp, and `differs` compares the two cut by cut.  trace-bound
+    fails at a cut when `_trace_bound_fails` says so; its row then shows
+    the `_trace_bound_report` built from those arrays.  For shrink a set
     passes when its output is a subset of it with the same trace, enables
     and has at most r vertices; the output is a listed set of the same
     cut, so its trace and verdict are read from the chunk's own arrays,
-    through the kernel's flat index cut << n | mask.  It also fails at a
+    through the pairs' index table lut[cut, mask].  It also fails at a
     cut whose enabling sets of at most r vertices leave other traces than
     the family.  A row names the first cut that fails its check; an
     unrequested check's work is not done.
     """
-    n = graphs[0].n
-    full = (1 << n) - 1
-    adjs = [g.adj for g in graphs]
-    pairs = _cut_pairs(contexts)
-    umask, r = full ^ contexts.comp, contexts.r
-    graph_of = np.repeat(np.arange(len(graphs)), contexts.lens)
-    entries, family, count = _cut_families(n, adjs, graph_of, umask)
-    keys = pairs.cut << n | pairs.trace
-    small = pairs.ones[pairs.sets] <= r[pairs.cut]
-
-    seen = np.zeros(len(umask) << n, dtype=bool)  # [cut << n | t]
-    seen[family] = True
+    ones = _popcounts(n)
+    umask, r, family = ((1 << n) - 1) ^ cuts.comp, cuts.r, cuts.family
+    graph_of = np.repeat(np.arange(len(cuts.lens)), cuts.lens)
+    small = ones[cuts.sets] <= r[cuts.cut]
 
     def differs(chosen: np.ndarray) -> np.ndarray:
-        """Per cut: whether its chosen pairs' traces differ from T(W)."""
-        got = np.zeros_like(seen)
-        got[keys[chosen]] = True
-        return (seen != got).reshape(len(umask), 1 << n).any(axis=1)
+        """Per cut: whether its chosen pairs' traces differ from T(U)."""
+        got = np.zeros_like(family)
+        got[cuts.cut[chosen], cuts.trace[chosen]] = True
+        return (family != got).any(axis=1)
 
     def first(fails: np.ndarray) -> list[int]:
         """Per graph: its first failing cut, -1 if none fails."""
-        out = np.full(len(graphs), -1)
+        out = np.full(len(cuts.lens), -1)
         bad = np.flatnonzero(fails)
         graph, where = np.unique(graph_of[bad], return_index=True)
         out[graph] = bad[where]
@@ -372,32 +336,31 @@ def _rest_cut_verdicts(
 
     def report(k: int) -> TraceBoundReport:
         """trace-bound's report of cut k, from the arrays its verdict read."""
-        lo, hi = np.searchsorted(family, [k << n, k + 1 << n])
         return _trace_bound_report(
-            n, int(pairs.ones[umask[k]]), set((family[lo:hi] & full).tolist()),
-            int(r[k]), set(pairs.trace[small & (pairs.cut == k)].tolist()))
+            n, int(ones[umask[k]]), set(np.flatnonzero(family[k]).tolist()),
+            int(r[k]), set(cuts.trace[small & (cuts.cut == k)].tolist()))
 
     values = {}
     if "trace-bound" in checks:
-        fails = _trace_bound_fails(n, pairs.ones[umask], r, count,
+        fails = _trace_bound_fails(n, ones[umask], r, family.sum(axis=1),
                                    differs(small))
         values["trace-bound"] = [
-            dict(passed=True, detail=f"cuts checked={cuts}") if k < 0
+            dict(passed=True, detail=f"cuts checked={count}") if k < 0
             else dict(passed=False,
                       detail=f"violated at mask {umask[k]}: {report(k)}")
-            for k, cuts in zip(first(fails), contexts.lens.tolist())]
+            for k, count in zip(first(fails), cuts.lens.tolist())]
     if "shrink" in checks:
-        out, enables = _shrink_block(pairs)
-        at = pairs.lut.reshape(-1)[pairs.cut << n | out]
-        ok = ((out & ~pairs.sets) == 0) & (at >= 0)
-        ok &= enables[at] & (pairs.trace[at] == pairs.trace)
-        ok &= pairs.ones[out] <= r[pairs.cut]
+        out, enables = _shrink_block(cuts)
+        at = cuts.lut[cuts.cut, out]
+        ok = ((out & ~cuts.sets) == 0) & (at >= 0)
+        ok &= enables[at] & (cuts.trace[at] == cuts.trace)
+        ok &= ones[out] <= r[cuts.cut]
         failed = np.full(len(umask), -1)
         bad = np.flatnonzero(~ok)
-        cut, where = np.unique(pairs.cut[bad], return_index=True)
-        failed[cut] = pairs.sets[bad[where]]
+        cut, where = np.unique(cuts.cut[bad], return_index=True)
+        failed[cut] = cuts.sets[bad[where]]
         fails = (failed >= 0) | differs(small & enables)
-        sets = np.bincount(graph_of[pairs.cut], minlength=len(graphs))
+        sets = np.bincount(graph_of[cuts.cut], minlength=len(cuts.lens))
         values["shrink"] = [
             dict(passed=True, detail=f"independent sets checked={m}") if k < 0
             else dict(passed=False,
@@ -407,7 +370,8 @@ def _rest_cut_verdicts(
                       detail=f"enabling sets of size <= {r[k]} "
                              f"miss a trace at cut {umask[k]}")
             for k, m in zip(first(fails), sets.tolist())]
-    return zip(entries, zip(*(values[check] for check in checks)))
+    rows = zip(*(values[check] for check in checks))
+    return zip(cuts.entries.tolist(), rows)
 
 
 def run_rest_cuts(
@@ -420,24 +384,25 @@ def run_rest_cuts(
     with independent rest side; returns the rows of `checks`, by check.
 
     Both checks go over the graphs in chunks (`_chunks`).  Each chunk
-    gets one `_cut_contexts` call, for every cut and its r, then each graph
-    ticks its cut enumeration, counted in closed form (`_tick_cuts`); a
-    graph over that budget gets skipped rows and leaves the chunk, its
-    rows of the call's 2^n tables with it.  The rest go to one
-    `_rest_cut_verdicts` call, whose one `_cut_pairs` call, on those
-    tables, and one `_prefix_traces` walk give each cut's family T(W), the
-    independent side of both checks.  With r the largest induced cut
-    matching, trace-bound checks |T(W)| <= sum_{i<=r} C(|W|, i) and
-    <= n^(r+1), and that the independent sets of at most r vertices leave
-    every trace; a failing row shows `trace_count_bound_check`'s report
-    for the first failing cut.  shrink checks that every independent set
-    shrinks to an enabling subset of at most r vertices with the same
-    trace, and, apart from the shrinker, that the enabling sets of size
-    <= r leave every trace.  Each row names its check's first failing
-    cut.  An unrequested check does none of its own work.  Each graph
-    ticks its walk's entries against their budget (`_tick_walk`), and a
-    graph over it gets skipped rows.  The first graph of a chunk pays for
-    the chunk's arrays, walk and verdicts.
+    gets one neighbourhood table (`traces._mask_tables`), from which each
+    graph ticks its cut enumeration, counted in closed form
+    (`traces._enum_nodes`, `_tick_cuts`) before any cut is built; a graph
+    over that budget gets skipped rows.  The rest go to one
+    `traces._rest_cuts` call, for every cut and its r, the pairs (cut, S)
+    and each cut's family T(U) from one walk, the independent side of
+    both checks, and then to one `_rest_cut_verdicts` call.  With r the
+    largest induced cut matching, trace-bound checks |T(U)| <=
+    sum_{i<=r} C(|U|, i) and <= n^(r+1), and that the independent sets of
+    at most r vertices leave every trace; a failing row shows
+    `trace_count_bound_check`'s report for the first failing cut.  shrink
+    checks that every independent set shrinks to an enabling subset of at
+    most r vertices with the same trace, and, apart from the shrinker,
+    that the enabling sets of size <= r leave every trace.  Each row
+    names its check's first failing cut.  An unrequested check does none
+    of its own work.  Each graph ticks its walk's entries against their
+    budget (`_tick_walk`), and a graph over it gets skipped rows.  The
+    first graph of a chunk pays for the chunk's tables, walk and
+    verdicts.
     """
     if not set(checks) <= {"trace-bound", "shrink"}:
         raise ValueError(f"checks must be trace-bound or shrink: {checks!r}")
@@ -448,22 +413,18 @@ def run_rest_cuts(
         # Per graph in order: its walk's entries and row values, or the
         # error its cut enumeration's ticks raise.
         for n, chunk in _chunks(g for _, g in corpus):
-            contexts = _cut_contexts(n, [g.adj for g in chunk])
-            keep = np.ones(len(chunk), dtype=bool)
+            adjs = [g.adj for g in chunk]
+            nbr = _mask_tables(n, adjs)
             errors = {}
-            for i, ticks in enumerate(contexts.ticks.tolist()):
+            for i, nodes in enumerate(_enum_nodes(n, nbr).tolist()):
                 try:
-                    _tick_cuts(ticks)
+                    _tick_cuts(nodes)
                 except BudgetExceededError as exc:
-                    keep[i], errors[i] = False, exc
-            if keep.any():
-                cut = np.repeat(keep, contexts.lens)
-                kept = _CutContexts(contexts.lens[keep], contexts.ticks[keep],
-                                    contexts.comp[cut], contexts.r[cut],
-                                    contexts.nbr[keep], contexts.ones,
-                                    contexts.rev)
-                got = _rest_cut_verdicts(
-                    [g for g, ok in zip(chunk, keep) if ok], kept, checks)
+                    errors[i] = exc
+            kept = [i for i in range(len(chunk)) if i not in errors]
+            if kept:
+                cuts = _rest_cuts(n, [adjs[i] for i in kept], nbr[kept])
+                got = _rest_cut_verdicts(n, cuts, checks)
             for i in range(len(chunk)):
                 yield errors[i] if i in errors else next(got)
 
@@ -516,7 +477,7 @@ def run_obdd_sandwich(
     one neighbourhood table (`traces._mask_tables`) and one call of each
     chunk kernel, both reading that table: `width._lu_widths` for the
     exact lu, its canonical witness and the sets `exact_width` would
-    test, from the LU pair table the cut contexts also read, and
+    test, from the LU pair table the rest cuts also read, and
     `obdd._min_size_dp`, the min-size DP of `min_obdd_size_exact` run as
     one block over the chunk, for both exact minimal sizes and orders and
     |T(W)| for every prefix set, of which `_bounds_report` reads the
@@ -580,12 +541,11 @@ def run_horizontal_traces(
 ) -> list[ReportRow]:
     """Trace floor (q+1)^r on both sides of every sampled horizontal
     subgraph of small skew grids."""
-    import random as _random
 
     def evaluate(g, meta):
         p, q, r = meta.p, meta.q, meta.r
         floor = (q + 1) ** r
-        rng = _random.Random(seed * 7919 + p * 100 + q * 10 + r)
+        rng = random.Random(seed * 7919 + p * 100 + q * 10 + r)
         picks_list = [[layer] * meta.coords for layer in range(1, p)]
         for _ in range(mixed_picks):
             picks_list.append(
@@ -624,9 +584,6 @@ def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
     by prefix set); otherwise layer-major, coordinate-major, and five
     seeded random orderings serve as the adversarial test set.
     """
-    import itertools as _it
-    import random as _random
-
     if q < 2:
         raise ValueError("the trace floor family needs q >= 2")
     random_orderings = 5
@@ -649,10 +606,10 @@ def grid_prefix_trace_floor(q: int, r: int, *, seed: int = 0) -> ReportRow:
             return best
 
         if n <= 9:
-            orderings = _it.permutations(range(n))
+            orderings = itertools.permutations(range(n))
             label = "all orderings"
         else:
-            rng = _random.Random(seed)
+            rng = random.Random(seed)
             fixed = [meta.layer_major_ordering(),
                      meta.coordinate_major_ordering()]
             randoms = []

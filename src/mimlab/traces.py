@@ -8,19 +8,18 @@ V is independent every trace is already realized by a subset that
 largest such matching.  The mask kernel `_shrink_mask` finds that subset
 by repeated `_shrink_step`s and logs its moves, and `shrink_to_enabler`
 wraps it for vertex sets.  `harness.run_rest_cuts` checks the bounds
-(`trace-bound`) and the statement (`shrink`) on the arrays of
-`_cut_pairs`, every pair (cut, set) of a chunk of graphs with its trace:
-trace-bound reads the traces of the small sets, and shrink runs
-`_shrink_block`, the same shrinker as array passes over the pairs, one
-popcount layer at a time.  A set of k vertices gathers only its k sets
-S - v, from the table of set layers (`_set_layers`), and every set of a
-cut is one flat lookup cut << n | mask in the pairs' index table.  Both
-checks compare against each cut's family from `_prefix_traces`.  The cuts
-themselves, every independent rest side with its largest induced cut
-matching r and the enumeration's work, come from 2^n tables per graph
-(`_cut_contexts`), which `_cut_pairs` reads again; r is read from the
-one table of valid LU pairs (`_lu_pair_widths`) that `width._lu_widths`
-also reads.
+(`trace-bound`) and the statement (`shrink`) on one chunk's rest-cut
+tables (`_rest_cuts`): every cut with independent rest side and its
+largest induced cut matching r, read from the one table of valid LU
+pairs (`_lu_pair_widths`) that `width._lu_widths` also reads; every pair
+(cut, set) with its trace; and each cut's family from one
+`_prefix_traces` walk.  trace-bound reads the traces of the small sets,
+and shrink runs `_shrink_block`, the same shrinker as array passes over
+the pairs, one popcount layer at a time.  A set of k vertices gathers
+only its k sets S - v, from the table of set layers (`_set_layers`), and
+every set of a cut is one lookup (cut, mask) in the pairs' index table.
+Each graph's enumeration work is counted in closed form (`_enum_nodes`)
+before its tables are built.
 `independent_set_masks` and the matching search stay as their oracles.
 
 The shrinker's precondition, V independent, makes enabling local: an
@@ -45,8 +44,8 @@ and the corpus passes (`harness.run_rest_cuts`,
 `harness.run_subfunction_traces`) walk every prefix set of a chunk of
 graphs with one `_trace_block` call from the empty set
 (`_prefix_traces`).  The DP also reads its isolated-vertex table off the
-neighbourhood table of `_mask_tables`, which the cut contexts, the cut
-pairs and the LU pair table share.
+neighbourhood table of `_mask_tables`, which the rest-cut tables and the
+LU pair table share.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def _check_mask(g: Graph, umask: int) -> None:
 def _enum_work(budget: int | None) -> _Work:
     """The work counter of the independent set enumeration: one tick per
     node of `independent_set_masks`' search, DEFAULT_ENUM_BUDGET by
-    default.  `_cut_contexts` counts the same nodes in closed form."""
+    default.  `_enum_nodes` counts the same nodes in closed form."""
     return _Work(budget, "independent set enumeration", DEFAULT_ENUM_BUDGET)
 
 
@@ -253,20 +252,34 @@ def _mask_tables(n: int, adjs: Sequence[Sequence[int]]) -> np.ndarray:
     return nbr
 
 
+@functools.cache
 def _popcounts(n: int) -> np.ndarray:
-    """ones[S], the popcount of S, over all 2^n masks S, as int32."""
+    """ones[S], the popcount of S, over all 2^n masks S, as read-only
+    int32 (256 KB at n = 16)."""
     ones = np.zeros(1 << n, dtype=np.int32)
     for v in range(n):
         ones[1 << v:2 << v] = ones[:1 << v] + 1
+    ones.setflags(write=False)
     return ones
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
+def _bit_reversal(n: int) -> np.ndarray:
+    """rev[S], S with its n bits reversed, over all 2^n masks S, as
+    read-only int32."""
+    rev = np.zeros(1 << n, dtype=np.int32)
+    for v in range(n):
+        rev[1 << v:2 << v] = rev[:1 << v] | 1 << (n - 1 - v)
+    rev.setflags(write=False)
+    return rev
+
+
+@functools.cache
 def _set_layers(n: int) -> tuple:
     """The nonempty sets W of n vertices by popcount k = 1 .. n: per layer
-    the sets W in ascending order, then one row per W of its k members v
-    in ascending order and of the sets W - v.  `_shrink_block` reads
-    them for its chunks (n <= 9).  They would keep 3 MB at n = 15, so
+    the sets W in ascending order, and one row per W of the sets W - v
+    over its k members v in ascending order.  `_shrink_block` reads them
+    for its chunks (n <= 9).  They would keep 1.1 MB at n = 15, so
     `width._lu_widths`, which runs up to n = 16 and beyond, builds its
     layers per call."""
     masks = np.arange(1 << n, dtype=np.int32)
@@ -277,7 +290,7 @@ def _set_layers(n: int) -> tuple:
     for k in range(1, n + 1):
         w = masks[ones == k]
         v = np.nonzero(member[w])[1].reshape(len(w), k)
-        layer = (w, v, w[:, None] ^ bits[v])
+        layer = (w, w[:, None] ^ bits[v])
         for a in layer:
             a.setflags(write=False)
         layers.append(layer)
@@ -345,99 +358,93 @@ def _scatter(flat: np.ndarray, keys: np.ndarray, rest: np.ndarray,
         flat[part] = value
 
 
-class _CutContexts(NamedTuple):
-    """The cut contexts of a run of graphs of one size: per graph, and per
-    cut (U, rest) with independent rest side, by graph, then rest side in
-    `independent_set_masks` order; and the graphs' neighbourhood table
-    (`_mask_tables`) with the popcount and bit-reversal tables, which
-    `_cut_pairs` and `_shrink_block` read too."""
+def _enum_nodes(n: int, nbr: np.ndarray) -> np.ndarray:
+    """Per graph of a neighbourhood table nbr (`_mask_tables`) on n
+    vertices, the nodes `independent_set_masks(g, full)` visits, in closed
+    form: n + 1 for the empty set and n - top(S) for every other
+    independent S, top(S) its highest vertex, so n + 1 - bit_length(S)
+    for every independent S."""
+    indep = nbr & np.arange(1 << n, dtype=np.int32) == 0
+    bit_length = np.repeat(np.arange(n + 1), np.r_[1, 1 << np.arange(n)])
+    return (indep * (n + 1 - bit_length)).sum(axis=1)
+
+
+class _RestCuts(NamedTuple):
+    """`_rest_cuts`'s tables.  The cuts are numbered over the chunk: by
+    graph, then rest side in `independent_set_masks` order; the pairs
+    (cut, S) go by cut, then S in the same order."""
 
     lens: np.ndarray  # [graph] -> its cut count, its independent sets
-    ticks: np.ndarray  # [graph] -> `independent_set_masks(g, full)`'s nodes
     comp: np.ndarray  # [cut] -> its rest side
     r: np.ndarray  # [cut] -> its largest induced cut matching
-    nbr: np.ndarray  # [graph, mask] -> its neighbourhood
-    ones: np.ndarray  # [mask] -> its popcount, over all 2^n masks
-    rev: np.ndarray  # [mask] -> it bit-reversed, over all 2^n masks
+    cut: np.ndarray  # [pair] -> its cut
+    sets: np.ndarray  # [pair] -> S
+    trace: np.ndarray  # [pair] -> N(S) & comp[cut]
+    lut: np.ndarray  # [cut, mask] -> the pair's index, -1 off the list
+    family: np.ndarray  # [cut, t] -> whether t is in the cut's T(U)
+    entries: np.ndarray  # [graph] -> its walk's entries, sum_W |T(W)|
 
 
-def _cut_contexts(n: int, adjs: Sequence[Sequence[int]]) -> _CutContexts:
-    """The cut contexts of graphs on n vertices, graph i with adjacency
-    masks adjs[i], from 2^n tables, with no enumeration and no matching
-    search.  The tables hold a row of 2^n entries per graph, so callers
-    pass one chunk (`harness._chunks`).
+def _rest_cuts(
+    n: int, adjs: Sequence[Sequence[int]], nbr: np.ndarray
+) -> _RestCuts:
+    """The cuts (U, rest) with independent rest side of a chunk of graphs
+    on n vertices, graph i with adjacency masks adjs[i] and neighbourhood
+    table nbr (`_mask_tables`), with their pairs and families, from 2^n
+    tables, with no enumeration and no matching search.  The tables hold
+    a row of 2^n entries per graph and per cut, so callers pass one chunk
+    (`harness._chunks`).
 
     The rest sides are the masks S with N(S) & S empty, in
     `independent_set_masks` order: by popcount, then lexicographic on the
     ascending vertex tuple, which is the bit-reversed mask descending.
-    That enumeration visits, over all of g, n + 1 nodes for the empty set
-    and n - top(S) for every other independent S, top(S) its highest
-    vertex: n + 1 - bit_length(S) for every S.  The rest side is
-    independent, so an induced cut matching's part B on it is, and the
-    matchings are exactly the valid LU pairs (A, B) of `_lu_pair_widths`
-    with A inside U: r(U) = pw(U).  `independent_set_masks`,
-    `max_induced_cut_matching` and `_EdgeTable` are the oracles.
+    The rest side is independent, so an induced cut matching's part B on
+    it is, and the matchings are exactly the valid LU pairs (A, B) of
+    `_lu_pair_widths` with A inside U: r(U) = pw(U).  A cut's sets S are
+    its graph's independent sets that avoid its rest side: the
+    independent subsets of U.  The families T(U) are the walk's
+    (`_prefix_traces`) at the prefix sets that are cuts.  Cut numbers and
+    masks are int32, and so are the flat indices cut << n | mask into
+    `lut` that `_shrink_block` reads.  `independent_set_masks`,
+    `max_induced_cut_matching`, `_EdgeTable` and `trace_masks` are the
+    oracles.
     """
     size = 1 << n
+    full = size - 1
     graphs = len(adjs)
-    nbr = _mask_tables(n, adjs)
-    ones = _popcounts(n)
-    rev = np.zeros(size, dtype=np.int32)
-    for v in range(n):
-        rev[1 << v:2 << v] = rev[:1 << v] | 1 << (n - 1 - v)
+    walk = _prefix_traces(n, adjs)
     indep = nbr & np.arange(size, dtype=np.int32) == 0
-    bit_length = np.repeat(np.arange(n + 1), np.r_[1, 1 << np.arange(n)])
-    ticks = (indep * (n + 1 - bit_length)).sum(axis=1)
     # The keys are distinct, so any sort gives this order; the stable one
     # is the kernel `_shrink_block` already loads.
-    order = np.argsort(ones << n | (size - 1 - rev), kind="stable")
+    order = np.argsort(_popcounts(n) << n | (full - _bit_reversal(n)),
+                       kind="stable")
     graph_of, at = np.nonzero(indep[:, order])
     comp = order[at].astype(np.int32)
     lens = np.bincount(graph_of, minlength=graphs)
-    r = _lu_pair_widths(n, adjs, nbr)[graph_of, size - 1 ^ comp]
-    return _CutContexts(lens, ticks, comp, r, nbr, ones, rev)
-
-
-class _CutPairs(NamedTuple):
-    """`_cut_pairs`'s arrays, one entry per pair (cut, set) in order: by
-    graph, then cut, then set, each in `independent_set_masks` order."""
-
-    cut: np.ndarray  # the pair's cut, numbered over the whole chunk
-    sets: np.ndarray  # S
-    trace: np.ndarray  # N(S) & comp, comp the cut's rest side
-    lut: np.ndarray  # [cut, mask] -> the pair's index, -1 off the list
-    ones: np.ndarray  # [mask] -> its popcount, over all 2^n masks
-    rev: np.ndarray  # [mask] -> it bit-reversed, over all 2^n masks
-
-
-def _cut_pairs(contexts: _CutContexts) -> _CutPairs:
-    """Every pair (cut, S) of a chunk of graphs of one size, with its
-    trace, from the chunk's cut contexts (`_cut_contexts`): every graph's
-    cuts, whose rest sides are all the graph's independent sets in order,
-    and its neighbourhood table.  A cut's sets S are those of its graph's
-    independent sets that avoid its rest side: the independent subsets of
-    the other side.  Cut numbers and masks are int32, and so are the flat
-    indices cut << n | mask into `lut` that `_shrink_block` reads.
-    """
-    lens, comps, nbr = contexts.lens, contexts.comp, contexts.nbr
-    graph_of = np.repeat(np.arange(len(lens)), lens)
-    listed = _padded(graph_of, comps, lens, -1)
+    r = _lu_pair_widths(n, adjs, nbr)[graph_of, full ^ comp]
     # Row k of cand lists the independent sets of cut k's graph; the
-    # cut's sets are those disjoint from its rest side comps[k].
-    cand = listed[graph_of]
-    cut, col = np.nonzero((cand >= 0) & (cand & comps[:, None] == 0))
+    # cut's sets are those disjoint from its rest side comp[k].
+    cand = _padded(graph_of, comp, lens, -1)[graph_of]
+    cut, col = np.nonzero((cand >= 0) & (cand & comp[:, None] == 0))
     cut, sets = cut.astype(np.int32), cand[cut, col]
     # the narrowest signed type that holds every pair index
-    lut = np.full((len(comps), nbr.shape[1]), -1,
+    lut = np.full((len(comp), size), -1,
                   dtype=np.min_scalar_type(-len(sets)))
     lut[cut, sets] = np.arange(len(sets))
-    trace = nbr[graph_of[cut], sets] & comps[cut]
-    return _CutPairs(cut, sets, trace, lut, contexts.ones, contexts.rev)
+    trace = nbr[graph_of[cut], sets] & comp[cut]
+    cut_of = np.full(graphs << n, -1, dtype=np.int32)  # [graph << n | W]
+    cut_of[graph_of << n | full ^ comp] = np.arange(len(comp))
+    at = cut_of[walk >> n]
+    keep = at >= 0
+    family = np.zeros((len(comp), size), dtype=bool)
+    family[at[keep], walk[keep] & full] = True
+    entries = np.bincount(walk >> 2 * n, minlength=graphs)
+    return _RestCuts(lens, comp, r, cut, sets, trace, lut, family, entries)
 
 
-def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
+def _shrink_block(cuts: _RestCuts) -> tuple[np.ndarray, np.ndarray]:
     """The shrinker's output and enabling verdict for every pair (cut, S)
-    of `pairs`, as two arrays.
+    of a chunk's rest-cut tables (`_rest_cuts`), as two arrays.
 
     The array form of `_Enablers` and `_shrink_step`, which stay as
     `shrink_to_enabler`'s rule and this kernel's slow oracle.  Every
@@ -457,8 +464,9 @@ def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
     when S enables and otherwise the next set's.  The empty set, layer 0,
     keeps the starting values: it enables, and its answers are all 0.
     """
-    cut, sets, trace, lut, ones, rev = pairs
-    n = len(ones).bit_length() - 1
+    cut, sets, trace, lut = cuts.cut, cuts.sets, cuts.trace, cuts.lut
+    n = lut.shape[1].bit_length() - 1
+    ones, rev = _popcounts(n), _bit_reversal(n)
     index = lut.reshape(-1)  # [cut << n | mask] -> the pair's index
     enables = np.ones(len(sets), dtype=bool)
     best = np.zeros_like(sets)
@@ -468,7 +476,7 @@ def _shrink_block(pairs: _CutPairs) -> tuple[np.ndarray, np.ndarray]:
     popcount = ones[sets]
     order = np.argsort(popcount, kind="stable")
     ends = np.searchsorted(popcount[order], np.arange(n + 1), side="right")
-    for (w, _, below), lo, hi in zip(_set_layers(n), ends, ends[1:]):
+    for (w, below), lo, hi in zip(_set_layers(n), ends, ends[1:]):
         if lo == hi:
             continue
         at = order[lo:hi]

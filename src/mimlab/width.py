@@ -22,17 +22,19 @@ each, and a DP over all of them costs less.  So an LU walk that has
 tested more than max(2^n / 4, _TABLE_FLOOR) sets hands the graph to
 `_lu_widths`, the 2^n-table kernel the obdd-sandwich chunks run, which
 gives the same report and, in closed form, the sets the walk would have
-tested in all, so the budget ticks the rest.  On the benchmark's four
-dense n = 14-15 graphs the walk tests 10,350-29,731 sets, and the kernel
-takes a quarter to a tenth of the whole walk's time; the low-width walks
-that stay under a quarter test 1,130-4,883 sets at n = 15-16, and there
-the kernel takes 2 to 30 times the walk's time.  The floor (512 sets,
-about 0.5-1 ms of walk) keeps small graphs, whose tables cost more in
-numpy calls than their walk, on the walk: `clique_thread(3)` tests 243
-sets in 0.25 ms and takes 0.75 ms in the kernel.  (BENCH_width_handover.json
-has the times.)  LMIM and LSIM stay on the walk, since the kernel holds
-LU's pair rule only.  The walk alone (`_exact_width(..., hand_over=False)`)
-is the kernel's oracle.
+tested in all, so the budget ticks the rest: it passes and fails exactly
+as for the walk, with the same message.  The kernel's 2^n int32 tables
+peak at 1.1-1.4 MB at n = 15.  On the benchmark's four dense n = 14-15
+graphs the walk tests 10,350-29,731 sets, and the kernel takes a quarter
+to a tenth of the whole walk's time; the low-width walks that stay under
+a quarter test 1,130-4,883 sets at n = 15-16, and there the kernel takes
+2 to 30 times the walk's time.  The floor (512 sets, about 0.5-1 ms of
+walk) keeps small graphs, whose tables cost more in numpy calls than
+their walk, on the walk: `clique_thread(3)` tests 243 sets in 0.25 ms
+and takes 0.75 ms in the kernel.  (BENCH_width_handover.json has the
+times.)  LMIM and LSIM stay on the walk, since the kernel holds LU's pair
+rule only.  The walk alone (`_exact_width(..., hand_over=False)`) is the
+kernel's oracle.
 
 The conflict rule between two crossing edges does not depend on the cut,
 and every edge crossing W that does not leave its newest vertex c also
@@ -72,8 +74,7 @@ from .traces import _lu_pair_widths, _mask_tables, _popcounts
 
 DEFAULT_EXACT_BUDGET = 1 << 22
 DEFAULT_HEURISTIC_BUDGET = 200
-# An LU walk hands over to the table kernel past max(2^n / 4, this many)
-# tested sets.
+# The hand-over floor (the module docstring states the rule).
 _TABLE_FLOOR = 512
 
 
@@ -198,11 +199,9 @@ def exact_width(
     raises BudgetExceededError past it.  None means DEFAULT_EXACT_BUDGET
     (2^22); any other value but an integer >= 1 raises ValueError.
 
-    An LU walk that has tested more than max(2^n / 4, _TABLE_FLOOR) sets
-    hands the graph to the table kernel `_lu_widths`, which returns the
-    same report and ticks the sets the walk would still have tested, so
-    the budget passes and fails exactly as for the walk, with the same
-    message.  Its 2^n int32 tables peak at 1.1-1.4 MB at n = 15.
+    A wide LU walk hands the graph to the table kernel `_lu_widths`, with
+    the same report and budget outcome (the hand-over rule is in the
+    module docstring).
     """
     return _exact_width(g, variant, budget, hand_over=True)
 
@@ -211,9 +210,8 @@ def _exact_width(
     g: Graph, variant: WidthVariant | str, budget: int | None,
     hand_over: bool,
 ) -> WidthReport:
-    """`exact_width`; with hand_over False the threshold walk never hands
-    an LU graph to the table kernel, so the walk alone can serve as the
-    kernel's oracle."""
+    """`exact_width`; hand_over False keeps the walk alone, the kernel's
+    oracle (the module docstring states the hand-over rule)."""
     work = _Work(budget, "exact width search", DEFAULT_EXACT_BUDGET)
     variant = WidthVariant(variant)
     n = g.n
@@ -329,10 +327,11 @@ def _lu_widths(
     (`traces._mask_tables`, which a chunk's min-size DP also reads),
     from 2^n tables, and per graph the sets `exact_width`'s walk tests,
     which its budget counts.  The obdd-sandwich chunks call it, and so
-    does `exact_width` for one wide LU graph.
+    does `exact_width`'s hand-over (module docstring).
 
     pw(W), the LU prefix width, comes from the valid pairs (A, B) of
-    `traces._lu_pair_widths`, the table the cut contexts also read.
+    `traces._lu_pair_widths`, the table the rest cuts (`traces._rest_cuts`)
+    also read.
     f(W) = max(pw(W), min_v f(W - v)) runs one popcount layer at a time
     over the whole chunk, each layer built per call, with one gather per
     vertex v of f(W ^ v) << 5 | v: a set W + v above the layer is not
@@ -342,8 +341,7 @@ def _lu_widths(
 
     At threshold k the walk tests W when f(W) >= k and some W - v has
     f <= k, so it tests W at min(f(W), lu) - minpred(W) + 1 thresholds,
-    minpred(W) the least f(W - v), when minpred(W) <= lu.  The walk
-    alone (`_exact_width(..., hand_over=False)`) is this kernel's oracle.
+    minpred(W) the least f(W - v), when minpred(W) <= lu.
     """
     graphs, size = nbr.shape
     full = size - 1

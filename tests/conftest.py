@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from mimlab.generators import random_connected_graph, random_graph
 from mimlab.graph import Graph
+from mimlab.harness import _tick_cuts
+from mimlab.traces import _enum_nodes, _mask_tables, _rest_cuts
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -41,3 +43,16 @@ def graphs_without_isolated(draw, min_n=2, max_n=6):
 # dense random ones (some with isolated vertices) and connected ones.
 N9_GRAPHS = ([random_graph(9, 0.5, seed) for seed in range(6)]
              + [random_connected_graph(9, seed) for seed in range(6)])
+
+
+def independent_rest_cuts(g: Graph) -> list[tuple[int, int, int]]:
+    """The cuts (U, rest) of g whose rest side is independent, as
+    (umask, comp, r), as `harness.run_rest_cuts` gets them: the cut
+    enumeration's closed-form nodes ticked (`harness._tick_cuts`), then
+    the one-graph tables of `traces._rest_cuts`."""
+    nbr = _mask_tables(g.n, [g.adj])
+    _tick_cuts(int(_enum_nodes(g.n, nbr)[0]))
+    cuts = _rest_cuts(g.n, [g.adj], nbr)
+    full = g.full_mask()
+    return [(full ^ comp, comp, r)
+            for comp, r in zip(cuts.comp.tolist(), cuts.r.tolist())]

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 from collections import Counter
@@ -21,7 +22,6 @@ from mimlab.harness import (
     ExperimentSpec,
     ReportRow,
     _chunks,
-    _independent_rest_cuts,
     _trace_bound_fails,
     any_failures,
     any_skipped,
@@ -45,15 +45,16 @@ from mimlab.harness import (
 )
 from mimlab.obdd import subfunction_count
 from mimlab.traces import (
-    _cut_contexts,
-    _cut_pairs,
+    _enum_nodes,
+    _mask_tables,
+    _rest_cuts,
     _trace_bound_report,
     independent_set_masks,
     trace_count_bound_check,
     trace_masks,
 )
 
-from conftest import N9_GRAPHS
+from conftest import N9_GRAPHS, independent_rest_cuts
 
 
 class TestSpec:
@@ -210,31 +211,29 @@ class TestExport:
 
 
 def _cuts_with_pairs(g):
-    """(umask, comp, r, subsets, traces) per cut of g: the cut context and
-    the cut's pairs (S, trace) from `_cut_pairs` over g alone."""
-    cuts = list(_independent_rest_cuts(g))
-    pairs = _cut_pairs(_cut_contexts(g.n, [g.adj]))
+    """(umask, comp, r, subsets, traces, family) per cut of g: the cut,
+    the cut's pairs (S, trace) and its family from `_rest_cuts` over g
+    alone."""
+    cuts = list(independent_rest_cuts(g))
+    tables = _chunk_cuts(g.n, [g.adj])
     for k, (umask, comp, r) in enumerate(cuts):
-        at = pairs.cut == k
-        yield (umask, comp, r, pairs.sets[at].tolist(),
-               pairs.trace[at].tolist())
+        at = tables.cut == k
+        yield (umask, comp, r, tables.sets[at].tolist(),
+               tables.trace[at].tolist(),
+               set(np.flatnonzero(tables.family[k]).tolist()))
 
 
-def _chunk_adjs(contexts):
-    """The adjacency masks of a `_cut_contexts` result's graphs: their
-    neighbourhood tables at the one-vertex sets."""
-    n = len(contexts.ones).bit_length() - 1
-    return [tuple(row) for row in contexts.nbr[:, 1 << np.arange(n)].tolist()]
+def _chunk_cuts(n, adjs):
+    """`_rest_cuts` of a chunk of graphs on n vertices."""
+    return _rest_cuts(n, adjs, _mask_tables(n, adjs))
 
 
-def _per_graph(contexts):
-    """Per graph of a `_cut_contexts` result: its first cut's number, its
-    rest sides, its r values and its ticks."""
-    ends = np.cumsum(contexts.lens).tolist()
-    return [(lo, contexts.comp[lo:hi].tolist(), contexts.r[lo:hi].tolist(),
-             ticks)
-            for lo, hi, ticks in zip([0] + ends[:-1], ends,
-                                     contexts.ticks.tolist())]
+def _per_graph(cuts):
+    """Per graph of a `_rest_cuts` result: its first cut's number, its
+    rest sides and its r values."""
+    ends = np.cumsum(cuts.lens).tolist()
+    return [(lo, cuts.comp[lo:hi].tolist(), cuts.r[lo:hi].tolist())
+            for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 class TestCutContext:
@@ -243,32 +242,40 @@ class TestCutContext:
     def test_matches_per_cut_computation(self):
         for _, g in full_corpus(5):
             full = g.full_mask()
-            cuts = list(_independent_rest_cuts(g))
+            cuts = list(independent_rest_cuts(g))
             assert [c[0] for c in cuts] == [
                 full ^ comp for comp in independent_set_masks(g, full)
             ]
-            for umask, comp, r, subsets, trace in _cuts_with_pairs(g):
+            for umask, comp, r, subsets, trace, family in \
+                    _cuts_with_pairs(g):
                 assert comp == full ^ umask
                 assert subsets == list(independent_set_masks(g, umask))
                 u = vertices_of(umask)
                 assert r == max_induced_cut_matching(g, u)[0]
                 for s, t in zip(subsets, trace):
                     assert t == neighborhood_mask(g, s) & comp
+                assert family == trace_masks(g, umask)
 
     def test_builder_matches_the_oracles(self):
         # Every graph of n <= 7 and seeded connected graphs of n = 8, each
         # size's graphs in one call and one at a time: the rest sides in
-        # `independent_set_masks` order, r by the matching search.
+        # `independent_set_masks` order, r by the matching search, and the
+        # enumeration's nodes (`_enum_nodes`).
         by_n: dict[int, list] = {}
         for _, g in full_corpus(7):
             by_n.setdefault(g.n, []).append(g)
         by_n[8] = [random_connected_graph(8, seed) for seed in range(12)]
         cuts = 0
         for n, graphs in by_n.items():
-            got = _per_graph(_cut_contexts(n, [g.adj for g in graphs]))
-            for g, (_, comps, rs, ticks) in zip(graphs, got, strict=True):
-                assert _per_graph(_cut_contexts(n, [g.adj])) == \
-                    [(0, comps, rs, ticks)]
+            adjs = [g.adj for g in graphs]
+            got = _per_graph(_chunk_cuts(n, adjs))
+            nodes = _enum_nodes(n, _mask_tables(n, adjs)).tolist()
+            for g, (_, comps, rs), ticks in zip(graphs, got, nodes,
+                                                strict=True):
+                assert _per_graph(_chunk_cuts(n, [g.adj])) == \
+                    [(0, comps, rs)]
+                assert _enum_nodes(n, _mask_tables(n, [g.adj])).tolist() \
+                    == [ticks]
                 full = g.full_mask()
                 assert comps == list(independent_set_masks(g, full))
                 assert rs == [max_induced_cut_matching(
@@ -279,8 +286,8 @@ class TestCutContext:
     def test_builder_matches_the_oracles_at_n9(self):
         # Past the corpus: seeded n = 9 graphs in one call, the rest sides
         # against the enumeration and r against the matching search.
-        got = _per_graph(_cut_contexts(9, [g.adj for g in N9_GRAPHS]))
-        for g, (_, comps, rs, _) in zip(N9_GRAPHS, got, strict=True):
+        got = _per_graph(_chunk_cuts(9, [g.adj for g in N9_GRAPHS]))
+        for g, (_, comps, rs) in zip(N9_GRAPHS, got, strict=True):
             full = g.full_mask()
             assert comps == list(independent_set_masks(g, full))
             assert rs == [max_induced_cut_matching(
@@ -289,23 +296,23 @@ class TestCutContext:
     def test_ticks_are_the_enumeration_nodes(self):
         # The closed-form count is the budget `independent_set_masks` needs
         # over the whole graph: that budget passes and one less raises.
-        for _, g in full_corpus(6):
+        for g in [g for _, g in full_corpus(6)] + N9_GRAPHS:
             full = g.full_mask()
-            nodes = int(_cut_contexts(g.n, [g.adj]).ticks[0])
+            nodes = int(_enum_nodes(g.n, _mask_tables(g.n, [g.adj]))[0])
             want = list(independent_set_masks(g, full))
             assert list(independent_set_masks(g, full, budget=nodes)) == want
             with pytest.raises(BudgetExceededError, match=f"of {nodes - 1} "):
                 list(independent_set_masks(g, full, budget=nodes - 1))
             with _budget_scope(nodes):
-                assert [c[1] for c in _independent_rest_cuts(g)] == want
+                assert [c[1] for c in independent_rest_cuts(g)] == want
             with _budget_scope(nodes - 1), \
                     pytest.raises(BudgetExceededError,
                                   match="^independent set enumeration: "):
-                _independent_rest_cuts(g)
+                independent_rest_cuts(g)
 
     def test_trace_bound_report_matches_public_check(self):
         for _, g in full_corpus(5):
-            for umask, comp, r, subsets, trace in _cuts_with_pairs(g):
+            for umask, comp, r, subsets, trace, _ in _cuts_with_pairs(g):
                 small = {t for s, t in zip(subsets, trace)
                          if s.bit_count() <= r}
                 rep = _trace_bound_report(g.n, umask.bit_count(),
@@ -339,13 +346,13 @@ class TestRestCutPass:
         monkeypatch.setattr(harness, "_CHUNK_ROWS",
                             1 << 20 if whole_sizes else 1)
         chunks = []
-        real = harness._cut_pairs
+        real = harness._rest_cuts
 
-        def counted(contexts):
-            chunks.append(len(contexts.lens))
-            return real(contexts)
+        def counted(n, adjs, nbr):
+            chunks.append(len(adjs))
+            return real(n, adjs, nbr)
 
-        monkeypatch.setattr(harness, "_cut_pairs", counted)
+        monkeypatch.setattr(harness, "_rest_cuts", counted)
         self.test_rows_pinned()
         per_pass = sizes if whole_sizes else [1] * sum(sizes)
         assert chunks == per_pass * 2
@@ -365,25 +372,28 @@ class TestRestCutPass:
     def test_one_walk_per_chunk(self, monkeypatch):
         import mimlab.harness as harness
 
-        # Each chunk of graphs gets one `_cut_pairs` call and one walk over
+        # `mimlab.traces` the attribute is the public function `traces`
+        traces = importlib.import_module("mimlab.traces")
+
+        # Each chunk of graphs gets one `_rest_cuts` call and one walk over
         # exactly its graphs, and no cut or prefix set a `trace_masks` call.
         def boom(*args, **kwargs):
             raise AssertionError("a per-cut trace family was built")
 
         chunks, walks = [], []
-        real_pairs, real_walk = harness._cut_pairs, harness._prefix_traces
+        real_cuts, real_walk = harness._rest_cuts, traces._prefix_traces
 
-        def listing(contexts):
-            chunks.append(_chunk_adjs(contexts))
-            return real_pairs(contexts)
+        def listing(n, adjs, nbr):
+            chunks.append(list(adjs))
+            return real_cuts(n, adjs, nbr)
 
         def walking(n, adjs):
             walks.append(list(adjs))
             return real_walk(n, adjs)
 
         monkeypatch.setattr(harness, "trace_masks", boom)
-        monkeypatch.setattr(harness, "_cut_pairs", listing)
-        monkeypatch.setattr(harness, "_prefix_traces", walking)
+        monkeypatch.setattr(harness, "_rest_cuts", listing)
+        monkeypatch.setattr(traces, "_prefix_traces", walking)
         verify(ExperimentSpec(checks=("trace-bound", "shrink"),
                               params={"pair_max_n": 5}))
         assert walks == chunks
@@ -457,17 +467,17 @@ class TestRestCutPass:
         # report claims a broken power bound.
         corpus = full_corpus(5)
         g = corpus[-20][1]
-        cuts = list(_independent_rest_cuts(g))
+        cuts = list(independent_rest_cuts(g))
         umask = cuts[0][0]
-        real_pairs, real = harness._cut_pairs, harness._trace_bound_fails
+        real_cuts, real = harness._rest_cuts, harness._trace_bound_fails
         chosen = []  # the chosen cuts in the latest chunk, if g is in it
 
-        def listing(contexts):
-            chosen[:] = [lo + comps.index(cuts[k][1])
-                         for adj, (lo, comps, _, _)
-                         in zip(_chunk_adjs(contexts), _per_graph(contexts))
+        def listing(n, adjs, nbr):
+            tables = real_cuts(n, adjs, nbr)
+            chosen[:] = [lo + comps.index(cuts[k][1]) for adj, (lo, comps, _)
+                         in zip(adjs, _per_graph(tables))
                          if adj == g.adj for k in (4, 0)]
-            return real_pairs(contexts)
+            return tables
 
         def failing(*args):
             fails = real(*args)
@@ -478,7 +488,7 @@ class TestRestCutPass:
             return replace(_trace_bound_report(*args), within_power=False)
 
         clean_shrink = run_shrink(5)
-        monkeypatch.setattr(harness, "_cut_pairs", listing)
+        monkeypatch.setattr(harness, "_rest_cuts", listing)
         monkeypatch.setattr(harness, "_trace_bound_fails", failing)
         monkeypatch.setattr(harness, "_trace_bound_report", report)
         alone = run_trace_bound(5)
@@ -498,25 +508,25 @@ class TestRestCutPass:
 
         # The third of the 13 cuts of all5-0014 fails at its first set.
         name, g = full_corpus(5)[-20]
-        umask, comp = list(_independent_rest_cuts(g))[2][:2]
-        real_pairs, real = harness._cut_pairs, harness._shrink_block
+        umask, comp = list(independent_rest_cuts(g))[2][:2]
+        real_cuts, real = harness._rest_cuts, harness._shrink_block
         chosen = []  # the chosen cut in the latest chunk, if g is in it
 
-        def listing(contexts):
-            chosen[:] = [lo + comps.index(comp) for adj, (lo, comps, _, _)
-                         in zip(_chunk_adjs(contexts), _per_graph(contexts))
-                         if adj == g.adj]
-            return real_pairs(contexts)
+        def listing(n, adjs, nbr):
+            tables = real_cuts(n, adjs, nbr)
+            chosen[:] = [lo + comps.index(comp) for adj, (lo, comps, _)
+                         in zip(adjs, _per_graph(tables)) if adj == g.adj]
+            return tables
 
-        def lying(pairs):
+        def lying(tables):
             # no set of the chosen cut enables, as far as the suite reads
-            out, enables = real(pairs)
+            out, enables = real(tables)
             for cut in chosen:
-                enables[pairs.cut == cut] = False
+                enables[tables.cut == cut] = False
             return out, enables
 
         clean_bound = run_trace_bound(5)
-        monkeypatch.setattr(harness, "_cut_pairs", listing)
+        monkeypatch.setattr(harness, "_rest_cuts", listing)
         monkeypatch.setattr(harness, "_shrink_block", lying)
         alone = run_shrink(5)
         joint = run_rest_cuts(5)
@@ -535,19 +545,20 @@ class TestRestCutPass:
         # independent set leaves: every set still shrinks correctly, so
         # only the comparison of the enabling sets with the family fails.
         name, g = full_corpus(5)[-20]
-        umask, comp, r = list(_independent_rest_cuts(g))[9]
-        real = harness._prefix_traces
+        umask, comp, r = list(independent_rest_cuts(g))[9]
+        real = harness._rest_cuts
         extra = next(t for t in range(comp + 1)
                      if not t & ~comp and t not in trace_masks(g, umask))
 
-        def padded(n, adjs):
-            keys = real(n, adjs)
-            add = [i << 2 * n | umask << n | extra
-                   for i, adj in enumerate(adjs) if adj is g.adj]
-            return np.concatenate((keys, np.array(add, dtype=keys.dtype)))
+        def padded(n, adjs, nbr):
+            tables = real(n, adjs, nbr)
+            for adj, (lo, comps, _) in zip(adjs, _per_graph(tables)):
+                if adj is g.adj:
+                    tables.family[lo + comps.index(comp), extra] = True
+            return tables
 
         clean = {row.instance: row for row in run_shrink(5)}
-        monkeypatch.setattr(harness, "_prefix_traces", padded)
+        monkeypatch.setattr(harness, "_rest_cuts", padded)
         alone = run_shrink(5)
         bad = [row for row in alone if not row.passed]
         assert [(row.instance, row.detail) for row in bad] == [
@@ -801,27 +812,36 @@ class TestBudgetDiscipline:
     ):
         import mimlab.harness as harness
 
-        # The cut contexts are built ahead of the chunk's verdicts, and each
-        # graph ticks its enumeration once, in corpus order; a graph whose
-        # enumeration exceeds its budget, first, inside or last in a chunk,
-        # gets skipped rows and every other row stays.
+        # Each graph ticks its enumeration once, in corpus order, before
+        # any of its chunk's cuts is built; a graph whose enumeration
+        # exceeds its budget, first, inside or last in a chunk, never
+        # reaches `_rest_cuts`, gets skipped rows, and every other row
+        # stays.
         corpus = full_corpus(4)
-        name, _ = corpus[at]
+        name, target = corpus[at]
         calls = itertools.count()
-        real = harness._tick_cuts
+        real, real_cuts = harness._tick_cuts, harness._rest_cuts
+        built = []  # the adjacency masks of every graph given tables
 
         def exhausted(nodes):
             if next(calls) == at % len(corpus):
                 raise BudgetExceededError("forced", 1)
             real(nodes)
 
+        def listing(n, adjs, nbr):
+            built.extend(adjs)
+            return real_cuts(n, adjs, nbr)
+
         clean = rows_to_dicts(run_rest_cuts(4))
         monkeypatch.setattr(harness, "_tick_cuts", exhausted)
+        monkeypatch.setattr(harness, "_rest_cuts", listing)
         rows = rows_to_dicts(run_rest_cuts(4))
         assert [(d["check"], d["instance"]) for d in rows if d["skipped"]] \
             == [("trace-bound", name), ("shrink", name)]
         assert [d for d in rows if d["instance"] != name] == \
             [d for d in clean if d["instance"] != name]
+        assert [id(adj) for adj in built] == \
+            [id(g.adj) for _, g in corpus if g is not target]
 
     def test_scoped_budget_skips_what_the_enumeration_refuses(self):
         # Under a budget scope a graph is skipped by the first budget it

@@ -28,14 +28,13 @@ from mimlab.graph import (
     upper_subgraph,
     vertices_of,
 )
-from mimlab.harness import _independent_rest_cuts, full_corpus
+from mimlab.harness import full_corpus
 from mimlab.traces import (
     TraceBoundReport,
     _Enablers,
-    _cut_contexts,
-    _cut_pairs,
     _lu_pair_widths,
     _mask_tables,
+    _rest_cuts,
     _shrink_block,
     _shrink_mask,
     _prefix_traces,
@@ -51,7 +50,7 @@ from mimlab.traces import (
 )
 from mimlab.width import WidthVariant, prefix_width
 
-from conftest import N9_GRAPHS, graphs
+from conftest import N9_GRAPHS, graphs, independent_rest_cuts
 from oracles import (
     edge_set,
     naive_enables,
@@ -345,7 +344,7 @@ def _rest_cut_rules(max_n: int):
     for _, g in full_corpus(max_n):
         nbr = functools.partial(neighborhood_mask, g)
         cached = functools.cache(nbr)
-        for umask, comp, _ in _independent_rest_cuts(g):
+        for umask, comp, _ in independent_rest_cuts(g):
             yield (g, umask, list(independent_set_masks(g, umask)),
                    _Enablers(g.adj, comp, nbr),
                    _Enablers(g.adj, comp, cached))
@@ -388,7 +387,7 @@ def _scalar_shrink_rows(g):
     pair of g, from a fresh `_Enablers` per cut."""
     rows = []
     nbr = functools.cache(functools.partial(neighborhood_mask, g))
-    for k, (umask, comp, _) in enumerate(_independent_rest_cuts(g)):
+    for k, (umask, comp, _) in enumerate(independent_rest_cuts(g)):
         rule = _Enablers(g.adj, comp, nbr)
         rows += [(k, s, _shrink_mask(rule, s)[0], rule.enables(s))
                  for s in independent_set_masks(g, umask)]
@@ -398,12 +397,12 @@ def _scalar_shrink_rows(g):
 def _block_rows(graphs):
     """The same rows from one `_shrink_block` call over graphs of one size,
     cut numbers restarting at each graph."""
-    contexts = _cut_contexts(graphs[0].n, [g.adj for g in graphs])
-    pairs = _cut_pairs(contexts)
-    shrunk, enables = _shrink_block(pairs)
-    starts = list(itertools.accumulate(contexts.lens.tolist(), initial=0))
+    n, adjs = graphs[0].n, [g.adj for g in graphs]
+    cuts = _rest_cuts(n, adjs, _mask_tables(n, adjs))
+    shrunk, enables = _shrink_block(cuts)
+    starts = list(itertools.accumulate(cuts.lens.tolist(), initial=0))
     rows = [[] for _ in graphs]
-    for c, s, out, ok in zip(pairs.cut.tolist(), pairs.sets.tolist(),
+    for c, s, out, ok in zip(cuts.cut.tolist(), cuts.sets.tolist(),
                              shrunk.tolist(), enables.tolist()):
         i = bisect.bisect_right(starts, c) - 1
         rows[i].append((c - starts[i], s, out, ok))
@@ -453,7 +452,7 @@ class TestShrinkBlock:
 
     def test_tie_goes_to_the_lexicographically_least(self):
         comp, s = 0b11, 0b1110100
-        cut = [c[1] for c in _independent_rest_cuts(TIE)].index(comp)
+        cut = [c[1] for c in independent_rest_cuts(TIE)].index(comp)
         rule = _Enablers(TIE.adj, comp, functools.partial(neighborhood_mask,
                                                           TIE))
         enabling = [t for t in range(s + 1)
@@ -467,15 +466,15 @@ class TestShrinkBlock:
 
     def test_step_set_is_shrunk_on(self):
         comp, s = 0b11, 0b11111000
-        cut = [c[1] for c in _independent_rest_cuts(STEPS)].index(comp)
+        cut = [c[1] for c in independent_rest_cuts(STEPS)].index(comp)
         rows = _scalar_shrink_rows(STEPS)
         assert (cut, s, 0b100000, False) in rows
         assert _block_rows([STEPS])[0] == rows
 
     def test_lookup_table_and_traces(self):
         for g in (TIE, random_connected_graph(8, 1)):
-            cuts = list(_independent_rest_cuts(g))
-            pairs = _cut_pairs(_cut_contexts(g.n, [g.adj]))
+            cuts = list(independent_rest_cuts(g))
+            pairs = _rest_cuts(g.n, [g.adj], _mask_tables(g.n, [g.adj]))
             for i, (c, s, t) in enumerate(zip(pairs.cut.tolist(),
                                               pairs.sets.tolist(),
                                               pairs.trace.tolist())):
